@@ -26,6 +26,7 @@ from .codes import GeneratorMatrix, iter_converse_selections
 from .errors import (
     AttackConstructionFailed,
     DimensionMismatch,
+    DistcodeError,
     NullspaceDeltaZero,
     PreconditionViolated,
     SelectionImpossible,
@@ -77,14 +78,6 @@ class DifferenceBasis:
             for l in range(j, i):
                 coeffs[pos[(l, l + 1)]] -= 1
         return tuple(coeffs)
-
-    def decomposition(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """Coefficient vectors for every (i, j) pair."""
-        return {
-            (i, j): self.coefficients(i, j)
-            for i in range(self.v)
-            for j in range(self.v)
-        }
 
 
 def diff_basis(v: int) -> DifferenceBasis:
@@ -164,6 +157,19 @@ def _repair_leftover(ctx, E: np.ndarray, leftover, groups, beta: int):
     return leftover, groups, _rows_rank(ctx, E, leftover) == beta
 
 
+def _full_rank_blocks(ctx, E: np.ndarray, h: int, beta: int, m: int):
+    """Split the rows of E into m blocks of rank beta: greedy extraction of
+    m-1 groups, then repair of the leftover block, which comes first.
+    Returns the blocks as tuples of row indices, or None on failure."""
+    res = _greedy_blocks(ctx, E, h, beta, m)
+    if res is None:
+        return None
+    leftover, groups, ok = _repair_leftover(ctx, E, *res, beta)
+    if not ok:
+        return None
+    return (tuple(leftover),) + tuple(tuple(g) for g in groups)
+
+
 def partition_full_rank(E: FieldMatrix, h: int, beta: int, v: int):
     """Split the rows of E into 2v-1 blocks whose restrictions are full rank.
 
@@ -196,19 +202,13 @@ def partition_full_rank(E: FieldMatrix, h: int, beta: int, v: int):
                     3, f"rows {combo} restricted to the columns are rank deficient"
                 )
 
-    m = 2 * v - 1
-    res = _greedy_blocks(ctx, a, h, beta, m)
-    if res is None:
-        raise RuntimeError("greedy extraction stalled despite valid preconditions")
-    leftover, groups = res
-    leftover, groups, ok = _repair_leftover(ctx, a, leftover, groups, beta)
-    if not ok:
-        raise RuntimeError("row exchange failed despite valid preconditions")
-    blocks = [tuple(leftover)] + [tuple(g) for g in groups]
+    blocks = _full_rank_blocks(ctx, a, h, beta, 2 * v - 1)
+    if blocks is None:
+        raise RuntimeError("block extraction failed despite valid preconditions")
     for blk in blocks:
         if _rows_rank(ctx, a, list(blk)) != beta:
             raise RuntimeError("partition produced a rank-deficient block")
-    return tuple(blocks)
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +295,6 @@ def converse_attack(gm: GeneratorMatrix, cfg: SystemConfig, seed: int) -> Attack
     if gm.N != cfg.N or gm.K != cfg.K or gm.ctx.p != cfg.p:
         raise ValueError("generator and system config disagree")
     ctx = gm.ctx
-    p = ctx.p
     K, beta, v, h = cfg.K, cfg.beta, cfg.v, cfg.h
     t = cfg.t_star - 1
     m = max(1, -(-(t - h + 1) // beta))  # ceil((t-h+1)/beta)
@@ -306,14 +305,9 @@ def converse_attack(gm: GeneratorMatrix, cfg: SystemConfig, seed: int) -> Attack
     for T, A in iter_converse_selections(gm, beta, v):
         saw_candidate = True
         E = gm.matrix._a[np.array(T)][:, np.array(A)]
-        res = _greedy_blocks(ctx, E, h, beta, m)
-        if res is None:
+        blocks = _full_rank_blocks(ctx, E, h, beta, m)
+        if blocks is None:
             continue
-        leftover, groups = res
-        leftover, groups, ok = _repair_leftover(ctx, E, leftover, groups, beta)
-        if not ok:
-            continue
-        blocks = [list(leftover)] + [list(g) for g in groups]
 
         Hs = [k for k in range(K) if k not in A]
         B = np.zeros((t, m * beta + h), dtype=ctx.dtype)
@@ -428,7 +422,7 @@ def verify_attack(
         s2 = SourceBehavior(cfg, attack.setup2.rows, attack.setup2.adversary_set)
         t1 = encode_transcript(gm, s1, attack.node_set)
         t2 = encode_transcript(gm, s2, attack.node_set)
-    except Exception:
+    except (DistcodeError, ValueError):
         return False
     if t1.values != t2.values:
         return False

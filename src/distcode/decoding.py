@@ -21,6 +21,10 @@ Two details depart from the naive sweep without changing its outcome:
 Fast mode keeps the first pinned value per coordinate.  Strict mode retains
 every feasible scenario and reports an ambiguity witness whenever two
 feasible solutions disagree on a coordinate both presume honest.
+
+Feasible scenarios' solution sets are read straight off the stacks that
+:func:`~distcode.field.batch_feasible` reduced, and every recorded solution
+is re-checked against its rebuilt, unreduced system.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from .codes import GeneratorMatrix
 from .errors import BudgetExceeded, NodeOutOfRange, TranscriptMismatch
-from .field import FieldMatrix, batch_feasible, solve
+from .field import _read_reduced, batch_feasible
 from .system import SourceBehavior, SystemConfig, Transcript
 
 DEFAULT_BUDGET = 10**8
@@ -169,27 +173,38 @@ class DecodeResult:
         return doc
 
 
-def _scenario_system(ctx, Gsub, pos_of, Hs, A_hat, parts):
-    """Assemble the scenario's coefficient matrix.
+def _scenario_stack(D, X, yv, combos) -> np.ndarray:
+    """Stack the augmented systems ``[A | y]`` of the given scenario indices.
 
-    Variable order: presumed-honest sources ascending, then each presumed
-    adversary's blocks in partition order.  Returns (matrix, spans) where
-    ``spans[j]`` is the column range of adversary ``A_hat[j]``.
+    Variable order: presumed-honest sources ascending (the columns of ``D``),
+    then each presumed adversary's blocks in partition order, padded to v
+    columns per adversary.  ``X[j]`` holds adversary ``j``'s block columns
+    for every partition; scenario ``q`` uses partition
+    ``(q // n_parts**(beta-1-j)) % n_parts`` for adversary ``j``.
     """
-    p = ctx.p
-    t = Gsub.shape[0]
-    cols = [Gsub[:, k] for k in Hs]
-    spans = []
-    for j, k in enumerate(A_hat):
-        gcol = Gsub[:, k]
-        start = len(cols)
-        for block in parts[j]:
-            ind = np.zeros(t, dtype=Gsub.dtype)
-            for n in block:
-                ind[pos_of[n]] = 1
-            cols.append(gcol * ind % p)
-        spans.append((start, len(cols)))
-    return FieldMatrix._wrap(ctx, np.stack(cols, axis=1)), spans
+    t, h = D.shape
+    beta = len(X)
+    n_parts, _, v = X[0].shape
+    aug = np.empty((len(combos), t, h + beta * v + 1), dtype=D.dtype)
+    aug[:, :, :h] = D
+    for j in range(beta):
+        div = n_parts ** (beta - 1 - j)
+        aug[:, :, h + j * v : h + (j + 1) * v] = X[j][(combos // div) % n_parts]
+    aug[:, :, -1] = yv
+    return aug
+
+
+def _check_residuals(stack: np.ndarray, vecs, p: int) -> None:
+    """Raise unless each ``vecs[i]`` solves the unreduced system ``stack[i]``.
+
+    Each term is reduced as it is added, so int64 cannot wrap.
+    """
+    x = np.array(vecs, dtype=stack.dtype)
+    acc = np.zeros(stack.shape[:2], dtype=stack.dtype)
+    for c in range(x.shape[1]):
+        acc = (acc + stack[:, :, c] * x[:, c, None]) % p
+    if (acc != stack[:, :, -1]).any():
+        raise RuntimeError("a recorded solution does not satisfy its scenario system")
 
 
 def _vector_to_solution(scenario, Hs, spans, vec, unpinned) -> ScenarioSolution:
@@ -280,31 +295,26 @@ def decode(
 
         for start in range(0, n_combos, _CHUNK):
             idxs = np.arange(start, min(start + _CHUNK, n_combos), dtype=np.int64)
-            aug = np.empty((len(idxs), t, ncols + 1), dtype=ctx.dtype)
-            aug[:, :, :h] = D[None, :, :]
-            for j in range(beta):
-                div = n_parts ** (beta - 1 - j)
-                aug[:, :, h + j * v : h + (j + 1) * v] = X[j][(idxs // div) % n_parts]
-            aug[:, :, ncols] = yv[None, :]
+            aug = _scenario_stack(D, X, yv, idxs)
             flags = batch_feasible(aug, p, ncols)
             feasible_count += int(flags.sum())
 
             if not strict and all(estimates[k] is not None for k in Hs):
                 continue  # feasibility already tallied; nothing left to record
 
+            recorded: list[tuple[int, tuple[int, ...]]] = []  # (combo, solution)
             for local in np.nonzero(flags)[0]:
                 combo = int(idxs[local])
                 if not strict and all(estimates[k] is not None for k in Hs):
                     break
-                sel = []
-                for j in range(beta):
-                    div = n_parts ** (beta - 1 - j)
-                    sel.append(parts[(combo // div) % n_parts])
-                scenario = PresumedScenario(A_hat, tuple(sel))
-                A_mat, spans = _scenario_system(ctx, Gsub, pos_of, Hs, A_hat, sel)
-                out = solve(A_mat, list(transcript.values))
-                if not out.consistent:  # batched and exact paths must agree
-                    raise RuntimeError("feasibility disagreement between solvers")
+                sel = tuple(
+                    parts[(combo // n_parts ** (beta - 1 - j)) % n_parts]
+                    for j in range(beta)
+                )
+                scenario = PresumedScenario(A_hat, sel)
+                spans = [(h + j * v, h + j * v + len(part)) for j, part in enumerate(sel)]
+                out = _read_reduced(aug[local], ncols, p)
+                recorded.append((combo, out.particular))
                 unpinned = frozenset(
                     k for i, k in enumerate(Hs) if i not in out.pinned_coordinates
                 )
@@ -325,6 +335,7 @@ def decode(
                             alt = tuple(
                                 (a + b) % p for a, b in zip(out.particular, bvec)
                             )
+                            recorded.append((combo, alt))
                             witnesses[k] = (
                                 sol,
                                 _vector_to_solution(scenario, Hs, spans, alt, unpinned),
@@ -336,6 +347,10 @@ def decode(
                             pinned_first[k] = (val, sol)
                         elif seen[0] != val and k not in witnesses:
                             witnesses[k] = (seen[1], sol)
+            if recorded:
+                combos, vecs = zip(*recorded)
+                stack = _scenario_stack(D, X, yv, np.array(combos))
+                _check_residuals(stack, vecs, p)
 
     ambiguous = frozenset(witnesses)
     ambiguity = witnesses[min(ambiguous)] if ambiguous else None

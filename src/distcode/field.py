@@ -1,12 +1,14 @@
 """Exact arithmetic and dense linear algebra over a prime field GF(p).
 
 Field elements are canonical Python integers in ``[0, p)``.  A
-:class:`FieldContext` fixes the modulus and supplies scalar operations;
-:class:`FieldMatrix` stores a dense matrix of reduced entries.  On top of
-those, this module provides Gaussian elimination utilities: :func:`solve`
-returns consistency, one particular solution, a nullspace basis and the set
+:class:`FieldContext` fixes the modulus; :class:`FieldMatrix` stores a dense
+matrix of reduced entries.  One batched, inverse-free Gauss-Jordan kernel
+does all elimination: :func:`rank`, :func:`batch_rank` and
+:func:`batch_feasible` count its pivots, and :func:`solve` reads from its
+output consistency, one particular solution, a nullspace basis and the set
 of *pinned* coordinates (coordinates that take the same value in every
-solution), which is what the feasibility decoder consumes.
+solution).  The feasibility decoder reads the same data straight off the
+stacks it passed to :func:`batch_feasible`.
 
 Matrices are backed by numpy.  For moduli up to ``_INT64_SAFE_P`` the entries
 live in ``int64`` (entrywise products of reduced values cannot overflow);
@@ -69,7 +71,7 @@ def is_prime(n: int) -> bool:
 
 
 class FieldContext:
-    """Scalar arithmetic in GF(p) with canonical representatives.
+    """The prime modulus of GF(p), the dtype its matrices use, and inversion.
 
     The constructor only requires ``p`` to be prime, so unit tests may build
     small fields directly.  Production code should go through
@@ -85,30 +87,12 @@ class FieldContext:
         self.p = p
         self.dtype = np.int64 if p <= _INT64_SAFE_P else object
 
-    def element(self, x: int) -> FieldElement:
-        return int(x) % self.p
-
-    def add(self, a: int, b: int) -> FieldElement:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> FieldElement:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> FieldElement:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> FieldElement:
-        return (-a) % self.p
-
     def inv(self, a: int) -> FieldElement:
         """Multiplicative inverse; raises :class:`DivisionByZero` on 0."""
         a = a % self.p
         if a == 0:
             raise DivisionByZero("0 has no multiplicative inverse")
         return pow(a, -1, self.p)
-
-    def rand(self, rng) -> FieldElement:
-        return rng.randrange(self.p)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FieldContext) and other.p == self.p
@@ -149,16 +133,6 @@ class FieldMatrix:
         self.ctx = ctx
         self._a = a.astype(ctx.dtype)
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, ctx: FieldContext, rows: int, cols: int) -> "FieldMatrix":
-        return cls(ctx, np.zeros((rows, cols), dtype=object))
-
-    @classmethod
-    def identity(cls, ctx: FieldContext, n: int) -> "FieldMatrix":
-        return cls(ctx, np.eye(n, dtype=object))
-
     @classmethod
     def _wrap(cls, ctx: FieldContext, reduced: np.ndarray) -> "FieldMatrix":
         # Internal: adopt an already-reduced array without copying.
@@ -166,8 +140,6 @@ class FieldMatrix:
         m.ctx = ctx
         m._a = reduced
         return m
-
-    # -- structure ---------------------------------------------------------
 
     @property
     def rows(self) -> int:
@@ -184,9 +156,6 @@ class FieldMatrix:
     def row(self, i: int) -> tuple[FieldElement, ...]:
         return tuple(int(x) for x in self._a[i])
 
-    def column(self, j: int) -> tuple[FieldElement, ...]:
-        return tuple(int(x) for x in self._a[:, j])
-
     def submatrix(self, row_idx, col_idx) -> "FieldMatrix":
         rows = list(row_idx)
         cols = list(col_idx)
@@ -194,35 +163,6 @@ class FieldMatrix:
 
     def to_rows(self) -> list[list[int]]:
         return [[int(x) for x in r] for r in self._a]
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __matmul__(self, other: "FieldMatrix") -> "FieldMatrix":
-        if self.ctx != other.ctx:
-            raise DimensionMismatch("matrices from different fields")
-        if self.cols != other.rows:
-            raise DimensionMismatch(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        p = self.ctx.p
-        acc = np.zeros((self.rows, other.cols), dtype=self._a.dtype)
-        # Accumulate one rank-1 term at a time so int64 never overflows.
-        for k in range(self.cols):
-            acc = (acc + self._a[:, k : k + 1] * other._a[k : k + 1, :]) % p
-        return FieldMatrix._wrap(self.ctx, acc)
-
-    def matvec(self, vec) -> tuple[FieldElement, ...]:
-        if len(vec) != self.cols:
-            raise DimensionMismatch("vector length does not match column count")
-        p = self.ctx.p
-        out = []
-        for i in range(self.rows):
-            s = 0
-            arow = self._a[i]
-            for k, x in enumerate(vec):
-                s = (s + int(arow[k]) * (int(x) % p)) % p
-            out.append(s)
-        return tuple(out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -255,32 +195,48 @@ class SolveOutcome:
     pinned_coordinates: frozenset[int] = field(default_factory=frozenset)
 
 
-def _rref_augmented(ctx: FieldContext, aug: np.ndarray, nvars: int):
-    """Reduce ``aug`` (rows x (nvars+extra)) in place; pivot only on the
-    first ``nvars`` columns.  Returns the list of pivot columns."""
-    p = ctx.p
-    nrows = aug.shape[0]
+def _read_reduced(rows: np.ndarray, nvars: int, p: int) -> SolveOutcome:
+    """Read the solution set of ``A x = b`` off one system ``[A | b]`` that
+    :func:`_batch_eliminate` has reduced over its first ``nvars`` columns.
+
+    Each row's leading nonzero is that row's pivot, normalized by one
+    inverse.  The particular solution sets free variables to zero, and the
+    nullspace basis holds one vector per free column, in column order.
+    """
+    consistent = True
     pivots: list[int] = []
-    r = 0
-    for c in range(nvars):
-        pr = None
-        for i in range(r, nrows):
-            if aug[i, c] != 0:
-                pr = i
-                break
-        if pr is None:
+    red: list[list[int]] = []
+    for row in rows.tolist():
+        c = next((c for c, x in enumerate(row[:nvars]) if x), None)
+        if c is None:
+            if row[nvars]:
+                consistent = False
             continue
-        if pr != r:
-            aug[[r, pr]] = aug[[pr, r]]
-        inv = pow(int(aug[r, c]), -1, p)
-        aug[r] = (aug[r] * inv) % p
-        factor = aug[:, c].copy()
-        factor[r] = 0
-        aug -= factor[:, None] * aug[r][None, :]
-        aug %= p
+        inv = pow(row[c], -1, p)
         pivots.append(c)
-        r += 1
-    return pivots
+        red.append([x * inv % p for x in row])
+    pivset = set(pivots)
+    free = [c for c in range(nvars) if c not in pivset]
+
+    particular = None
+    if consistent:
+        x = [0] * nvars
+        for row, c in zip(red, pivots):
+            x[c] = row[nvars]
+        particular = tuple(x)
+
+    basis = []
+    for f in free:
+        vec = [0] * nvars
+        vec[f] = 1
+        for row, c in zip(red, pivots):
+            vec[c] = -row[f] % p
+        basis.append(tuple(vec))
+
+    pinned = frozenset(
+        c for row, c in zip(red, pivots) if not any(row[f] for f in free)
+    )
+    return SolveOutcome(consistent, particular, tuple(basis), pinned)
 
 
 def solve(A: FieldMatrix, b) -> SolveOutcome:
@@ -300,36 +256,12 @@ def solve(A: FieldMatrix, b) -> SolveOutcome:
     """
     if len(b) != A.rows:
         raise DimensionMismatch(f"b has length {len(b)}, expected {A.rows}")
-    ctx = A.ctx
-    p = ctx.p
-    n = A.cols
-    bcol = np.array([[int(x) % p] for x in b], dtype=object).astype(ctx.dtype)
-    aug = np.concatenate([A._a.copy(), bcol], axis=1)
-    pivots = _rref_augmented(ctx, aug, n)
-    rank = len(pivots)
-
-    consistent = all(int(aug[i, n]) == 0 for i in range(rank, A.rows))
-    free = [c for c in range(n) if c not in set(pivots)]
-
-    particular = None
-    if consistent:
-        x = [0] * n
-        for i, c in enumerate(pivots):
-            x[c] = int(aug[i, n])
-        particular = tuple(x)
-
-    basis = []
-    for f in free:
-        vec = [0] * n
-        vec[f] = 1
-        for i, c in enumerate(pivots):
-            vec[c] = (-int(aug[i, f])) % p
-        basis.append(tuple(vec))
-
-    pinned = frozenset(
-        c for i, c in enumerate(pivots) if all(int(aug[i, f]) == 0 for f in free)
-    )
-    return SolveOutcome(consistent, particular, tuple(basis), pinned)
+    p = A.ctx.p
+    aug = np.empty((1, A.rows, A.cols + 1), dtype=A._a.dtype)
+    aug[0, :, : A.cols] = A._a
+    aug[0, :, A.cols] = [int(x) % p for x in b]
+    _batch_eliminate(aug, p, A.cols)
+    return _read_reduced(aug[0], A.cols, p)
 
 
 def nullspace(A: FieldMatrix) -> tuple[tuple[FieldElement, ...], ...]:
@@ -338,9 +270,8 @@ def nullspace(A: FieldMatrix) -> tuple[tuple[FieldElement, ...], ...]:
 
 
 def rank(A: FieldMatrix) -> int:
-    """Rank over GF(p) by forward elimination (inverse-free)."""
-    a = A._a.copy()
-    return int(_batch_forward_eliminate(a[None, :, :], A.ctx.p, A.cols)[0])
+    """Rank over GF(p) by inverse-free elimination."""
+    return int(_batch_eliminate(A._a[None, :, :].copy(), A.ctx.p, A.cols).sum())
 
 
 def submatrix_nonsingular(A: FieldMatrix, row_set, col_set) -> bool:
@@ -358,71 +289,63 @@ def submatrix_nonsingular(A: FieldMatrix, row_set, col_set) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Batched elimination kernels.
+# The elimination kernel.
 #
-# These operate on a stack of matrices at once (shape (B, m, n)) and are the
-# workhorse behind exhaustive MDS checks and the decoder's scenario sweep.
-# Elimination is inverse-free: instead of normalizing pivots, non-pivot rows
-# are scaled by the pivot value, which preserves rank and consistency.
+# It operates on a stack of matrices at once (shape (B, m, n)) and is the one
+# elimination behind rank, solve, exhaustive MDS checks and the decoder's
+# scenario sweep.  Elimination is inverse-free: instead of normalizing
+# pivots, every other row is scaled by the pivot value, which preserves rank
+# and the solution set; _read_reduced normalizes when a solution is needed.
 # ---------------------------------------------------------------------------
 
 
-def _batch_forward_eliminate(batch: np.ndarray, p: int, ncols: int) -> np.ndarray:
-    """Forward-eliminate the first ``ncols`` columns of every matrix in the
-    stack, in place.  Returns the per-matrix pivot count (= rank restricted
-    to those columns)."""
+def _batch_eliminate(batch: np.ndarray, p: int, ncols: int) -> np.ndarray:
+    """Gauss-Jordan eliminate the first ``ncols`` columns of every matrix in
+    the stack, in place.  Returns the (B, rows) mask of pivot rows; its row
+    sums are the ranks restricted to those columns.
+
+    Rows stay where they are.  A pivot row's leading nonzero sits in its
+    pivot column, which is zero in every other row; every other row is zero
+    over the eliminated columns.
+    """
     nbatch, nrows, _ = batch.shape
-    r = np.zeros(nbatch, dtype=np.int64)
-    rowidx = np.arange(nrows)
-    one = 1 if batch.dtype == object else np.int64(1)
+    mats = np.arange(nbatch)
+    spare = np.ones((nbatch, nrows), dtype=bool)
     for c in range(ncols):
         col = batch[:, :, c]
-        nz = (col != 0) & (rowidx[None, :] >= r[:, None])
+        nz = (col != 0) & spare
         has = nz.any(axis=1)
         if not has.any():
             continue
-        idx = np.nonzero(has)[0]
-        piv = nz[idx].argmax(axis=1)
-        rr = r[idx]
-        # Swap the first usable row up to the pivot position.
-        tmp = batch[idx, rr, :].copy()
-        batch[idx, rr, :] = batch[idx, piv, :]
-        batch[idx, piv, :] = tmp
-
-        pivval = np.full(nbatch, one, dtype=batch.dtype)
-        pivrow = np.zeros((nbatch, batch.shape[2]), dtype=batch.dtype)
-        pivval[idx] = batch[idx, rr, c]
-        pivrow[idx] = batch[idx, rr, :]
-
-        limit = np.where(has, r, nrows)
-        below = rowidx[None, :] > limit[:, None]
-        factor = np.where(below, col, 0)
-
-        # row_i <- row_i * pivot - pivot_row * row_i[c]; scaling non-pivot
-        # rows by a nonzero constant keeps rank and consistency intact.
-        scale = pivval[:, None, None]
-        scale = np.where(below[:, :, None], scale, one)
-        batch *= scale
+        # A matrix with no pivot in this column gets factor 0 and scale 1,
+        # and writing back its unchanged row 0 leaves it as it was.
+        piv = nz.argmax(axis=1)
+        pivrow = batch[mats, piv]
+        factor = col * has[:, None]
+        # row_i <- row_i * pivot - pivot_row * row_i[c] clears column c in
+        # every row, the pivot row included, which is then written back;
+        # scaling a row by a nonzero constant keeps its solution set.
+        batch *= np.where(has, pivrow[:, c], 1)[:, None, None]
         batch -= factor[:, :, None] * pivrow[:, None, :]
         batch %= p
-        r[idx] = rr + 1
-    return r
+        batch[mats, piv] = pivrow
+        spare[mats, piv] &= ~has
+    return ~spare
 
 
 def batch_rank(batch: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of a stack of matrices (the stack is destroyed)."""
-    return _batch_forward_eliminate(batch, p, batch.shape[2])
+    """Ranks of a stack of matrices (the stack is reduced in place)."""
+    return _batch_eliminate(batch, p, batch.shape[2]).sum(axis=1)
 
 
 def batch_feasible(aug: np.ndarray, p: int, nvars: int) -> np.ndarray:
     """Consistency flags for a stack of augmented systems ``[A | b]``.
 
-    ``aug`` has shape (B, rows, nvars+1) and is destroyed.
+    ``aug`` has shape (B, rows, nvars+1) and is left reduced in place, so
+    :func:`_read_reduced` can read the solution set of any system in it.
     """
-    r = _batch_forward_eliminate(aug, p, nvars)
-    rowidx = np.arange(aug.shape[1])
-    residual = (aug[:, :, nvars] != 0) & (rowidx[None, :] >= r[:, None])
-    return ~residual.any(axis=1)
+    pivotal = _batch_eliminate(aug, p, nvars)
+    return ~((aug[:, :, nvars] != 0) & ~pivotal).any(axis=1)
 
 
 def all_square_submatrices_nonsingular(A: FieldMatrix, size: int) -> bool:
@@ -431,13 +354,5 @@ def all_square_submatrices_nonsingular(A: FieldMatrix, size: int) -> bool:
     the MDS verifier."""
     if A.cols != size:
         raise DimensionMismatch("column count must equal the requested size")
-    if A.rows == size:
-        return rank(A) == size
     combos = np.array(list(itertools.combinations(range(A.rows), size)))
-    stack = A._a[combos].copy()
-    if A._a.dtype == object:
-        return all(
-            rank(FieldMatrix._wrap(A.ctx, stack[i])) == size
-            for i in range(stack.shape[0])
-        )
-    return bool((batch_rank(stack, A.ctx.p) == size).all())
+    return bool((batch_rank(A._a[combos], A.ctx.p) == size).all())

@@ -1,15 +1,13 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is deliberately naive (cofactor determinants, brute-force
-set partitions, labeled version-assignment sweeps) so that agreement with
-the optimized code under test is meaningful.
+Everything here is deliberately naive (cofactor determinants, Gauss-Jordan
+on Python-int lists, brute-force set partitions, labeled version-assignment
+sweeps) so that agreement with the optimized code under test is meaningful.
 """
 
 from __future__ import annotations
 
 import itertools
-
-from distcode import FieldMatrix, solve
 
 
 def det_laplace(rows, p: int) -> int:
@@ -25,6 +23,61 @@ def det_laplace(rows, p: int) -> int:
         sign = 1 if j % 2 == 0 else -1
         total = (total + sign * rows[0][j] * det_laplace(minor, p)) % p
     return total % p
+
+
+def matvec(rows, x, p: int) -> tuple[int, ...]:
+    """``A x`` mod p on Python ints."""
+    return tuple(sum(a * b for a, b in zip(row, x)) % p for row in rows)
+
+
+def gauss_jordan(rows, b, p: int):
+    """Solve ``A x = b`` mod p by normalizing Gauss-Jordan on Python ints.
+
+    Returns ``(consistent, particular, nullspace_basis, pinned)`` laid out
+    like :class:`distcode.SolveOutcome`: free variables are zero in the
+    particular solution, the basis has one vector per free column in column
+    order, and ``pinned`` holds the pivot columns no basis vector touches.
+    """
+    n = len(rows[0])
+    aug = [[x % p for x in row] + [y % p] for row, y in zip(rows, b)]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(aug)) if aug[i][c]), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        inv = pow(aug[r][c], -1, p)
+        aug[r] = [x * inv % p for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+    consistent = all(row[n] == 0 for row in aug[len(pivots) :])
+    free = [c for c in range(n) if c not in pivots]
+    particular = None
+    if consistent:
+        x = [0] * n
+        for i, c in enumerate(pivots):
+            x[c] = aug[i][n]
+        particular = tuple(x)
+    basis = []
+    for f in free:
+        vec = [0] * n
+        vec[f] = 1
+        for i, c in enumerate(pivots):
+            vec[c] = -aug[i][f] % p
+        basis.append(tuple(vec))
+    pinned = frozenset(
+        c for i, c in enumerate(pivots) if all(aug[i][f] == 0 for f in free)
+    )
+    return consistent, particular, tuple(basis), pinned
+
+
+def rank_naive(rows, p: int) -> int:
+    """Rank mod p: column count minus the nullspace dimension."""
+    return len(rows[0]) - len(gauss_jordan(rows, [0] * len(rows), p)[2])
 
 
 def vandermonde_det(points, p: int) -> int:
@@ -71,7 +124,6 @@ def labeled_feasible_projections(gm, nodes, transcript, cfg):
     nodes = tuple(nodes)
     t = len(nodes)
     K, beta, v, p = cfg.K, cfg.beta, cfg.v, cfg.p
-    ctx = gm.ctx
     out: dict = {}
     for a_hat in itertools.combinations(range(K), beta):
         hs = [k for k in range(K) if k not in a_hat]
@@ -89,15 +141,17 @@ def labeled_feasible_projections(gm, nodes, transcript, cfg):
                             for i, n in enumerate(nodes)
                         ]
                     )
-            mat = FieldMatrix(ctx, [list(col) for col in zip(*cols)])
-            res = solve(mat, list(transcript.values))
-            if not res.consistent:
+            mat = [list(row) for row in zip(*cols)]
+            consistent, particular, _, pinned = gauss_jordan(
+                mat, list(transcript.values), p
+            )
+            if not consistent:
                 continue
             for i, k in enumerate(hs):
                 key = (a_hat, k)
                 values, unpinned = out.get(key, (set(), False))
-                if i in res.pinned_coordinates:
-                    values.add(res.particular[i])
+                if i in pinned:
+                    values.add(particular[i])
                 else:
                     unpinned = True
                 out[key] = (values, unpinned)

@@ -319,6 +319,12 @@ class TestVerifyAttack:
         tampered = dataclasses.replace(atk, setup1=overloaded)
         assert not verify_attack(gm, tampered, cfg=cfg)
 
+    def test_bug_type_error_propagates(self):
+        cfg, gm, atk = self._attack()
+        broken = dataclasses.replace(atk, node_set=None)
+        with pytest.raises(TypeError):
+            verify_attack(gm, broken)
+
     def test_zero_delta_rejected_at_construction(self):
         cfg, gm, atk = self._attack()
         with pytest.raises(AttackConstructionFailed):

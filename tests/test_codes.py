@@ -125,14 +125,20 @@ class TestIsMds:
         gm = gen_systematic(CTX, 5, 3, seed=0)
         assert is_mds(gm)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_determinant_oracle(self, seed):
+    # The last case is past the int64-safe bound, so minors are taken on
+    # object-dtype stacks.
+    @pytest.mark.parametrize(
+        "seed,p",
+        [pytest.param(s, 101, id=str(s)) for s in range(5)]
+        + [pytest.param(0, 2**61 - 1, id="p2^61-1")],
+    )
+    def test_matches_determinant_oracle(self, seed, p):
         rng = random.Random(seed)
-        rows = [[rng.randrange(101) for _ in range(3)] for _ in range(6)]
+        rows = [[rng.randrange(p) for _ in range(3)] for _ in range(6)]
         rows = [r if any(r) else [1, 0, 0] for r in rows]
-        gm = GeneratorMatrix(FieldMatrix(SMALL, rows), "random")
+        gm = GeneratorMatrix(FieldMatrix(FieldContext(p), rows), "random")
         want = all(
-            det_laplace([rows[i] for i in combo], 101) != 0
+            det_laplace([rows[i] for i in combo], p) != 0
             for combo in itertools.combinations(range(6), 3)
         )
         assert is_mds(gm) == want

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from distcode import (
     partition_count,
     verify_against_truth,
 )
+from distcode import decoding
 
 from oracles import (
     all_set_partitions,
@@ -151,6 +153,19 @@ class TestDecode:
         cfg, gm, behavior, nodes, tr = _random_instance(9)
         with pytest.raises(TranscriptMismatch):
             decode(gm, nodes[::-1], tr, cfg)
+
+    @pytest.mark.parametrize("mode", ["fast", "strict"])
+    def test_residual_guard_rejects_a_wrong_solution(self, mode, monkeypatch):
+        def corrupted(rows, nvars, p):
+            out = read_reduced(rows, nvars, p)
+            bad = ((out.particular[0] + 1) % p,) + out.particular[1:]
+            return dataclasses.replace(out, particular=bad)
+
+        read_reduced = decoding._read_reduced
+        monkeypatch.setattr(decoding, "_read_reduced", corrupted)
+        cfg, gm, behavior, nodes, tr = _random_instance(11)
+        with pytest.raises(RuntimeError, match="does not satisfy"):
+            decode(gm, nodes, tr, cfg, mode=mode)
 
     def test_fast_and_strict_agree_on_estimates(self):
         for seed in range(5):

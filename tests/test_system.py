@@ -17,6 +17,8 @@ from distcode import (
     solve,
 )
 
+from oracles import matvec
+
 P = 2**31 - 1
 CTX = FieldContext(P)
 
@@ -108,7 +110,7 @@ class TestEncodeTranscript:
         cfg = SystemConfig(N=5, K=3, beta=1, v=2, p=P)
         msgs = [11, 22, 33]
         tr = encode_transcript(gm, behavior_honest(cfg, msgs), range(5))
-        assert tr.values == gm.matrix.matvec(msgs)
+        assert tr.values == matvec(gm.matrix.to_rows(), msgs, P)
 
     def test_zero_messages(self):
         gm = gen_random_linear(CTX, 5, 3, seed=1)
