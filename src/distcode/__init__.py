@@ -14,7 +14,6 @@ from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     DistcodeError,
-    DivisionByZero,
     DuplicatePoints,
     IoFailure,
     ModulusTooSmall,
@@ -33,24 +32,17 @@ from .field import (
     SolveOutcome,
     field_new,
     is_prime,
-    nullspace,
     rank,
     solve,
-    submatrix_nonsingular,
 )
 from .codes import (
     GeneratorMatrix,
-    SupportProfile,
     draw_mds,
     gen_random_linear,
     gen_reed_solomon,
     gen_systematic,
     is_mds,
     iter_converse_selections,
-    load_code,
-    save_code,
-    select_converse_rows_and_columns,
-    support_profile,
     threshold,
 )
 from .system import (
@@ -69,7 +61,6 @@ from .decoding import (
     TruthReport,
     decode,
     enumerate_partitions,
-    partition_count,
     verify_against_truth,
 )
 from .attacks import (
@@ -87,7 +78,6 @@ from .experiments import (
     default_spec,
     derive_seed,
     emit_results,
-    load_results,
     run_achievability,
     run_converse,
     run_experiments,

@@ -31,7 +31,7 @@ from .errors import (
     PreconditionViolated,
     SelectionImpossible,
 )
-from .field import FieldContext, FieldMatrix, rank, solve
+from .field import FieldContext, FieldMatrix, batch_rank, rank, solve
 from .system import SourceBehavior, SystemConfig, encode_transcript
 
 log = logging.getLogger(__name__)
@@ -196,11 +196,13 @@ def partition_full_rank(E: FieldMatrix, h: int, beta: int, v: int):
     if zero_rows > h - 1:
         raise PreconditionViolated(2, f"{zero_rows} zero rows exceed h-1={h - 1}")
     if h + beta <= E.rows:
-        for combo in itertools.combinations(range(E.rows), h + beta):
-            if _rows_rank(ctx, a, list(combo)) != beta:
-                raise PreconditionViolated(
-                    3, f"rows {combo} restricted to the columns are rank deficient"
-                )
+        combos = np.array(list(itertools.combinations(range(E.rows), h + beta)))
+        deficient = batch_rank(a[combos], ctx.p) != beta
+        if deficient.any():
+            combo = tuple(combos[deficient.argmax()].tolist())
+            raise PreconditionViolated(
+                3, f"rows {combo} restricted to the columns are rank deficient"
+            )
 
     blocks = _full_rank_blocks(ctx, a, h, beta, 2 * v - 1)
     if blocks is None:
@@ -265,18 +267,6 @@ class AttackInstance:
             },
             "w": [list(row) for row in self.w_values],
         }
-
-    @classmethod
-    def from_json(cls, cfg: SystemConfig, doc: dict) -> "AttackInstance":
-        setup1 = SourceBehavior.from_json(cfg, doc["setup1"])
-        setup2 = SourceBehavior.from_json(cfg, doc["setup2"])
-        delta = tuple(
-            zip(doc["delta"]["sources"], (int(x) for x in doc["delta"]["values"]))
-        )
-        w = tuple(tuple(int(x) for x in row) for row in doc["w"])
-        groups = (tuple(doc["T"]),)  # replay does not restore the grouping
-        conf = ConverseConfiguration(groups, (1,), (1,))
-        return cls(tuple(doc["T"]), setup1, setup2, delta, w, conf)
 
 
 def converse_attack(gm: GeneratorMatrix, cfg: SystemConfig, seed: int) -> AttackInstance:

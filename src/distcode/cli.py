@@ -5,6 +5,9 @@ Subcommands:
   attack    construct a two-setup attack against a stored code
   decode    run the feasibility decoder on a stored transcript
   sweep     run an experiment sweep and emit CSV/JSON results
+
+Bad input (an unreadable or malformed file, invalid parameters) exits with
+status 1 and one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -16,11 +19,21 @@ import sys
 
 from . import experiments
 from .attacks import converse_attack, verify_attack
-from .codes import draw_mds, gen_random_linear, gen_reed_solomon, gen_systematic, load_code
+from .codes import GeneratorMatrix, draw_mds
 from .decoding import DEFAULT_BUDGET, decode
-from .errors import DistcodeError
+from .errors import DistcodeError, IoFailure
 from .field import DEFAULT_PRIME, field_new
 from .system import SystemConfig, Transcript
+
+
+def _read_json(path: str, parse):
+    """Apply ``parse`` to the JSON document at ``path``.  A file that cannot
+    be read or parsed raises :class:`IoFailure` naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise IoFailure(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _write_json(doc, out: str | None) -> None:
@@ -37,23 +50,13 @@ def _cmd_gen_code(args) -> int:
     points = None
     if args.points:
         points = [int(x) for x in args.points.split(",")]
-    if args.skip_mds_check:
-        builders = {
-            "random": lambda: gen_random_linear(ctx, args.n, args.k, args.seed),
-            "systematic": lambda: gen_systematic(ctx, args.n, args.k, args.seed),
-            "reed_solomon": lambda: gen_reed_solomon(
-                ctx, args.n, args.k, points=points, seed=args.seed
-            ),
-        }
-        gm = builders[args.kind]()
-    else:
-        gm = draw_mds(ctx, args.kind, args.n, args.k, seed=args.seed, points=points)
+    gm = draw_mds(ctx, args.kind, args.n, args.k, seed=args.seed, points=points)
     _write_json(gm.to_json(), args.out)
     return 0
 
 
 def _cmd_attack(args) -> int:
-    gm = load_code(args.code)
+    gm = _read_json(args.code, GeneratorMatrix.from_json)
     cfg = SystemConfig(gm.N, gm.K, args.beta, args.v, p=gm.ctx.p)
     attack = converse_attack(gm, cfg, seed=args.seed)
     if not verify_attack(gm, attack):
@@ -64,10 +67,9 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    gm = load_code(args.code)
+    gm = _read_json(args.code, GeneratorMatrix.from_json)
     cfg = SystemConfig(gm.N, gm.K, args.beta, args.v, p=gm.ctx.p)
-    with open(args.transcript, encoding="utf-8") as fh:
-        transcript = Transcript.from_json(json.load(fh))
+    transcript = _read_json(args.transcript, Transcript.from_json)
     result = decode(
         gm, transcript.node_set, transcript, cfg, mode=args.mode, budget=args.budget
     )
@@ -77,8 +79,7 @@ def _cmd_decode(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.spec:
-        with open(args.spec, encoding="utf-8") as fh:
-            spec = experiments.ExperimentSpec.from_json(json.load(fh))
+        spec = _read_json(args.spec, experiments.ExperimentSpec.from_json)
     else:
         spec = experiments.default_spec()
     overrides = {}
@@ -129,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--points", help="comma-separated evaluation points (reed_solomon)")
-    g.add_argument("--skip-mds-check", action="store_true")
     g.add_argument("--out", help="output path (default: stdout)")
     g.set_defaults(func=_cmd_gen_code)
 

@@ -6,8 +6,8 @@ built from distinct evaluation points.  :func:`is_mds` verifies the MDS
 property exhaustively (every K x K row submatrix nonsingular), which at desk
 scale is cheap and gives certainty instead of a probabilistic claim.
 
-:func:`select_converse_rows_and_columns` picks the encoder rows and source
-columns the worst-case attack operates on: t*-1 rows containing at most K-1
+:func:`iter_converse_selections` picks the encoder rows and source columns
+the worst-case attack operates on: t*-1 rows containing at most K-1
 single-support rows, and beta columns such that at most h-1 of the chosen
 rows vanish on all of them.  Any correct MDS code admits such a choice.
 """
@@ -15,14 +15,13 @@ rows vanish on all of them.  Any correct MDS code admits such a choice.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimensions, DuplicatePoints, SelectionImpossible
+from .errors import BadDimensions, DuplicatePoints
 from .field import (
     FieldContext,
     FieldMatrix,
@@ -32,6 +31,9 @@ from .field import (
 log = logging.getLogger(__name__)
 
 KINDS = ("random", "systematic", "reed_solomon")
+
+# Seeds draw_mds tries before giving up; see its docstring for the odds.
+_MDS_DRAWS = 16
 
 
 @dataclass(frozen=True)
@@ -108,16 +110,6 @@ class GeneratorMatrix:
         return cls(m, doc["kind"], tuple(int(x) for x in pts) if pts else None)
 
 
-def save_code(gm: GeneratorMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(gm.to_json(), fh, sort_keys=True)
-
-
-def load_code(path) -> GeneratorMatrix:
-    with open(path, encoding="utf-8") as fh:
-        return GeneratorMatrix.from_json(json.load(fh))
-
-
 def _random_rows(ctx: FieldContext, rng: random.Random, count: int, K: int):
     rows = []
     for _ in range(count):
@@ -186,7 +178,7 @@ def is_mds(gm: GeneratorMatrix) -> bool:
 
     Exhaustive over all C(N, K) row subsets; intended for desk-scale N.
     """
-    return all_square_submatrices_nonsingular(gm.matrix, gm.K)
+    return all_square_submatrices_nonsingular(gm.matrix)
 
 
 def draw_mds(
@@ -196,12 +188,11 @@ def draw_mds(
     K: int,
     seed: int,
     points=None,
-    retries: int = 16,
 ) -> GeneratorMatrix:
     """Generate a code of the requested kind and re-draw (seed+1, seed+2, ...)
     until it passes :func:`is_mds`.  Failure odds per draw are about
     C(N,K)*K/p, so the retry cap is never expected to bind."""
-    for attempt in range(retries):
+    for attempt in range(_MDS_DRAWS):
         s = seed + attempt
         if kind == "random":
             gm = gen_random_linear(ctx, N, K, s)
@@ -213,32 +204,10 @@ def draw_mds(
             raise ValueError(f"unknown code kind {kind!r}")
         if is_mds(gm):
             if attempt:
-                log.warning("MDS draw needed %d retries (kind=%s)", attempt, kind)
+                log.warning("MDS draw needed %d redraws (kind=%s)", attempt, kind)
             return gm
         log.warning("seed %d produced a non-MDS %s code, redrawing", s, kind)
-    raise RuntimeError(f"no MDS {kind} code found in {retries} draws")
-
-
-@dataclass(frozen=True)
-class SupportProfile:
-    """Support structure of a generator: which rows touch which sources.
-
-    ``univariate_rows`` lists encoders that read exactly one source;
-    ``zero_pattern[k]`` lists the encoders that ignore source k.
-    """
-
-    univariate_rows: frozenset[int]
-    zero_pattern: tuple[frozenset[int], ...]
-
-
-def support_profile(gm: GeneratorMatrix) -> SupportProfile:
-    a = gm.matrix._a
-    nz = a != 0
-    univariate = frozenset(int(n) for n in np.nonzero(nz.sum(axis=1) == 1)[0])
-    zero_pattern = tuple(
-        frozenset(int(n) for n in np.nonzero(~nz[:, k])[0]) for k in range(gm.K)
-    )
-    return SupportProfile(univariate, zero_pattern)
+    raise RuntimeError(f"no MDS {kind} code found in {_MDS_DRAWS} draws")
 
 
 def threshold(N: int, K: int, beta: int, v: int) -> int:
@@ -260,50 +229,26 @@ def iter_converse_selections(gm: GeneratorMatrix, beta: int, v: int):
         raise BadDimensions(f"need 1 <= beta < K, got beta={beta}, K={K}")
     h = K - beta
     t = threshold(N, K, beta, v) - 1
-    prof = support_profile(gm)
-    univ = prof.univariate_rows
-    for cols in itertools.combinations(range(K), beta):
-        zero_rows = frozenset.intersection(*(prof.zero_pattern[c] for c in cols))
-        pools = ([], [], [], [])  # ordered by scarcity pressure
-        for n in range(N):
-            z = n in zero_rows
-            u = n in univ
-            pools[2 * z + u].append(n)
+    nz = gm.matrix._a != 0
+    univ = nz.sum(axis=1) == 1  # encoders that read exactly one source
+    col_sets = list(itertools.combinations(range(K), beta))
+    # zero[n, i]: encoder n ignores every column of col_sets[i].
+    zero = ~nz[:, np.array(col_sets)].any(axis=2)
+    # Per column set, rows by scarcity pressure: neither, univariate, zero, both.
+    orders = np.argsort(2 * zero + univ[:, None], axis=0, kind="stable").T.tolist()
+    univ_l = univ.tolist()
+    for cols, order, zero_l in zip(col_sets, orders, zero.T.tolist()):
         chosen: list[int] = []
         zeros_used = univ_used = 0
-        for pool in pools:
-            for n in pool:
-                if len(chosen) == t:
-                    break
-                if (n in zero_rows) and zeros_used >= h - 1:
-                    continue
-                if (n in univ) and univ_used >= K - 1:
-                    continue
-                chosen.append(n)
-                zeros_used += n in zero_rows
-                univ_used += n in univ
-        if len(chosen) != t:
-            continue
-        row_set = tuple(sorted(chosen))
-        # Re-count on the final sets; the caps above must have held.
-        if sum(1 for n in row_set if n in zero_rows) > h - 1:
-            continue
-        if sum(1 for n in row_set if n in univ) > K - 1:
-            continue
-        yield row_set, cols
-
-
-def select_converse_rows_and_columns(
-    gm: GeneratorMatrix, beta: int, v: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """First admissible (row_set, col_set) pair for the worst-case attack.
-
-    Raises:
-        SelectionImpossible: no column set admits enough usable rows; such a
-            support structure cannot come from a correct MDS code.
-    """
-    for row_set, cols in iter_converse_selections(gm, beta, v):
-        return row_set, cols
-    raise SelectionImpossible(
-        f"no admissible row/column selection for beta={beta}, v={v}"
-    )
+        for n in order:
+            if len(chosen) == t:
+                break
+            if zero_l[n] and zeros_used >= h - 1:
+                continue
+            if univ_l[n] and univ_used >= K - 1:
+                continue
+            chosen.append(n)
+            zeros_used += zero_l[n]
+            univ_used += univ_l[n]
+        if len(chosen) == t:
+            yield tuple(sorted(chosen)), cols

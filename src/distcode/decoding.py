@@ -74,20 +74,6 @@ def enumerate_partitions(items, v: int):
     yield from rec(0, 0)
 
 
-def partition_count(n: int, v: int) -> int:
-    """Number of partitions of an n-set into at most v blocks."""
-    if n < 0 or v < 1:
-        raise ValueError("need n >= 0 and v >= 1")
-    # S(n, j) by the standard recurrence, summed over j <= v.
-    prev = [1] + [0] * v  # S(0, 0) = 1
-    for _ in range(n):
-        cur = [0] * (v + 1)
-        for j in range(1, v + 1):
-            cur[j] = j * prev[j] + prev[j - 1]
-        prev = cur
-    return sum(prev[1:])
-
-
 @dataclass(frozen=True)
 class PresumedScenario:
     """A decoder hypothesis: presumed adversaries plus one partition of the
@@ -161,7 +147,6 @@ class DecodeResult:
     )
     feasible: tuple[ScenarioSolution, ...] = ()
     scenarios_examined: int = 0
-    mode: str = "fast"
 
     def to_json(self) -> dict:
         doc: dict = {
@@ -362,7 +347,6 @@ def decode(
         witnesses=witnesses,
         feasible=tuple(feasible_list),
         scenarios_examined=total,
-        mode=mode,
     )
 
 

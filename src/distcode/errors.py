@@ -7,16 +7,12 @@ class DistcodeError(Exception):
 
 # --- field / linear algebra ---------------------------------------------
 
-class NonPrimeModulus(DistcodeError):
+class NonPrimeModulus(DistcodeError, ValueError):
     """The requested field modulus is not a prime number."""
 
 
 class ModulusTooSmall(DistcodeError):
     """The modulus is below the large-field floor enforced for production use."""
-
-
-class DivisionByZero(DistcodeError):
-    """Multiplicative inverse of zero was requested."""
 
 
 class DimensionMismatch(DistcodeError):
@@ -25,8 +21,8 @@ class DimensionMismatch(DistcodeError):
 
 # --- code construction ---------------------------------------------------
 
-class BadDimensions(DistcodeError):
-    """Generator dimensions violate N >= K >= 1."""
+class BadDimensions(DistcodeError, ValueError):
+    """Dimensions violate N >= K >= 1, 1 <= beta < K or v >= 1."""
 
 
 class DuplicatePoints(DistcodeError):
@@ -90,4 +86,5 @@ class AttackConstructionFailed(DistcodeError):
 # --- experiments ----------------------------------------------------------
 
 class IoFailure(DistcodeError):
-    """Reading or writing a results file failed."""
+    """Reading or writing a file failed (results, or a code, transcript or
+    spec file read by the command line)."""

@@ -299,28 +299,3 @@ def emit_results(results, fmt: str, path, meta: dict | None = None) -> None:
                 fh.write("\n")
     except OSError as exc:
         raise IoFailure(f"cannot write results to {path}: {exc}") from exc
-
-
-def load_results(path) -> list[CellResult]:
-    """Read back a results file (format inferred from the content)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read results from {path}: {exc}") from exc
-    rows: list[dict]
-    if text.lstrip().startswith("{"):
-        rows = json.loads(text)["results"]
-    else:
-        rows = list(csv.DictReader(text.splitlines()))
-    out = []
-    for row in rows:
-        out.append(
-            CellResult(
-                **{
-                    c: (row[c] if c == "kind" else int(row[c]))
-                    for c in CSV_COLUMNS
-                }
-            )
-        )
-    return out

@@ -23,12 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DivisionByZero,
-    ModulusTooSmall,
-    NonPrimeModulus,
-)
+from .errors import DimensionMismatch, ModulusTooSmall, NonPrimeModulus
 
 FieldElement = int
 
@@ -71,7 +66,7 @@ def is_prime(n: int) -> bool:
 
 
 class FieldContext:
-    """The prime modulus of GF(p), the dtype its matrices use, and inversion.
+    """The prime modulus of GF(p) and the dtype its matrices use.
 
     The constructor only requires ``p`` to be prime, so unit tests may build
     small fields directly.  Production code should go through
@@ -86,13 +81,6 @@ class FieldContext:
             raise NonPrimeModulus(f"{p} is not prime")
         self.p = p
         self.dtype = np.int64 if p <= _INT64_SAFE_P else object
-
-    def inv(self, a: int) -> FieldElement:
-        """Multiplicative inverse; raises :class:`DivisionByZero` on 0."""
-        a = a % self.p
-        if a == 0:
-            raise DivisionByZero("0 has no multiplicative inverse")
-        return pow(a, -1, self.p)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FieldContext) and other.p == self.p
@@ -264,28 +252,9 @@ def solve(A: FieldMatrix, b) -> SolveOutcome:
     return _read_reduced(aug[0], A.cols, p)
 
 
-def nullspace(A: FieldMatrix) -> tuple[tuple[FieldElement, ...], ...]:
-    """Basis of ``{x : A x = 0}``."""
-    return solve(A, [0] * A.rows).nullspace_basis
-
-
 def rank(A: FieldMatrix) -> int:
     """Rank over GF(p) by inverse-free elimination."""
     return int(_batch_eliminate(A._a[None, :, :].copy(), A.ctx.p, A.cols).sum())
-
-
-def submatrix_nonsingular(A: FieldMatrix, row_set, col_set) -> bool:
-    """True iff the selected square submatrix has full rank.
-
-    Raises:
-        DimensionMismatch: if the row and column selections differ in size.
-    """
-    rows = sorted(row_set)
-    cols = sorted(col_set)
-    if len(rows) != len(cols):
-        raise DimensionMismatch("row and column selections must have equal size")
-    sub = A.submatrix(rows, cols)
-    return rank(sub) == len(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +317,8 @@ def batch_feasible(aug: np.ndarray, p: int, nvars: int) -> np.ndarray:
     return ~((aug[:, :, nvars] != 0) & ~pivotal).any(axis=1)
 
 
-def all_square_submatrices_nonsingular(A: FieldMatrix, size: int) -> bool:
-    """Exhaustively check every ``size``-row selection of ``A`` (all columns
-    taken when ``A.cols == size``) for full rank.  Desk-scale helper behind
-    the MDS verifier."""
-    if A.cols != size:
-        raise DimensionMismatch("column count must equal the requested size")
-    combos = np.array(list(itertools.combinations(range(A.rows), size)))
-    return bool((batch_rank(A._a[combos], A.ctx.p) == size).all())
+def all_square_submatrices_nonsingular(A: FieldMatrix) -> bool:
+    """True iff every ``A.cols``-row selection of ``A`` has full rank, checked
+    as one batched elimination.  Desk-scale helper behind the MDS verifier."""
+    combos = np.array(list(itertools.combinations(range(A.rows), A.cols)))
+    return bool((batch_rank(A._a[combos], A.ctx.p) == A.cols).all())

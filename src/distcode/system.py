@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .codes import GeneratorMatrix, threshold
-from .errors import NodeOutOfRange, TooManyAdversaries
+from .errors import BadDimensions, NodeOutOfRange, NonPrimeModulus, TooManyAdversaries
 from .field import DEFAULT_PRIME, is_prime
 
 
@@ -34,13 +34,13 @@ class SystemConfig:
 
     def __post_init__(self):
         if not 1 <= self.beta < self.K <= self.N:
-            raise ValueError(
+            raise BadDimensions(
                 f"need 1 <= beta < K <= N, got beta={self.beta}, K={self.K}, N={self.N}"
             )
         if self.v < 1:
-            raise ValueError(f"need v >= 1, got v={self.v}")
+            raise BadDimensions(f"need v >= 1, got v={self.v}")
         if not is_prime(self.p):
-            raise ValueError(f"p={self.p} is not prime")
+            raise NonPrimeModulus(f"p={self.p} is not prime")
 
     @property
     def h(self) -> int:

@@ -91,6 +91,35 @@ class TestAttackAndDecode:
         assert "ambiguity" in json.loads(out.read_text())
 
 
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "case",
+        ["beta_not_below_k", "v_zero", "transcript_without_values", "malformed_json", "missing_file"],
+    )
+    def test_one_error_line_and_exit_code_1(self, tmp_path, capsys, case):
+        code_path = tmp_path / "code.json"
+        run_cli("gen-code", "--kind", "random", "--n", "9", "--k", "3",
+                "--seed", "2", "--out", str(code_path))
+        gm = GeneratorMatrix.from_json(json.loads(code_path.read_text()))
+        cfg = SystemConfig(N=9, K=3, beta=1, v=2, p=P)
+        behavior = behavior_random_adversarial(cfg, [10, 20, 30], (0,), seed=5)
+        doc = encode_transcript(gm, behavior, (0, 1, 2, 3, 4)).to_json()
+        beta, v = {"beta_not_below_k": ("5", "2"), "v_zero": ("1", "0")}.get(case, ("1", "2"))
+        if case == "transcript_without_values":
+            del doc["values"]
+        tr_path = tmp_path / "tr.json"
+        if case == "malformed_json":
+            tr_path.write_text('{"node_set": [0, 1,')
+        elif case != "missing_file":
+            tr_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = run_cli("decode", "--code", str(code_path), "--transcript", str(tr_path),
+                     "--beta", beta, "--v", v)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 class TestSweep:
     def test_sweep_with_spec_file(self, tmp_path):
         spec = {

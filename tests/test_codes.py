@@ -11,6 +11,7 @@ from distcode import (
     GeneratorMatrix,
     SelectionImpossible,
     behavior_honest,
+    converse_attack,
     draw_mds,
     encode_transcript,
     field_new,
@@ -18,9 +19,8 @@ from distcode import (
     gen_reed_solomon,
     gen_systematic,
     is_mds,
-    select_converse_rows_and_columns,
-    submatrix_nonsingular,
-    support_profile,
+    iter_converse_selections,
+    rank,
     threshold,
 )
 from distcode.system import SystemConfig
@@ -157,25 +157,10 @@ class TestDrawMds:
             assert is_mds(gm)
 
 
-class TestSupportProfile:
-    def test_systematic_univariate_rows(self):
-        prof = support_profile(gen_systematic(CTX, 5, 3, seed=2))
-        assert prof.univariate_rows == frozenset({0, 1, 2})
-
-    def test_random_code_has_no_univariate_rows(self):
-        prof = support_profile(gen_random_linear(CTX, 9, 3, seed=3))
-        assert prof.univariate_rows == frozenset()
-
-    def test_all_ones_zero_pattern_empty(self):
-        gm = GeneratorMatrix(FieldMatrix(CTX, [[1] * 3] * 4), "random")
-        prof = support_profile(gm)
-        assert all(zp == frozenset() for zp in prof.zero_pattern)
-
-
 class TestConverseSelection:
     def test_random_code_beta1(self):
         gm = gen_random_linear(CTX, 9, 3, seed=11)
-        rows, cols = select_converse_rows_and_columns(gm, 1, 2)
+        rows, cols = next(iter_converse_selections(gm, 1, 2))
         assert len(rows) == threshold(9, 3, 1, 2) - 1 == 4
         assert cols == (0,)
         # All entries nonzero, so the zero-row count on the column is 0.
@@ -183,17 +168,16 @@ class TestConverseSelection:
 
     def test_systematic_boundary_case(self):
         gm = gen_systematic(CTX, 5, 3, seed=4)
-        rows, cols = select_converse_rows_and_columns(gm, 1, 2)
+        rows, cols = next(iter_converse_selections(gm, 1, 2))
         assert len(rows) == 4
-        prof = support_profile(gm)
         zero = [n for n in rows if all(gm.matrix[n, c] == 0 for c in cols)]
-        univ = [n for n in rows if n in prof.univariate_rows]
+        univ = [n for n in rows if sum(x != 0 for x in gm.matrix.row(n)) == 1]
         assert len(zero) <= 1  # h - 1
         assert len(univ) <= 2  # K - 1
 
     def test_beta2_selection(self):
         gm = gen_random_linear(CTX, 12, 4, seed=5)
-        rows, cols = select_converse_rows_and_columns(gm, 2, 2)
+        rows, cols = next(iter_converse_selections(gm, 2, 2))
         assert len(rows) == threshold(12, 4, 2, 2) - 1 == 7
         assert len(cols) == 2
 
@@ -202,8 +186,40 @@ class TestConverseSelection:
         # rows keep at least two zeros; also all rows are univariate.
         rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0], [0, 1, 0]]
         gm = GeneratorMatrix(FieldMatrix(CTX, rows), "random")
+        assert list(iter_converse_selections(gm, 1, 2)) == []
         with pytest.raises(SelectionImpossible):
-            select_converse_rows_and_columns(gm, 1, 2)
+            converse_attack(gm, SystemConfig(5, 3, 1, 2, p=P), seed=0)
+
+    def test_univariate_cap_binds(self):
+        # Three rows read only source 0 and t*-1 = 6 rows are needed: the
+        # third univariate row exceeds K-1 = 2, so the row ignoring source 0
+        # (h-1 = 1 allowed) is taken in its place.
+        rows = [[1, 0, 0], [2, 0, 0], [3, 0, 0], [0, 1, 1], [1, 1, 1], [1, 2, 4], [1, 3, 9]]
+        gm = GeneratorMatrix(FieldMatrix(CTX, rows), "random")
+        assert list(iter_converse_selections(gm, 1, 3)) == [((0, 1, 3, 4, 5, 6), (0,))]
+
+    @pytest.mark.parametrize("kind", ["random", "systematic", "reed_solomon", "sparse"])
+    @pytest.mark.parametrize(
+        "N,K,beta,v", [(5, 3, 1, 2), (9, 3, 1, 2), (8, 4, 2, 2), (12, 4, 2, 2), (11, 5, 1, 3)]
+    )
+    def test_every_selection_respects_both_caps(self, kind, N, K, beta, v):
+        # Systematic codes bring univariate rows and rows that vanish on the
+        # chosen columns; "sparse" (not MDS) draws entries from GF(3), so
+        # about a third of them are zero.
+        if kind == "sparse":
+            gm = gen_random_linear(FieldContext(3), N, K, seed=N + K)
+        else:
+            gm = draw_mds(CTX, kind, N, K, seed=N + K)
+        rows = gm.matrix.to_rows()
+        h = K - beta
+        univ = {n for n, r in enumerate(rows) if sum(x != 0 for x in r) == 1}
+        pairs = list(iter_converse_selections(gm, beta, v))
+        assert pairs or kind == "sparse"
+        for row_set, cols in pairs:
+            assert len(row_set) == threshold(N, K, beta, v) - 1
+            zero = [n for n in row_set if all(rows[n][c] == 0 for c in cols)]
+            assert len(zero) <= h - 1
+            assert len(univ & set(row_set)) <= K - 1
 
 
 class TestSerialization:
@@ -235,4 +251,4 @@ class TestSerialization:
 def test_mds_implies_every_k_submatrix_nonsingular():
     gm = draw_mds(CTX, "random", 7, 3, seed=1)
     for combo in itertools.combinations(range(7), 3):
-        assert submatrix_nonsingular(gm.matrix, combo, range(3))
+        assert rank(gm.matrix.submatrix(combo, range(3))) == 3

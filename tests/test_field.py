@@ -9,17 +9,14 @@ from hypothesis import strategies as st
 from distcode import (
     DEFAULT_PRIME,
     DimensionMismatch,
-    DivisionByZero,
     FieldContext,
     FieldMatrix,
     ModulusTooSmall,
     NonPrimeModulus,
     field_new,
     is_prime,
-    nullspace,
     rank,
     solve,
-    submatrix_nonsingular,
 )
 from distcode.field import batch_feasible, batch_rank
 
@@ -55,24 +52,20 @@ class TestContext:
         assert is_prime(2) and is_prime(65537) and is_prime(2**31 - 1)
         assert not is_prime(1) and not is_prime(2**31 - 2)
 
-    def test_inv_identity(self):
-        assert CTX.inv(1) == 1
-
     def test_inv_of_two(self):
-        # Frozen: 2 * 1073741824 = 2^31 = p + 1 = 1 mod p.
-        inv2 = CTX.inv(2)
+        # solve normalizes each pivot by its inverse.  Frozen:
+        # 2 * 1073741824 = 2^31 = p + 1 = 1 mod p.
+        (inv2,) = solve(FieldMatrix(CTX, [[2]]), [1]).particular
         assert inv2 == 1073741824
         assert 2 * inv2 % P == 1
-
-    def test_inv_zero_raises(self):
-        with pytest.raises(DivisionByZero):
-            CTX.inv(0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(a=st.integers(min_value=1, max_value=P - 1))
 def test_field_axioms(a):
-    assert a * CTX.inv(a) % P == 1
+    # Every nonzero a has an inverse: the solution of a * x = 1.
+    (x,) = solve(FieldMatrix(CTX, [[a]]), [1]).particular
+    assert a * x % P == 1
 
 
 class TestSolve:
@@ -175,31 +168,28 @@ class TestRank:
 class TestSubmatrixNonsingular:
     def test_identity_block(self):
         A = FieldMatrix(CTX, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        assert submatrix_nonsingular(A, {0, 1}, {0, 1})
+        assert rank(A.submatrix([0, 1], [0, 1])) == 2
 
     def test_equal_rows(self):
         A = FieldMatrix(CTX, [[1, 2], [1, 2]])
-        assert not submatrix_nonsingular(A, {0, 1}, {0, 1})
-
-    def test_size_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            submatrix_nonsingular(FieldMatrix(CTX, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), {0, 1}, {0})
+        assert rank(A.submatrix([0, 1], [0, 1])) < 2
 
     def test_vandermonde_rows(self):
         # Distinct evaluation points: nonsingular by the product formula.
         points = [3, 7, 9, 2**20]
         A = FieldMatrix(CTX, [[pow(x, k, P) for k in range(4)] for x in points])
         assert vandermonde_det(points, P) != 0
-        assert submatrix_nonsingular(A, range(4), range(4))
+        assert rank(A.submatrix(range(4), range(4))) == 4
 
     def test_exhaustive_small_entries_against_determinant(self):
-        # Every 3x3 matrix with entries in {0,1,2} over GF(101), checked
-        # against a cofactor-expansion determinant.
-        for flat in itertools.product(range(3), repeat=9):
+        # Every 3x3 matrix with entries in {0,1,2} over GF(101), ranked as
+        # one stack and checked against a cofactor-expansion determinant.
+        flats = list(itertools.product(range(3), repeat=9))
+        stack = np.array(flats, dtype=np.int64).reshape(-1, 3, 3)
+        got = batch_rank(stack, 101) == 3
+        for flat, nonsingular in zip(flats, got):
             rows = [list(flat[0:3]), list(flat[3:6]), list(flat[6:9])]
-            expected = det_laplace(rows, 101) != 0
-            got = submatrix_nonsingular(FieldMatrix(SMALL, rows), range(3), range(3))
-            assert got == expected
+            assert nonsingular == (det_laplace(rows, 101) != 0)
 
 
 class TestMatrixOps:
@@ -253,6 +243,6 @@ class TestBatchKernels:
 
     def test_nullspace_of_wide_matrix(self):
         A = FieldMatrix(CTX, [[1, 2, 3], [4, 5, 6]])
-        basis = nullspace(A)
+        basis = solve(A, [0, 0]).nullspace_basis
         assert len(basis) == 1
         assert matvec(A.to_rows(), basis[0], P) == (0, 0)
