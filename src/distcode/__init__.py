@@ -11,6 +11,7 @@ min(N, K + 2*beta*(v-1)) empirically.
 from .errors import (
     AttackConstructionFailed,
     BadDimensions,
+    BadParameter,
     BudgetExceeded,
     DimensionMismatch,
     DistcodeError,

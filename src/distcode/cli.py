@@ -21,7 +21,7 @@ from . import experiments
 from .attacks import converse_attack, verify_attack
 from .codes import GeneratorMatrix, draw_mds
 from .decoding import DEFAULT_BUDGET, decode
-from .errors import DistcodeError, IoFailure
+from .errors import BadParameter, DistcodeError, IoFailure
 from .field import DEFAULT_PRIME, field_new
 from .system import SystemConfig, Transcript
 
@@ -49,7 +49,12 @@ def _cmd_gen_code(args) -> int:
     ctx = field_new(args.prime)
     points = None
     if args.points:
-        points = [int(x) for x in args.points.split(",")]
+        try:
+            points = [int(x) for x in args.points.split(",")]
+        except ValueError:
+            raise BadParameter(
+                f"--points must be comma-separated integers, got {args.points!r}"
+            ) from None
     gm = draw_mds(ctx, args.kind, args.n, args.k, seed=args.seed, points=points)
     _write_json(gm.to_json(), args.out)
     return 0

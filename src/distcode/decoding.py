@@ -22,9 +22,17 @@ Fast mode keeps the first pinned value per coordinate.  Strict mode retains
 every feasible scenario and reports an ambiguity witness whenever two
 feasible solutions disagree on a coordinate both presume honest.
 
-Feasible scenarios' solution sets are read straight off the stacks that
-:func:`~distcode.field.batch_feasible` reduced, and every recorded solution
-is re-checked against its rebuilt, unreduced system.
+Feasibility is decided on projected systems.  Every scenario of one
+presumed-adversary set shares the honest columns ``D``; with ``L`` a basis
+of the left nullspace of ``D`` (one elimination finds it for every set at
+once), a scenario ``[D | X_q | y]`` is feasible iff ``[L X_q | L y]`` is
+consistent, which drops the h honest columns and rank(D) rows from every
+system the batched kernel reduces.  Only the flagged scenarios that still
+have to be recorded are rebuilt in full and reduced by
+:func:`~distcode.field.batch_feasible`, and their solution sets are read off
+that stack.  If a rebuilt system is infeasible the projection was wrong and
+``decode`` raises ``RuntimeError``; every recorded solution is also
+re-checked against its unreduced system.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import numpy as np
 
 from .codes import GeneratorMatrix
 from .errors import BudgetExceeded, NodeOutOfRange, TranscriptMismatch
-from .field import _read_reduced, batch_feasible
+from .field import _batch_eliminate, _read_reduced, batch_feasible
 from .system import SourceBehavior, SystemConfig, Transcript
 
 DEFAULT_BUDGET = 10**8
@@ -179,6 +187,25 @@ def _scenario_stack(D, X, yv, combos) -> np.ndarray:
     return aug
 
 
+def _left_nullspaces(Gsub, honest_sets, p: int) -> list[np.ndarray]:
+    """Left-nullspace bases ``L`` of ``D = Gsub[:, H]`` for every honest set.
+
+    One elimination of the stack ``[D | I]`` over its first h columns leaves
+    each row without a pivot zero over ``D``, so its last t columns hold a
+    vector of ``L``.  Such a row carries a nonzero multiple of its own unit
+    vector and none of another non-pivot row's, so the rows are independent
+    and span the left nullspace even when ``D`` is rank-deficient.
+    """
+    t = Gsub.shape[0]
+    H = np.array(honest_sets)
+    h = H.shape[1]
+    stack = np.empty((len(H), t, h + t), dtype=Gsub.dtype)
+    stack[:, :, :h] = Gsub[:, H].transpose(1, 0, 2)
+    stack[:, :, h:] = np.eye(t, dtype=Gsub.dtype)
+    pivotal = _batch_eliminate(stack, p, h)
+    return [stack[s, ~pivotal[s], h:] for s in range(len(H))]
+
+
 def _check_residuals(stack: np.ndarray, vecs, p: int) -> None:
     """Raise unless each ``vecs[i]`` solves the unreduced system ``stack[i]``.
 
@@ -271,25 +298,39 @@ def decode(
     witnesses: dict[int, tuple[ScenarioSolution, ScenarioSolution]] = {}
     pinned_first: dict[int, tuple[int, ScenarioSolution]] = {}
 
-    for A_hat in itertools.combinations(range(K), beta):
-        Hs = [k for k in range(K) if k not in A_hat]
+    adversary_sets = list(itertools.combinations(range(K), beta))
+    honest_sets = [[k for k in range(K) if k not in A_hat] for A_hat in adversary_sets]
+    bases = _left_nullspaces(Gsub, honest_sets, p)
+    for A_hat, Hs, L in zip(adversary_sets, honest_sets, bases):
         h = len(Hs)
         D = Gsub[:, Hs]
         X = [(memb * Gsub[:, k][None, :, None]) % p for k in A_hat]
         ncols = h + beta * v
+        # y - X_q x lies in the column space of D iff L annihilates it, so
+        # the projected systems [L X_q | L y] decide feasibility.  L X_q is
+        # block sums of the columns of L diag(g_k); each sum stays below t*p.
+        LX = [np.matmul((L * Gsub[:, k]) % p, memb) % p for k in A_hat]
+        Ly = ((L * yv) % p).sum(axis=1) % p
+        no_honest = np.empty((len(L), 0), dtype=ctx.dtype)
 
         for start in range(0, n_combos, _CHUNK):
             idxs = np.arange(start, min(start + _CHUNK, n_combos), dtype=np.int64)
-            aug = _scenario_stack(D, X, yv, idxs)
-            flags = batch_feasible(aug, p, ncols)
+            projected = _scenario_stack(no_honest, LX, Ly, idxs)
+            flags = batch_feasible(projected, p, beta * v)
             feasible_count += int(flags.sum())
 
             if not strict and all(estimates[k] is not None for k in Hs):
                 continue  # feasibility already tallied; nothing left to record
 
+            # Rebuild and reduce the full systems of the flagged scenarios
+            # only; their solution sets are read off these.
+            flagged = idxs[flags]
+            aug = _scenario_stack(D, X, yv, flagged)
+            if not batch_feasible(aug, p, ncols).all():
+                raise RuntimeError("projected and full scenario systems disagree")
+
             recorded: list[tuple[int, tuple[int, ...]]] = []  # (combo, solution)
-            for local in np.nonzero(flags)[0]:
-                combo = int(idxs[local])
+            for local, combo in enumerate(flagged.tolist()):
                 if not strict and all(estimates[k] is not None for k in Hs):
                     break
                 sel = tuple(

@@ -85,6 +85,11 @@ class AttackConstructionFailed(DistcodeError):
 
 # --- experiments ----------------------------------------------------------
 
+class BadParameter(DistcodeError, ValueError):
+    """An experiment-spec field or a command-line value is malformed or out
+    of range."""
+
+
 class IoFailure(DistcodeError):
     """Reading or writing a file failed (results, or a code, transcript or
     spec file read by the command line)."""

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 from .codes import draw_mds, threshold
 from .decoding import DEFAULT_BUDGET, decode, verify_against_truth
-from .errors import BudgetExceeded, DistcodeError, IoFailure
+from .errors import BadParameter, BudgetExceeded, DistcodeError, IoFailure
 from .attacks import converse_attack, verify_attack
 from .field import DEFAULT_PRIME, field_new
 from .system import SystemConfig, behavior_random_adversarial, encode_transcript
@@ -74,11 +74,11 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.t_mode not in ("default", "relative", "absolute"):
-            raise ValueError(f"unknown t_mode {self.t_mode!r}")
+            raise BadParameter(f"unknown t_mode {self.t_mode!r}")
         if self.suite not in ("achievability", "converse", "both"):
-            raise ValueError(f"unknown suite {self.suite!r}")
+            raise BadParameter(f"unknown suite {self.suite!r}")
         if self.trials < 1 or self.workers < 1:
-            raise ValueError("trials and workers must be positive")
+            raise BadParameter("trials and workers must be positive")
         for cell in self.cells:
             SystemConfig(*cell, p=self.prime)  # validates the grid cell
 

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -94,9 +96,32 @@ class TestAttackAndDecode:
 class TestBadInput:
     @pytest.mark.parametrize(
         "case",
-        ["beta_not_below_k", "v_zero", "transcript_without_values", "malformed_json", "missing_file"],
+        [
+            "beta_not_below_k",
+            "v_zero",
+            "transcript_without_values",
+            "malformed_json",
+            "missing_file",
+            "points_not_integers",
+            "sweep_trials_zero",
+            "sweep_workers_zero",
+        ],
     )
     def test_one_error_line_and_exit_code_1(self, tmp_path, capsys, case):
+        argv = {
+            "points_not_integers": ["gen-code", "--kind", "reed_solomon", "--n", "3",
+                                    "--k", "2", "--points", "a,b"],
+            "sweep_trials_zero": ["sweep", "--trials", "0", "--out", str(tmp_path / "r.csv")],
+            "sweep_workers_zero": ["sweep", "--workers", "0", "--out", str(tmp_path / "r.csv")],
+        }.get(case) or self._decode_argv(tmp_path, case)
+        capsys.readouterr()
+        rc = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    @staticmethod
+    def _decode_argv(tmp_path, case):
         code_path = tmp_path / "code.json"
         run_cli("gen-code", "--kind", "random", "--n", "9", "--k", "3",
                 "--seed", "2", "--out", str(code_path))
@@ -112,12 +137,8 @@ class TestBadInput:
             tr_path.write_text('{"node_set": [0, 1,')
         elif case != "missing_file":
             tr_path.write_text(json.dumps(doc))
-        capsys.readouterr()
-        rc = run_cli("decode", "--code", str(code_path), "--transcript", str(tr_path),
-                     "--beta", beta, "--v", v)
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        return ["decode", "--code", str(code_path), "--transcript", str(tr_path),
+                "--beta", beta, "--v", v]
 
 
 class TestSweep:
@@ -162,6 +183,18 @@ def test_console_entry_point_runs():
         [sys.executable, "-m", "distcode.cli", "--help"],
         capture_output=True,
         text=True,
+    )
+    assert proc.returncode == 0
+    assert "gen-code" in proc.stdout and "sweep" in proc.stdout
+
+
+def test_python_dash_m_distcode_runs():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "distcode", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0
     assert "gen-code" in proc.stdout and "sweep" in proc.stdout

@@ -1,10 +1,15 @@
 import dataclasses
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from distcode import (
     BudgetExceeded,
+    FieldContext,
+    FieldMatrix,
+    GeneratorMatrix,
     PresumedScenario,
     SystemConfig,
     TranscriptMismatch,
@@ -21,7 +26,10 @@ from distcode import decoding
 
 from oracles import (
     all_set_partitions,
+    gauss_jordan,
     labeled_feasible_projections,
+    matvec,
+    rank_naive,
     stirling2,
     strict_result_projections,
 )
@@ -165,6 +173,18 @@ class TestDecode:
         with pytest.raises(RuntimeError, match="does not satisfy"):
             decode(gm, nodes, tr, cfg, mode=mode)
 
+    @pytest.mark.parametrize("mode", ["fast", "strict"])
+    def test_projection_guard_rejects_a_wrong_nullspace(self, mode, monkeypatch):
+        # Zero-row bases make every projected system consistent, so full
+        # systems that are in fact infeasible get flagged.
+        def no_rows(Gsub, honest_sets, p):
+            return [np.zeros((0, Gsub.shape[0]), dtype=Gsub.dtype) for _ in honest_sets]
+
+        monkeypatch.setattr(decoding, "_left_nullspaces", no_rows)
+        cfg, gm, behavior, nodes, tr = _random_instance(11)
+        with pytest.raises(RuntimeError, match="disagree"):
+            decode(gm, nodes, tr, cfg, mode=mode)
+
     def test_fast_and_strict_agree_on_estimates(self):
         for seed in range(5):
             cfg, gm, behavior, nodes, tr = _random_instance(300 + seed)
@@ -172,6 +192,93 @@ class TestDecode:
             strict = decode(gm, nodes, tr, cfg, mode="strict")
             assert fast.estimates == strict.estimates
             assert fast.feasible_count == strict.feasible_count
+
+
+P61 = 2**61 - 1
+
+
+def _code_rows(kind, N, K, p, seed):
+    """An N x K generator: MDS, or degenerate with a repeated or zero column."""
+    if kind == "mds":
+        return draw_mds(field_new(p), "random", N, K, seed=seed).matrix.to_rows()
+    rng = random.Random(seed)
+    rows = [[rng.randrange(1, p) for _ in range(K)] for _ in range(N)]
+    for row in rows:
+        row[1] = row[0] if kind == "repeated_column" else 0
+    return rows
+
+
+class TestLeftNullspaces:
+    @pytest.mark.parametrize("p", [P, P61], ids=["p2^31-1", "p2^61-1"])
+    @pytest.mark.parametrize("kind", ["mds", "repeated_column", "zero_column"])
+    def test_annihilates_honest_block_with_full_dimension(self, kind, p):
+        N, K = 7, 4
+        rows = _code_rows(kind, N, K, p, seed=3)
+        ctx = FieldContext(p)
+        for t in range(1, N + 1):
+            nodes = sorted(random.Random(t).sample(range(N), t))
+            Gsub = FieldMatrix(ctx, [rows[n] for n in nodes])._a
+            for h in (K - 1, K - 2):
+                honest_sets = [list(H) for H in itertools.combinations(range(K), h)]
+                bases = decoding._left_nullspaces(Gsub, honest_sets, p)
+                assert len(bases) == len(honest_sets)
+                for H, L in zip(honest_sets, bases):
+                    L = L.tolist()
+                    D = [[rows[n][k] for k in H] for n in nodes]
+                    for col in zip(*D):
+                        assert not any(matvec(L, col, p))
+                    rank_L = rank_naive(L, p) if L else 0
+                    assert rank_L == t - rank_naive(D, p)
+
+
+def _oracle_feasible_count(rows, nodes, values, K, beta, v, p):
+    """Consistent full scenario systems, built and solved on Python ints."""
+    partitions = [pt for pt in all_set_partitions(nodes) if len(pt) <= v]
+    count = 0
+    for a_hat in itertools.combinations(range(K), beta):
+        hs = [k for k in range(K) if k not in a_hat]
+        for choice in itertools.product(partitions, repeat=beta):
+            mat = []
+            for n in nodes:
+                row = [rows[n][k] for k in hs]
+                for k, part in zip(a_hat, choice):
+                    row += [rows[n][k] if n in block else 0 for block in part]
+                mat.append(row)
+            count += gauss_jordan(mat, values, p)[0]
+    return count
+
+
+class TestFeasibleCountOracle:
+    @pytest.mark.parametrize(
+        "kind, cell, t, p",
+        [
+            pytest.param("mds", (7, 3, 1, 2), 5, P, id="mds-7-3-1-2-t5"),
+            pytest.param("mds", (7, 4, 2, 2), 5, P, id="mds-7-4-2-2-t5"),
+            # t < h: L has no rows and every scenario is feasible.
+            pytest.param("mds", (6, 4, 1, 2), 2, P, id="mds-6-4-1-2-t2"),
+            pytest.param("mds", (7, 3, 1, 2), 4, P61, id="mds-7-3-1-2-t4-p2^61-1"),
+            pytest.param("repeated_column", (7, 3, 1, 2), 5, 101, id="repeated-column-p101"),
+            pytest.param("zero_column", (7, 4, 2, 2), 5, 101, id="zero-column-p101"),
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["fast", "strict"])
+    def test_feasible_count_matches_gauss_jordan(self, kind, cell, t, p, mode):
+        N, K, beta, v = cell
+        rng = random.Random(f"{kind}{cell}{t}{p}")
+        rows = _code_rows(kind, N, K, p, seed=rng.randrange(1 << 30))
+        gm = GeneratorMatrix(FieldMatrix(FieldContext(p), rows), "random")
+        cfg = SystemConfig(N=N, K=K, beta=beta, v=v, p=p)
+        adv = tuple(sorted(rng.sample(range(K), beta)))
+        behavior = behavior_random_adversarial(
+            cfg, [rng.randrange(p) for _ in range(K)], adv, seed=rng.randrange(1 << 30)
+        )
+        nodes = tuple(sorted(rng.sample(range(N), t)))
+        tr = encode_transcript(gm, behavior, nodes)
+        res = decode(gm, nodes, tr, cfg, mode=mode)
+        want = _oracle_feasible_count(rows, nodes, list(tr.values), K, beta, v, p)
+        assert res.feasible_count == want
+        if t < K - beta:
+            assert want == res.scenarios_examined
 
 
 class TestLabeledReferenceEquivalence:
