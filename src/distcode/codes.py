@@ -103,11 +103,22 @@ class GeneratorMatrix:
     @classmethod
     def from_json(cls, doc: dict) -> "GeneratorMatrix":
         ctx = FieldContext(int(doc["p"]))
-        m = FieldMatrix(ctx, doc["rows"])
+        m = FieldMatrix(ctx, [_json_ints(r, "rows") for r in doc["rows"]])
         if m.rows != int(doc["N"]) or m.cols != int(doc["K"]):
             raise BadDimensions("declared N/K disagree with the row grid")
         pts = doc.get("rs_points")
-        return cls(m, doc["kind"], tuple(int(x) for x in pts) if pts else None)
+        return cls(m, doc["kind"], _json_ints(pts, "rs_points") if pts else None)
+
+
+def _json_ints(entries, what: str) -> tuple[int, ...]:
+    """The entries of a JSON list, which must all be integers; anything else
+    (a float, a string, null, a list, a boolean) raises ``ValueError``."""
+    if not isinstance(entries, list):
+        raise ValueError(f"{what} must be a list of integers, got {entries!r}")
+    for x in entries:
+        if type(x) is not int:
+            raise ValueError(f"{what} must hold only integers, got {x!r}")
+    return tuple(entries)
 
 
 def _random_rows(ctx: FieldContext, rng: random.Random, count: int, K: int):

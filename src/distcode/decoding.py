@@ -20,7 +20,9 @@ Two details depart from the naive sweep without changing its outcome:
 
 Fast mode keeps the first pinned value per coordinate.  Strict mode retains
 every feasible scenario and reports an ambiguity witness whenever two
-feasible solutions disagree on a coordinate both presume honest.
+feasible solutions disagree on a coordinate both presume honest: two
+scenarios that pin different values, or one scenario's particular solution
+and that solution moved along a nullspace vector.
 
 Feasibility is decided on projected systems.  Every scenario of one
 presumed-adversary set shares the honest columns ``D``; with ``L`` a basis
@@ -30,9 +32,11 @@ consistent, which drops the h honest columns and rank(D) rows from every
 system the batched kernel reduces.  Only the flagged scenarios that still
 have to be recorded are rebuilt in full and reduced by
 :func:`~distcode.field.batch_feasible`, and their solution sets are read off
-that stack.  If a rebuilt system is infeasible the projection was wrong and
-``decode`` raises ``RuntimeError``; every recorded solution is also
-re-checked against its unreduced system.
+that stack in one batched pass.  Fast mode first finds, from the pinned
+masks alone, the scenario after which every honest estimate is set, and
+reads nothing past it.  If a rebuilt system is infeasible the projection
+was wrong and ``decode`` raises ``RuntimeError``; every recorded solution is
+also re-checked against its unreduced system.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import numpy as np
 
 from .codes import GeneratorMatrix
 from .errors import BudgetExceeded, NodeOutOfRange, TranscriptMismatch
-from .field import _batch_eliminate, _read_reduced, batch_feasible
+from .field import _batch_eliminate, _pivots, _read_reduced, batch_feasible
 from .system import SourceBehavior, SystemConfig, Transcript
 
 DEFAULT_BUDGET = 10**8
@@ -329,38 +333,44 @@ def decode(
             if not batch_feasible(aug, p, ncols).all():
                 raise RuntimeError("projected and full scenario systems disagree")
 
-            recorded: list[tuple[int, tuple[int, ...]]] = []  # (combo, solution)
+            if not strict:
+                # Fast mode reads scenarios only until every honest estimate
+                # is set; pinned masks need no inverse, so find that point
+                # first and read nothing past it.
+                unset = [i for i, k in enumerate(Hs) if estimates[k] is None]
+                done = np.logical_or.accumulate(_pivots(aug, ncols)[2][:, unset]).all(1)
+                if done.any():
+                    flagged = flagged[: done.argmax() + 1]
+                    aug = aug[: len(flagged)]
+            red = _read_reduced(aug, ncols, p)
+            sols = red.particular.tolist()
+            pins = red.pinned[:, :h].tolist()
+
+            recorded: list[tuple[int, list[int]]] = []  # (combo, solution)
             for local, combo in enumerate(flagged.tolist()):
-                if not strict and all(estimates[k] is not None for k in Hs):
-                    break
+                x = sols[local]
+                recorded.append((combo, x))
+                for k, pin, val in zip(Hs, pins[local], x):
+                    if estimates[k] is None and pin:
+                        estimates[k] = val
+                if not strict:
+                    continue
+
                 sel = tuple(
                     parts[(combo // n_parts ** (beta - 1 - j)) % n_parts]
                     for j in range(beta)
                 )
                 scenario = PresumedScenario(A_hat, sel)
                 spans = [(h + j * v, h + j * v + len(part)) for j, part in enumerate(sel)]
-                out = _read_reduced(aug[local], ncols, p)
-                recorded.append((combo, out.particular))
-                unpinned = frozenset(
-                    k for i, k in enumerate(Hs) if i not in out.pinned_coordinates
-                )
-                for i, k in enumerate(Hs):
-                    if estimates[k] is None and i in out.pinned_coordinates:
-                        estimates[k] = int(out.particular[i])
-                if not strict:
-                    continue
-
-                sol = _vector_to_solution(scenario, Hs, spans, out.particular, unpinned)
+                unpinned = frozenset(k for k, pin in zip(Hs, pins[local]) if not pin)
+                sol = _vector_to_solution(scenario, Hs, spans, x, unpinned)
                 feasible_list.append(sol)
                 for i, k in enumerate(Hs):
                     if k in unpinned:
                         if k not in witnesses:
-                            bvec = next(
-                                bv for bv in out.nullspace_basis if bv[i] != 0
-                            )
-                            alt = tuple(
-                                (a + b) % p for a, b in zip(out.particular, bvec)
-                            )
+                            basis = red.nullspace(local).tolist()
+                            bvec = next(bv for bv in basis if bv[i] != 0)
+                            alt = [(a + b) % p for a, b in zip(x, bvec)]
                             recorded.append((combo, alt))
                             witnesses[k] = (
                                 sol,

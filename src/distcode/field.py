@@ -4,11 +4,13 @@ Field elements are canonical Python integers in ``[0, p)``.  A
 :class:`FieldContext` fixes the modulus; :class:`FieldMatrix` stores a dense
 matrix of reduced entries.  One batched, inverse-free Gauss-Jordan kernel
 does all elimination: :func:`rank`, :func:`batch_rank` and
-:func:`batch_feasible` count its pivots, and :func:`solve` reads from its
-output consistency, one particular solution, a nullspace basis and the set
-of *pinned* coordinates (coordinates that take the same value in every
-solution).  The feasibility decoder reads the same data straight off the
-stacks it passed to :func:`batch_feasible`.
+:func:`batch_feasible` count its pivots.  One batched reader reads whole
+reduced stacks: consistency, one particular solution, the data for a
+nullspace basis and the set of *pinned* coordinates (coordinates that take
+the same value in every solution), normalizing every pivot of the stack
+with a single modular inverse.  :func:`solve` reads its stack of one
+through it, and the feasibility decoder reads the stacks it passed to
+:func:`batch_feasible`.
 
 Matrices are backed by numpy.  For moduli up to ``_INT64_SAFE_P`` the entries
 live in ``int64`` (entrywise products of reduced values cannot overflow);
@@ -183,48 +185,91 @@ class SolveOutcome:
     pinned_coordinates: frozenset[int] = field(default_factory=frozenset)
 
 
-def _read_reduced(rows: np.ndarray, nvars: int, p: int) -> SolveOutcome:
-    """Read the solution set of ``A x = b`` off one system ``[A | b]`` that
-    :func:`_batch_eliminate` has reduced over its first ``nvars`` columns.
+def _batch_inverse(vals: list[int], p: int) -> list[int]:
+    """Inverses of nonzero residues with one ``pow`` (Montgomery's trick):
+    a forward pass keeps the running products, and a backward pass peels
+    each value off the inverse of their total."""
+    before = []
+    acc = 1
+    for x in vals:
+        before.append(acc)
+        acc = acc * x % p
+    inv = pow(acc, -1, p)
+    out = [0] * len(vals)
+    for i in range(len(vals) - 1, -1, -1):
+        out[i] = inv * before[i] % p
+        inv = inv * vals[i] % p
+    return out
 
-    Each row's leading nonzero is that row's pivot, normalized by one
-    inverse.  The particular solution sets free variables to zero, and the
-    nullspace basis holds one vector per free column, in column order.
+
+def _pivots(red: np.ndarray, nvars: int):
+    """Pivot structure of a stack ``(B, rows, nvars+1)`` of systems that
+    :func:`_batch_eliminate` has reduced over their first ``nvars`` columns.
+
+    Returns ``lead`` (B, rows), the pivot column of each row or -1 for none,
+    and the (B, nvars) masks ``free`` and ``pinned``.  A row's leading
+    nonzero is its pivot, and a pivot coordinate is pinned when its row is
+    zero on every free column.  None of this needs an inverse.
     """
-    consistent = True
-    pivots: list[int] = []
-    red: list[list[int]] = []
-    for row in rows.tolist():
-        c = next((c for c, x in enumerate(row[:nvars]) if x), None)
-        if c is None:
-            if row[nvars]:
-                consistent = False
-            continue
-        inv = pow(row[c], -1, p)
-        pivots.append(c)
-        red.append([x * inv % p for x in row])
-    pivset = set(pivots)
-    free = [c for c in range(nvars) if c not in pivset]
+    nz = red[:, :, :nvars] != 0
+    pivotal = nz.any(axis=2)
+    lead = np.where(pivotal, nz.argmax(axis=2), -1)
+    s, r = np.nonzero(pivotal)
+    c = lead[s, r]
+    free = np.ones((len(red), nvars), dtype=bool)
+    free[s, c] = False
+    pinned = np.zeros_like(free)
+    pinned[s, c] = ~(nz[s, r] & free[s]).any(axis=1)
+    return lead, free, pinned
 
-    particular = None
-    if consistent:
-        x = [0] * nvars
-        for row, c in zip(red, pivots):
-            x[c] = row[nvars]
-        particular = tuple(x)
 
-    basis = []
-    for f in free:
-        vec = [0] * nvars
-        vec[f] = 1
-        for row, c in zip(red, pivots):
-            vec[c] = -row[f] % p
-        basis.append(tuple(vec))
+@dataclass(frozen=True)
+class _Reduced:
+    """Solution sets of a stack of reduced systems ``[A | b]``, by system.
 
-    pinned = frozenset(
-        c for row, c in zip(red, pivots) if not any(row[f] for f in free)
-    )
-    return SolveOutcome(consistent, particular, tuple(basis), pinned)
+    ``particular`` (B, nvars) sets free variables to zero; it is meaningful
+    only where ``consistent``.  ``lead``, ``free`` and ``pinned`` are as in
+    :func:`_pivots`, and ``norm`` is the stack with every pivot row scaled
+    to a leading 1.
+    """
+
+    p: int
+    consistent: np.ndarray
+    particular: np.ndarray
+    lead: np.ndarray
+    free: np.ndarray
+    pinned: np.ndarray
+    norm: np.ndarray
+
+    def nullspace(self, s: int) -> np.ndarray:
+        """The nullspace basis of system ``s``, one row per free column in
+        column order: 1 at its own column, 0 at every other free column, and
+        minus that column's entry of each pivot row at the row's pivot."""
+        cols = np.flatnonzero(self.free[s])
+        rows = np.flatnonzero(self.lead[s] >= 0)
+        vecs = np.zeros((len(cols), self.free.shape[1]), dtype=self.norm.dtype)
+        vecs[np.arange(len(cols)), cols] = 1
+        vecs[:, self.lead[s, rows]] = (-self.norm[s][np.ix_(rows, cols)] % self.p).T
+        return vecs
+
+
+def _read_reduced(red: np.ndarray, nvars: int, p: int) -> _Reduced:
+    """Read the solution sets off a stack ``(B, rows, nvars+1)`` of systems
+    ``[A | b]`` that :func:`_batch_eliminate` has reduced over their first
+    ``nvars`` columns.  One batched inversion normalizes every pivot row of
+    the stack, and each pivot row's right-hand side is then its pivot
+    coordinate's value in the particular solution.
+    """
+    lead, free, pinned = _pivots(red, nvars)
+    s, r = np.nonzero(lead >= 0)
+    c = lead[s, r]
+    inv = np.ones(lead.shape, dtype=red.dtype)
+    inv[s, r] = _batch_inverse(red[s, r, c].tolist(), p)
+    norm = red * inv[:, :, None] % p
+    consistent = ~((red[:, :, nvars] != 0) & (lead < 0)).any(axis=1)
+    particular = np.zeros(free.shape, dtype=red.dtype)
+    particular[s, c] = norm[s, r, nvars]
+    return _Reduced(p, consistent, particular, lead, free, pinned, norm)
 
 
 def solve(A: FieldMatrix, b) -> SolveOutcome:
@@ -249,7 +294,14 @@ def solve(A: FieldMatrix, b) -> SolveOutcome:
     aug[0, :, : A.cols] = A._a
     aug[0, :, A.cols] = [int(x) % p for x in b]
     _batch_eliminate(aug, p, A.cols)
-    return _read_reduced(aug[0], A.cols, p)
+    red = _read_reduced(aug, A.cols, p)
+    consistent = bool(red.consistent[0])
+    return SolveOutcome(
+        consistent,
+        tuple(red.particular[0].tolist()) if consistent else None,
+        tuple(map(tuple, red.nullspace(0).tolist())),
+        frozenset(np.flatnonzero(red.pinned[0]).tolist()),
+    )
 
 
 def rank(A: FieldMatrix) -> int:

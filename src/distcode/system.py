@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .codes import GeneratorMatrix, threshold
+from .codes import GeneratorMatrix, _json_ints, threshold
 from .errors import BadDimensions, NodeOutOfRange, NonPrimeModulus, TooManyAdversaries
 from .field import DEFAULT_PRIME, is_prime
 
@@ -135,7 +135,9 @@ class Transcript:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Transcript":
-        return cls(tuple(doc["node_set"]), tuple(doc["values"]))
+        return cls(
+            _json_ints(doc["node_set"], "node_set"), _json_ints(doc["values"], "values")
+        )
 
 
 def behavior_honest(cfg: SystemConfig, messages) -> SourceBehavior:

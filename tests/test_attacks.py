@@ -224,6 +224,34 @@ class TestConverseAttack:
             k in sol_a.unpinned or k in sol_b.unpinned
         )
 
+    @pytest.mark.parametrize("kind", ["random", "systematic", "reed_solomon"])
+    @pytest.mark.parametrize(
+        "cell", [(9, 3, 1, 2), (10, 4, 1, 2), (11, 3, 1, 3), (9, 3, 2, 2), (12, 6, 1, 2)]
+    )
+    def test_every_witness_pair_splits_its_coordinate(self, cell, kind):
+        # The attack's own encoder set gives witnesses from two scenarios
+        # that pin different values; dropping encoders leaves underdetermined
+        # scenarios, whose witnesses step along a nullspace vector.
+        N, K, beta, v = cell
+        cfg = SystemConfig(N=N, K=K, beta=beta, v=v, p=P)
+        gm = draw_mds(CTX, kind, N, K, seed=11)
+        atk = converse_attack(gm, cfg, seed=5)
+        paths = set()
+        for drop in range(4):
+            nodes = atk.node_set[: len(atk.node_set) - drop]
+            tr = encode_transcript(gm, atk.setup1, nodes)
+            res = decode(gm, nodes, tr, cfg, mode="strict")
+            assert res.ambiguous_coordinates
+            assert set(res.witnesses) == set(res.ambiguous_coordinates)
+            for k in res.ambiguous_coordinates:
+                sol_a, sol_b = res.witnesses[k]
+                assert sol_a.honest_values[k] != sol_b.honest_values[k]
+                for sol in (sol_a, sol_b):
+                    again = encode_transcript(gm, sol.to_behavior(cfg), nodes)
+                    assert again.values == tr.values
+                paths.add(k in sol_a.unpinned)
+        assert paths == {False, True}
+
     def test_sharpness_one_more_encoder(self):
         # Extending the attacked set to t* encoders removes the ambiguity.
         cfg = SystemConfig(N=9, K=3, beta=1, v=2, p=P)

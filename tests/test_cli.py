@@ -105,6 +105,11 @@ class TestBadInput:
             "points_not_integers",
             "sweep_trials_zero",
             "sweep_workers_zero",
+            "value_a_string",
+            "value_null",
+            "value_a_list",
+            "value_a_float",
+            "code_entry_a_float",
         ],
     )
     def test_one_error_line_and_exit_code_1(self, tmp_path, capsys, case):
@@ -132,6 +137,13 @@ class TestBadInput:
         beta, v = {"beta_not_below_k": ("5", "2"), "v_zero": ("1", "0")}.get(case, ("1", "2"))
         if case == "transcript_without_values":
             del doc["values"]
+        bad = {"value_a_string": "a", "value_null": None, "value_a_list": [1], "value_a_float": 1.5}
+        if case in bad:
+            doc["values"][0] = bad[case]
+        if case == "code_entry_a_float":
+            code = json.loads(code_path.read_text())
+            code["rows"][0][0] = 1.5
+            code_path.write_text(json.dumps(code))
         tr_path = tmp_path / "tr.json"
         if case == "malformed_json":
             tr_path.write_text('{"node_set": [0, 1,')

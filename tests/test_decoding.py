@@ -162,9 +162,10 @@ class TestDecode:
 
     @pytest.mark.parametrize("mode", ["fast", "strict"])
     def test_residual_guard_rejects_a_wrong_solution(self, mode, monkeypatch):
-        def corrupted(rows, nvars, p):
-            out = read_reduced(rows, nvars, p)
-            bad = ((out.particular[0] + 1) % p,) + out.particular[1:]
+        def corrupted(red, nvars, p):
+            out = read_reduced(red, nvars, p)
+            bad = out.particular.copy()
+            bad[:, 0] = (bad[:, 0] + 1) % p
             return dataclasses.replace(out, particular=bad)
 
         read_reduced = decoding._read_reduced
@@ -192,6 +193,24 @@ class TestDecode:
             strict = decode(gm, nodes, tr, cfg, mode="strict")
             assert fast.estimates == strict.estimates
             assert fast.feasible_count == strict.feasible_count
+
+    @pytest.mark.parametrize("below", [1, 2, 3])
+    @pytest.mark.parametrize("cell", [(9, 3, 1, 2), (11, 3, 1, 3), (10, 3, 2, 2)])
+    def test_fast_estimates_are_first_pinned_values(self, cell, below):
+        # Below t* feasible scenarios pin different values, so the fast
+        # estimate of k must come from the first feasible scenario, in sweep
+        # order, that pins k; strict mode lists them all in that order.
+        N, K, beta, v = cell
+        for seed in range(3):
+            cfg, gm, behavior, nodes, tr = _random_instance(
+                400 + seed, N=N, K=K, beta=beta, v=v, t=K + 2 * beta * (v - 1) - below
+            )
+            want = [None] * K
+            for sol in decode(gm, nodes, tr, cfg, mode="strict").feasible:
+                for k, val in sol.honest_values.items():
+                    if want[k] is None and k not in sol.unpinned:
+                        want[k] = val
+            assert decode(gm, nodes, tr, cfg, mode="fast").estimates == tuple(want)
 
 
 P61 = 2**61 - 1

@@ -18,7 +18,7 @@ from distcode import (
     rank,
     solve,
 )
-from distcode.field import batch_feasible, batch_rank
+from distcode.field import _batch_eliminate, _read_reduced, batch_feasible, batch_rank
 
 from oracles import det_laplace, gauss_jordan, matvec, rank_naive, vandermonde_det
 
@@ -246,3 +246,61 @@ class TestBatchKernels:
         basis = solve(A, [0, 0]).nullspace_basis
         assert len(basis) == 1
         assert matvec(A.to_rows(), basis[0], P) == (0, 0)
+
+
+def _mixed_system(kind, rng, p, rows=6, nvars=5):
+    """One ``(A, b)`` of the given kind; ``b`` is in the column space except
+    for the inconsistent kinds."""
+    A = [[rng.randrange(p) for _ in range(nvars)] for _ in range(rows)]
+    if kind == "underdetermined":
+        for row in A[3:]:
+            row[:] = [0] * nvars
+    elif kind.startswith("rank_deficient"):
+        # The last column and the last row depend on the others.
+        for row in A:
+            row[-1] = (row[0] + 2 * row[1]) % p
+        A[-1] = [(3 * x + y) % p for x, y in zip(A[0], A[1])]
+    elif kind.startswith("zero"):
+        A = [[0] * nvars for _ in range(rows)]
+    b = list(matvec(A, [rng.randrange(p) for _ in range(nvars)], p))
+    if kind.endswith("inconsistent"):
+        b[-1] = (b[-1] + 1) % p
+    return A, b
+
+
+class TestBatchedReader:
+    KINDS = ("full_rank", "underdetermined", "rank_deficient",
+             "rank_deficient_inconsistent", "zero", "zero_inconsistent")
+
+    @staticmethod
+    def _read(systems, p):
+        dtype = FieldContext(p).dtype
+        stack = np.array([[row + [y] for row, y in zip(A, b)] for A, b in systems], dtype=dtype)
+        nvars = len(systems[0][0][0])
+        _batch_eliminate(stack, p, nvars)
+        red = _read_reduced(stack, nvars, p)
+        for s in range(len(systems)):
+            consistent = bool(red.consistent[s])
+            basis = red.nullspace(s)
+            yield (
+                consistent,
+                tuple(red.particular[s].tolist()) if consistent else None,
+                tuple(map(tuple, basis.tolist())),
+                frozenset(np.flatnonzero(red.pinned[s]).tolist()),
+            )
+
+    @pytest.mark.parametrize("p", [2, 3, 101, 2**31 - 1, 2**61 - 1],
+                             ids=["p2", "p3", "p101", "p2^31-1", "p2^61-1"])
+    @pytest.mark.parametrize("nsys", [1, 72])
+    def test_every_system_matches_gauss_jordan(self, p, nsys):
+        rng = random.Random(f"reader-{p}-{nsys}")
+        if nsys == 1:
+            stacks = [[_mixed_system(kind, rng, p)] for kind in self.KINDS]
+        else:
+            kinds = [self.KINDS[i % len(self.KINDS)] for i in range(nsys)]
+            rng.shuffle(kinds)
+            stacks = [[_mixed_system(kind, rng, p) for kind in kinds]]
+        for systems in stacks:
+            got = list(self._read(systems, p))
+            want = [gauss_jordan(A, b, p) for A, b in systems]
+            assert got == want
