@@ -24,19 +24,22 @@ feasible solutions disagree on a coordinate both presume honest: two
 scenarios that pin different values, or one scenario's particular solution
 and that solution moved along a nullspace vector.
 
-Feasibility is decided on projected systems.  Every scenario of one
-presumed-adversary set shares the honest columns ``D``; with ``L`` a basis
-of the left nullspace of ``D`` (one elimination finds it for every set at
-once), a scenario ``[D | X_q | y]`` is feasible iff ``[L X_q | L y]`` is
-consistent, which drops the h honest columns and rank(D) rows from every
-system the batched kernel reduces.  Only the flagged scenarios that still
-have to be recorded are rebuilt in full and reduced by
-:func:`~distcode.field.batch_feasible`, and their solution sets are read off
-that stack in one batched pass.  Fast mode first finds, from the pinned
-masks alone, the scenario after which every honest estimate is set, and
-reads nothing past it.  If a rebuilt system is infeasible the projection
-was wrong and ``decode`` raises ``RuntimeError``; every recorded solution is
-also re-checked against its unreduced system.
+Feasibility is decided on projected systems.  An equivocating source's v
+block columns sum to its code column ``g_k``, so a scenario's full system
+``[D | X_q | y]`` (honest columns ``D``, all blocks ``X_q``) has the same
+column space as ``[G_T | X'_q]``, where ``X'_q`` keeps only the first v-1
+blocks of each presumed adversary.  With ``L`` a basis of the left nullspace
+of ``G_T`` (the code's parity check on the observed encoders, found by one
+elimination per decode), the scenario is feasible iff ``[L X'_q | L y]`` is
+consistent.  ``L X'`` is computed once per source and ``L y`` once, so each
+system the batched kernel reduces has ``t - rank G_T`` rows and beta*(v-1)
+unknowns.  Only the flagged scenarios that still have to be recorded are
+rebuilt in full and reduced by :func:`~distcode.field.batch_feasible`, and
+their solution sets are read off that stack in one batched pass.  Fast mode
+first finds, from the pinned masks alone, the scenario after which every
+honest estimate is set, and reads nothing past it.  If a rebuilt system is
+infeasible the projection was wrong and ``decode`` raises ``RuntimeError``;
+every recorded solution is also re-checked against its unreduced system.
 """
 
 from __future__ import annotations
@@ -145,6 +148,8 @@ class DecodeResult:
     """Decoder output.
 
     ``estimates[k]`` is ``None`` while no feasible scenario pinned source k.
+    ``guaranteed`` says whether the transcript covers at least t* encoders,
+    the only case in which the theorem vouches for the honest estimates.
     Strict mode additionally carries every feasible solution, the set of
     coordinates on which feasible solutions disagree, and one witness pair
     per such coordinate (``ambiguity`` is the witness for the smallest one).
@@ -152,6 +157,7 @@ class DecodeResult:
 
     estimates: tuple[int | None, ...]
     feasible_count: int
+    guaranteed: bool = False
     ambiguity: tuple[ScenarioSolution, ScenarioSolution] | None = None
     ambiguous_coordinates: frozenset[int] = frozenset()
     witnesses: dict[int, tuple[ScenarioSolution, ScenarioSolution]] = field(
@@ -164,6 +170,7 @@ class DecodeResult:
         doc: dict = {
             "estimates": [v if v is None else int(v) for v in self.estimates],
             "feasible_count": self.feasible_count,
+            "guaranteed": self.guaranteed,
         }
         if self.ambiguity is not None:
             doc["ambiguity"] = [s.to_json() for s in self.ambiguity]
@@ -173,41 +180,43 @@ class DecodeResult:
 def _scenario_stack(D, X, yv, combos) -> np.ndarray:
     """Stack the augmented systems ``[A | y]`` of the given scenario indices.
 
-    Variable order: presumed-honest sources ascending (the columns of ``D``),
-    then each presumed adversary's blocks in partition order, padded to v
-    columns per adversary.  ``X[j]`` holds adversary ``j``'s block columns
-    for every partition; scenario ``q`` uses partition
-    ``(q // n_parts**(beta-1-j)) % n_parts`` for adversary ``j``.
+    Variable order: the columns of ``D``, then each presumed adversary's
+    block columns in partition order.  ``X[j]`` holds adversary ``j``'s w
+    block columns for every partition; scenario ``q`` uses partition
+    ``(q // n_parts**(beta-1-j)) % n_parts`` for adversary ``j``.  A full
+    scenario system has the presumed-honest code columns as ``D`` and all v
+    padded blocks (w = v); a parity-check-projected one has no ``D``, ``L y``
+    as ``y`` and only the first v-1 blocks, premultiplied by ``L`` (w = v-1).
     """
     t, h = D.shape
     beta = len(X)
-    n_parts, _, v = X[0].shape
-    aug = np.empty((len(combos), t, h + beta * v + 1), dtype=D.dtype)
+    n_parts, _, w = X[0].shape
+    aug = np.empty((len(combos), t, h + beta * w + 1), dtype=D.dtype)
     aug[:, :, :h] = D
     for j in range(beta):
         div = n_parts ** (beta - 1 - j)
-        aug[:, :, h + j * v : h + (j + 1) * v] = X[j][(combos // div) % n_parts]
+        aug[:, :, h + j * w : h + (j + 1) * w] = X[j][(combos // div) % n_parts]
     aug[:, :, -1] = yv
     return aug
 
 
-def _left_nullspaces(Gsub, honest_sets, p: int) -> list[np.ndarray]:
-    """Left-nullspace bases ``L`` of ``D = Gsub[:, H]`` for every honest set.
+def _parity_check(Gsub, p: int) -> np.ndarray:
+    """A basis ``L`` of the left nullspace of ``Gsub``, the code's parity
+    check on the observed encoders: ``L z = 0`` iff ``z`` lies in the column
+    space of ``Gsub``.
 
-    One elimination of the stack ``[D | I]`` over its first h columns leaves
-    each row without a pivot zero over ``D``, so its last t columns hold a
+    One elimination of ``[Gsub | I]`` over its first K columns leaves each
+    row without a pivot zero over ``Gsub``, so its last t columns hold a
     vector of ``L``.  Such a row carries a nonzero multiple of its own unit
     vector and none of another non-pivot row's, so the rows are independent
-    and span the left nullspace even when ``D`` is rank-deficient.
+    and span the left nullspace even when ``Gsub`` is rank-deficient.
     """
-    t = Gsub.shape[0]
-    H = np.array(honest_sets)
-    h = H.shape[1]
-    stack = np.empty((len(H), t, h + t), dtype=Gsub.dtype)
-    stack[:, :, :h] = Gsub[:, H].transpose(1, 0, 2)
-    stack[:, :, h:] = np.eye(t, dtype=Gsub.dtype)
-    pivotal = _batch_eliminate(stack, p, h)
-    return [stack[s, ~pivotal[s], h:] for s in range(len(H))]
+    t, K = Gsub.shape
+    stack = np.empty((1, t, K + t), dtype=Gsub.dtype)
+    stack[0, :, :K] = Gsub
+    stack[0, :, K:] = np.eye(t, dtype=Gsub.dtype)
+    pivotal = _batch_eliminate(stack, p, K)
+    return stack[0, ~pivotal[0], K:]
 
 
 def _check_residuals(stack: np.ndarray, vecs, p: int) -> None:
@@ -302,25 +311,25 @@ def decode(
     witnesses: dict[int, tuple[ScenarioSolution, ScenarioSolution]] = {}
     pinned_first: dict[int, tuple[int, ScenarioSolution]] = {}
 
-    adversary_sets = list(itertools.combinations(range(K), beta))
-    honest_sets = [[k for k in range(K) if k not in A_hat] for A_hat in adversary_sets]
-    bases = _left_nullspaces(Gsub, honest_sets, p)
-    for A_hat, Hs, L in zip(adversary_sets, honest_sets, bases):
+    # The projected systems [L X'_q | L y] decide feasibility (see the module
+    # docstring).  L X'_k is block sums of the columns of L diag(g_k); each
+    # sum stays below t*p.
+    L = _parity_check(Gsub, p)
+    LX = [np.matmul((L * Gsub[:, k]) % p, memb[:, :, : v - 1]) % p for k in range(K)]
+    Ly = ((L * yv) % p).sum(axis=1) % p
+    no_honest = np.empty((len(L), 0), dtype=ctx.dtype)
+
+    for A_hat in itertools.combinations(range(K), beta):
+        Hs = [k for k in range(K) if k not in A_hat]
         h = len(Hs)
         D = Gsub[:, Hs]
         X = [(memb * Gsub[:, k][None, :, None]) % p for k in A_hat]
         ncols = h + beta * v
-        # y - X_q x lies in the column space of D iff L annihilates it, so
-        # the projected systems [L X_q | L y] decide feasibility.  L X_q is
-        # block sums of the columns of L diag(g_k); each sum stays below t*p.
-        LX = [np.matmul((L * Gsub[:, k]) % p, memb) % p for k in A_hat]
-        Ly = ((L * yv) % p).sum(axis=1) % p
-        no_honest = np.empty((len(L), 0), dtype=ctx.dtype)
 
         for start in range(0, n_combos, _CHUNK):
             idxs = np.arange(start, min(start + _CHUNK, n_combos), dtype=np.int64)
-            projected = _scenario_stack(no_honest, LX, Ly, idxs)
-            flags = batch_feasible(projected, p, beta * v)
+            projected = _scenario_stack(no_honest, [LX[k] for k in A_hat], Ly, idxs)
+            flags = batch_feasible(projected, p, beta * (v - 1))
             feasible_count += int(flags.sum())
 
             if not strict and all(estimates[k] is not None for k in Hs):
@@ -393,6 +402,7 @@ def decode(
     return DecodeResult(
         estimates=tuple(estimates),
         feasible_count=feasible_count,
+        guaranteed=t >= cfg.t_star,
         ambiguity=ambiguity,
         ambiguous_coordinates=ambiguous,
         witnesses=witnesses,

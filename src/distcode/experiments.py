@@ -21,7 +21,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
-from .codes import draw_mds, threshold
+from .codes import _json_ints, draw_mds, threshold
 from .decoding import DEFAULT_BUDGET, decode, verify_against_truth
 from .errors import BadParameter, BudgetExceeded, DistcodeError, IoFailure
 from .attacks import converse_attack, verify_attack
@@ -100,18 +100,21 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentSpec":
+        def one_int(key, default):
+            return _json_ints([doc.get(key, default)], key)[0]
+
         return cls(
-            cells=tuple(tuple(int(x) for x in c) for c in doc["cells"]),
+            cells=tuple(_json_ints(c, "cells") for c in doc["cells"]),
             kinds=tuple(doc.get("kinds", ("random",))),
             t_mode=doc.get("t_mode", "default"),
-            t_values=tuple(int(x) for x in doc.get("t_values", ())),
-            trials=int(doc.get("trials", 100)),
-            seed=int(doc.get("seed", 0)),
-            prime=int(doc.get("prime", DEFAULT_PRIME)),
-            budget=int(doc.get("budget", DEFAULT_BUDGET)),
+            t_values=_json_ints(doc.get("t_values", []), "t_values"),
+            trials=one_int("trials", 100),
+            seed=one_int("seed", 0),
+            prime=one_int("prime", DEFAULT_PRIME),
+            budget=one_int("budget", DEFAULT_BUDGET),
             suite=doc.get("suite", "both"),
             timing=bool(doc.get("timing", False)),
-            workers=int(doc.get("workers", 1)),
+            workers=one_int("workers", 1),
         )
 
 

@@ -112,8 +112,8 @@ class SourceBehavior:
     def from_json(cls, cfg: SystemConfig, doc: dict) -> "SourceBehavior":
         return cls(
             cfg,
-            tuple(tuple(r) for r in doc["rows"]),
-            frozenset(doc["adversary_set"]),
+            tuple(_json_ints(r, "rows") for r in doc["rows"]),
+            frozenset(_json_ints(doc["adversary_set"], "adversary_set")),
         )
 
 

@@ -73,6 +73,7 @@ class TestAttackAndDecode:
         doc = json.loads(out.read_text())
         assert doc["estimates"][1] == 20 and doc["estimates"][2] == 30
         assert doc["feasible_count"] >= 1
+        assert doc["guaranteed"] is True  # t = t* = 5
 
     def test_decode_attack_transcript_reports_ambiguity(self, tmp_path, code_path):
         atk_path = tmp_path / "attack.json"
@@ -90,7 +91,9 @@ class TestAttackAndDecode:
         out = tmp_path / "dec.json"
         run_cli("decode", "--code", str(code_path), "--transcript", str(tr_path),
                 "--beta", "1", "--v", "2", "--mode", "strict", "--out", str(out))
-        assert "ambiguity" in json.loads(out.read_text())
+        doc = json.loads(out.read_text())
+        assert "ambiguity" in doc
+        assert doc["guaranteed"] is False  # the attack observes t* - 1 encoders
 
 
 class TestBadInput:
@@ -110,14 +113,26 @@ class TestBadInput:
             "value_a_list",
             "value_a_float",
             "code_entry_a_float",
+            "spec_trials_a_float",
+            "spec_cell_entry_a_float",
         ],
     )
     def test_one_error_line_and_exit_code_1(self, tmp_path, capsys, case):
+        specs = {
+            "spec_trials_a_float": {"cells": [[9, 3, 1, 2]], "trials": 2.7},
+            "spec_cell_entry_a_float": {"cells": [[9.5, 3, 1, 2]], "trials": 2},
+        }
+        if case in specs:
+            (tmp_path / "spec.json").write_text(json.dumps(specs[case]))
         argv = {
             "points_not_integers": ["gen-code", "--kind", "reed_solomon", "--n", "3",
                                     "--k", "2", "--points", "a,b"],
             "sweep_trials_zero": ["sweep", "--trials", "0", "--out", str(tmp_path / "r.csv")],
             "sweep_workers_zero": ["sweep", "--workers", "0", "--out", str(tmp_path / "r.csv")],
+            "spec_trials_a_float": ["sweep", "--spec", str(tmp_path / "spec.json"),
+                                    "--out", str(tmp_path / "r.csv")],
+            "spec_cell_entry_a_float": ["sweep", "--spec", str(tmp_path / "spec.json"),
+                                        "--out", str(tmp_path / "r.csv")],
         }.get(case) or self._decode_argv(tmp_path, case)
         capsys.readouterr()
         rc = run_cli(*argv)

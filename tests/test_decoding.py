@@ -12,6 +12,7 @@ from distcode import (
     GeneratorMatrix,
     PresumedScenario,
     SystemConfig,
+    Transcript,
     TranscriptMismatch,
     behavior_honest,
     behavior_random_adversarial,
@@ -176,15 +177,24 @@ class TestDecode:
 
     @pytest.mark.parametrize("mode", ["fast", "strict"])
     def test_projection_guard_rejects_a_wrong_nullspace(self, mode, monkeypatch):
-        # Zero-row bases make every projected system consistent, so full
+        # A zero-row parity check makes every projected system consistent, so full
         # systems that are in fact infeasible get flagged.
-        def no_rows(Gsub, honest_sets, p):
-            return [np.zeros((0, Gsub.shape[0]), dtype=Gsub.dtype) for _ in honest_sets]
+        def no_rows(Gsub, p):
+            return np.zeros((0, Gsub.shape[0]), dtype=Gsub.dtype)
 
-        monkeypatch.setattr(decoding, "_left_nullspaces", no_rows)
+        monkeypatch.setattr(decoding, "_parity_check", no_rows)
         cfg, gm, behavior, nodes, tr = _random_instance(11)
         with pytest.raises(RuntimeError, match="disagree"):
             decode(gm, nodes, tr, cfg, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["fast", "strict"])
+    @pytest.mark.parametrize("t, want", [(4, False), (5, True), (9, True)])
+    def test_guaranteed_exactly_from_t_star(self, mode, t, want):
+        cfg, gm, behavior, nodes, tr = _random_instance(13, t=t)
+        assert cfg.t_star == 5
+        res = decode(gm, nodes, tr, cfg, mode=mode)
+        assert res.guaranteed is want
+        assert res.to_json()["guaranteed"] is want
 
     def test_fast_and_strict_agree_on_estimates(self):
         for seed in range(5):
@@ -227,27 +237,21 @@ def _code_rows(kind, N, K, p, seed):
     return rows
 
 
-class TestLeftNullspaces:
+class TestParityCheck:
     @pytest.mark.parametrize("p", [P, P61], ids=["p2^31-1", "p2^61-1"])
     @pytest.mark.parametrize("kind", ["mds", "repeated_column", "zero_column"])
-    def test_annihilates_honest_block_with_full_dimension(self, kind, p):
+    def test_is_a_basis_of_the_left_nullspace(self, kind, p):
         N, K = 7, 4
         rows = _code_rows(kind, N, K, p, seed=3)
         ctx = FieldContext(p)
         for t in range(1, N + 1):
             nodes = sorted(random.Random(t).sample(range(N), t))
-            Gsub = FieldMatrix(ctx, [rows[n] for n in nodes])._a
-            for h in (K - 1, K - 2):
-                honest_sets = [list(H) for H in itertools.combinations(range(K), h)]
-                bases = decoding._left_nullspaces(Gsub, honest_sets, p)
-                assert len(bases) == len(honest_sets)
-                for H, L in zip(honest_sets, bases):
-                    L = L.tolist()
-                    D = [[rows[n][k] for k in H] for n in nodes]
-                    for col in zip(*D):
-                        assert not any(matvec(L, col, p))
-                    rank_L = rank_naive(L, p) if L else 0
-                    assert rank_L == t - rank_naive(D, p)
+            G = [rows[n] for n in nodes]
+            L = decoding._parity_check(FieldMatrix(ctx, G)._a, p).tolist()
+            for col in zip(*G):
+                assert not any(matvec(L, col, p))
+            rank_L = rank_naive(L, p) if L else 0
+            assert rank_L == t - rank_naive(G, p)
 
 
 def _oracle_feasible_count(rows, nodes, values, K, beta, v, p):
@@ -273,8 +277,16 @@ class TestFeasibleCountOracle:
         [
             pytest.param("mds", (7, 3, 1, 2), 5, P, id="mds-7-3-1-2-t5"),
             pytest.param("mds", (7, 4, 2, 2), 5, P, id="mds-7-4-2-2-t5"),
-            # t < h: L has no rows and every scenario is feasible.
+            # t <= rank G_T: L has no rows and every scenario is feasible.
             pytest.param("mds", (6, 4, 1, 2), 2, P, id="mds-6-4-1-2-t2"),
+            pytest.param("mds", (6, 4, 1, 2), 4, P, id="mds-6-4-1-2-t4-rank-t"),
+            pytest.param("zero_column", (7, 4, 2, 2), 3, 101, id="zero-column-t3-rank-t"),
+            # v = 1: no block column is kept, so L y alone decides.
+            pytest.param("mds", (6, 3, 1, 1), 5, P, id="mds-6-3-1-1-v1-t5"),
+            pytest.param("repeated_column", (6, 3, 1, 1), 4, 101, id="repeated-column-v1-t4"),
+            # v = 3: partitions with one, two and three blocks.
+            pytest.param("mds", (7, 3, 1, 3), 6, P, id="mds-7-3-1-3-t6"),
+            pytest.param("repeated_column", (7, 3, 1, 3), 5, 101, id="repeated-column-v3-t5"),
             pytest.param("mds", (7, 3, 1, 2), 4, P61, id="mds-7-3-1-2-t4-p2^61-1"),
             pytest.param("repeated_column", (7, 3, 1, 2), 5, 101, id="repeated-column-p101"),
             pytest.param("zero_column", (7, 4, 2, 2), 5, 101, id="zero-column-p101"),
@@ -293,11 +305,54 @@ class TestFeasibleCountOracle:
         )
         nodes = tuple(sorted(rng.sample(range(N), t)))
         tr = encode_transcript(gm, behavior, nodes)
-        res = decode(gm, nodes, tr, cfg, mode=mode)
-        want = _oracle_feasible_count(rows, nodes, list(tr.values), K, beta, v, p)
-        assert res.feasible_count == want
-        if t < K - beta:
-            assert want == res.scenarios_examined
+        # A shifted transcript need not be a codeword; with v = 1 it is
+        # feasible only if L y = 0 happens to hold.
+        shifted = Transcript(nodes, ((tr.values[0] + 1) % p,) + tr.values[1:])
+        for y in (tr, shifted):
+            res = decode(gm, nodes, y, cfg, mode=mode)
+            want = _oracle_feasible_count(rows, nodes, list(y.values), K, beta, v, p)
+            assert res.feasible_count == want
+            if rank_naive([rows[n] for n in nodes], p) == t:
+                assert want == res.scenarios_examined
+
+
+class TestFirstFeasiblePinsMost:
+    # Fast mode reads a presumed-adversary set's flagged scenarios only until
+    # every unset honest coordinate is pinned.  That the cut is exact rests on
+    # this invariant: if b is unpinned in the set's first feasible scenario,
+    # g_b is a combination of D's other columns and each presumed adversary's
+    # block columns; merging two blocks whose coefficients differ keeps the
+    # column space (so the system stays feasible) and gives an earlier
+    # scenario, so all coefficients of one adversary are equal, g_b lies in
+    # the span of D's other columns and the adversaries' code columns, and no
+    # scenario of the set pins b.  Hence "until every unset coordinate is
+    # pinned" and "until any is" read the same scenarios' values.
+    @pytest.mark.parametrize("p", [3, 5, 101])
+    @pytest.mark.parametrize("cell", [(6, 3, 1, 2), (6, 4, 1, 3), (6, 4, 2, 2)])
+    def test_first_feasible_scenario_pins_every_later_pin(self, cell, p):
+        N, K, beta, v = cell
+        cfg = SystemConfig(N=N, K=K, beta=beta, v=v, p=p)
+        ctx = FieldContext(p)
+        partial = 0
+        for seed in range(40):
+            rng = random.Random(f"{cell}{p}{seed}")
+            kind = ("random", "repeated_column", "zero_column")[seed % 3]
+            rows = [[rng.randrange(p) for _ in range(K - 1)] + [rng.randrange(1, p)]
+                    for _ in range(N)]
+            for row in rows:
+                if kind != "random":
+                    row[1] = row[0] if kind == "repeated_column" else 0
+            gm = GeneratorMatrix(FieldMatrix(ctx, rows), "random")
+            nodes = tuple(sorted(rng.sample(range(N), rng.randrange(2, N + 1))))
+            tr = Transcript(nodes, tuple(rng.randrange(p) for _ in nodes))
+            first: dict = {}
+            for sol in decode(gm, nodes, tr, cfg, mode="strict").feasible:
+                pinned = set(sol.honest_values) - sol.unpinned
+                A_hat = sol.scenario.adversaries
+                first.setdefault(A_hat, pinned)
+                assert pinned <= first[A_hat]
+                partial += pinned != first[A_hat]
+        assert partial > 0  # later scenarios that pin less do occur
 
 
 class TestLabeledReferenceEquivalence:

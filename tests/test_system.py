@@ -103,6 +103,16 @@ class TestBehaviors:
         back = SourceBehavior.from_json(self.CFG, b.to_json())
         assert back == b
 
+    @pytest.mark.parametrize("field", ["rows", "adversary_set"])
+    def test_json_non_integer_entry_rejected(self, field):
+        doc = behavior_random_adversarial(self.CFG, [1, 2, 3], {2}, seed=9).to_json()
+        if field == "rows":
+            doc["rows"][0][0] = 1.5
+        else:
+            doc["adversary_set"] = [2.0]
+        with pytest.raises(ValueError, match=field):
+            SourceBehavior.from_json(self.CFG, doc)
+
 
 class TestEncodeTranscript:
     def test_full_honest_equals_matvec(self):
