@@ -16,6 +16,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 
 from . import experiments
 from .attacks import converse_attack, verify_attack
@@ -87,25 +88,14 @@ def _cmd_sweep(args) -> int:
         spec = _read_json(args.spec, experiments.ExperimentSpec.from_json)
     else:
         spec = experiments.default_spec()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.prime is not None:
-        overrides["prime"] = args.prime
-    if args.budget is not None:
-        overrides["budget"] = args.budget
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.suite is not None:
-        overrides["suite"] = args.suite
-    if args.workers is not None:
-        overrides["workers"] = args.workers
+    overrides = {
+        key: getattr(args, key)
+        for key in ("seed", "prime", "budget", "trials", "suite", "workers")
+        if getattr(args, key) is not None
+    }
     if args.timing:
         overrides["timing"] = True
-    if overrides:
-        from dataclasses import replace
-
-        spec = replace(spec, **overrides)
+    spec = replace(spec, **overrides)
     results = experiments.run_experiments(spec)
     meta = {
         "master_seed": spec.seed,

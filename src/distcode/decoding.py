@@ -33,13 +33,22 @@ of ``G_T`` (the code's parity check on the observed encoders, found by one
 elimination per decode), the scenario is feasible iff ``[L X'_q | L y]`` is
 consistent.  ``L X'`` is computed once per source and ``L y`` once, so each
 system the batched kernel reduces has ``t - rank G_T`` rows and beta*(v-1)
-unknowns.  Only the flagged scenarios that still have to be recorded are
-rebuilt in full and reduced by :func:`~distcode.field.batch_feasible`, and
-their solution sets are read off that stack in one batched pass.  Fast mode
-first finds, from the pinned masks alone, the scenario after which every
-honest estimate is set, and reads nothing past it.  If a rebuilt system is
+unknowns.  Only the flagged scenarios that are recorded are rebuilt in full
+and reduced by :func:`~distcode.field.batch_feasible`, and their solution
+sets are read off that stack in one batched pass.  If a rebuilt system is
 infeasible the projection was wrong and ``decode`` raises ``RuntimeError``;
-every recorded solution is also re-checked against its unreduced system.
+every recorded solution is also re-checked against an unreduced copy of its
+system.
+
+Fast mode rebuilds and reads one scenario per presumed-adversary set, the
+first flagged one, because it pins every coordinate that a later scenario of
+the set pins.  Were some b unpinned there, ``g_b`` would be a combination of
+the other honest columns and the adversaries' block columns.  Merging two
+blocks of one adversary whose coefficients differ keeps the column space, so
+the coarser scenario is feasible and comes earlier in restricted-growth
+order.  Hence each adversary's coefficients are equal, ``g_b`` lies in the
+span of the other honest columns and the adversaries' code columns, and no
+scenario of the set pins b.
 """
 
 from __future__ import annotations
@@ -52,7 +61,7 @@ import numpy as np
 
 from .codes import GeneratorMatrix
 from .errors import BudgetExceeded, NodeOutOfRange, TranscriptMismatch
-from .field import _batch_eliminate, _pivots, _read_reduced, batch_feasible
+from .field import _batch_eliminate, _read_reduced, batch_feasible
 from .system import SourceBehavior, SystemConfig, Transcript
 
 DEFAULT_BUDGET = 10**8
@@ -262,7 +271,8 @@ def decode(
 
     Raises:
         TranscriptMismatch: ``nodes`` disagrees with the transcript.
-        NodeOutOfRange: node indices repeat or exceed N.
+        NodeOutOfRange: the node set is empty, or its indices repeat or
+            exceed N.
         BudgetExceeded: the sweep would be too large.
     """
     if mode not in ("fast", "strict"):
@@ -272,7 +282,7 @@ def decode(
         raise TranscriptMismatch("decode node set differs from transcript node set")
     if len(transcript.values) != len(nodes):
         raise TranscriptMismatch("transcript value count differs from node count")
-    if len(set(nodes)) != len(nodes) or any(not 0 <= n < gm.N for n in nodes):
+    if not nodes or len(set(nodes)) != len(nodes) or any(not 0 <= n < gm.N for n in nodes):
         raise NodeOutOfRange(f"bad node subset {nodes} for N={gm.N}")
     if gm.N != cfg.N or gm.K != cfg.K or gm.ctx.p != cfg.p:
         raise ValueError("generator and system config disagree")
@@ -325,40 +335,35 @@ def decode(
         D = Gsub[:, Hs]
         X = [(memb * Gsub[:, k][None, :, None]) % p for k in A_hat]
         ncols = h + beta * v
+        # Fast mode reads only the set's first flagged scenario: it pins
+        # every coordinate that a later one pins (see the module docstring).
+        to_read = strict or any(estimates[k] is None for k in Hs)
 
         for start in range(0, n_combos, _CHUNK):
             idxs = np.arange(start, min(start + _CHUNK, n_combos), dtype=np.int64)
             projected = _scenario_stack(no_honest, [LX[k] for k in A_hat], Ly, idxs)
             flags = batch_feasible(projected, p, beta * (v - 1))
             feasible_count += int(flags.sum())
-
-            if not strict and all(estimates[k] is not None for k in Hs):
+            flagged = idxs[flags] if strict else idxs[flags][:1]
+            if not (to_read and len(flagged)):
                 continue  # feasibility already tallied; nothing left to record
+            to_read = strict
 
-            # Rebuild and reduce the full systems of the flagged scenarios
-            # only; their solution sets are read off these.
-            flagged = idxs[flags]
-            aug = _scenario_stack(D, X, yv, flagged)
+            # Rebuild the full systems of the scenarios to record and read
+            # their solution sets off the reduced stack; ``full`` keeps them
+            # unreduced for the residual check.
+            full = _scenario_stack(D, X, yv, flagged)
+            aug = full.copy()
             if not batch_feasible(aug, p, ncols).all():
                 raise RuntimeError("projected and full scenario systems disagree")
-
-            if not strict:
-                # Fast mode reads scenarios only until every honest estimate
-                # is set; pinned masks need no inverse, so find that point
-                # first and read nothing past it.
-                unset = [i for i, k in enumerate(Hs) if estimates[k] is None]
-                done = np.logical_or.accumulate(_pivots(aug, ncols)[2][:, unset]).all(1)
-                if done.any():
-                    flagged = flagged[: done.argmax() + 1]
-                    aug = aug[: len(flagged)]
             red = _read_reduced(aug, ncols, p)
             sols = red.particular.tolist()
             pins = red.pinned[:, :h].tolist()
 
-            recorded: list[tuple[int, list[int]]] = []  # (combo, solution)
+            recorded: list[tuple[int, list[int]]] = []  # (row of full, solution)
             for local, combo in enumerate(flagged.tolist()):
                 x = sols[local]
-                recorded.append((combo, x))
+                recorded.append((local, x))
                 for k, pin, val in zip(Hs, pins[local], x):
                     if estimates[k] is None and pin:
                         estimates[k] = val
@@ -380,7 +385,7 @@ def decode(
                             basis = red.nullspace(local).tolist()
                             bvec = next(bv for bv in basis if bv[i] != 0)
                             alt = [(a + b) % p for a, b in zip(x, bvec)]
-                            recorded.append((combo, alt))
+                            recorded.append((local, alt))
                             witnesses[k] = (
                                 sol,
                                 _vector_to_solution(scenario, Hs, spans, alt, unpinned),
@@ -392,10 +397,8 @@ def decode(
                             pinned_first[k] = (val, sol)
                         elif seen[0] != val and k not in witnesses:
                             witnesses[k] = (seen[1], sol)
-            if recorded:
-                combos, vecs = zip(*recorded)
-                stack = _scenario_stack(D, X, yv, np.array(combos))
-                _check_residuals(stack, vecs, p)
+            rows, vecs = zip(*recorded)
+            _check_residuals(full[list(rows)], vecs, p)
 
     ambiguous = frozenset(witnesses)
     ambiguity = witnesses[min(ambiguous)] if ambiguous else None

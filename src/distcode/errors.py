@@ -44,7 +44,8 @@ class TooManyAdversaries(DistcodeError):
 
 
 class NodeOutOfRange(DistcodeError):
-    """An encoder index lies outside [0, N) or is repeated."""
+    """An encoder index lies outside [0, N) or is repeated, or a decoded
+    encoder set is empty."""
 
 
 # --- decoding ------------------------------------------------------------

@@ -21,7 +21,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
-from .codes import _json_ints, draw_mds, threshold
+from .codes import KINDS, _json_ints, draw_mds, threshold
 from .decoding import DEFAULT_BUDGET, decode, verify_against_truth
 from .errors import BadParameter, BudgetExceeded, DistcodeError, IoFailure
 from .attacks import converse_attack, verify_attack
@@ -54,7 +54,8 @@ def derive_seed(*parts) -> int:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A sweep description: grid cells, code kinds, evaluation sizes, trials.
+    """A sweep description: grid cells, code kinds (from ``codes.KINDS``),
+    evaluation sizes, trials.
 
     ``t_mode`` is ``"default"`` (achievability at t*, converse at t*-1),
     ``"relative"`` (offsets added to t*), or ``"absolute"``.
@@ -79,6 +80,9 @@ class ExperimentSpec:
             raise BadParameter(f"unknown suite {self.suite!r}")
         if self.trials < 1 or self.workers < 1:
             raise BadParameter("trials and workers must be positive")
+        for kind in self.kinds:
+            if kind not in KINDS:
+                raise BadParameter(f"unknown code kind {kind!r}")
         for cell in self.cells:
             SystemConfig(*cell, p=self.prime)  # validates the grid cell
 
@@ -103,9 +107,15 @@ class ExperimentSpec:
         def one_int(key, default):
             return _json_ints([doc.get(key, default)], key)[0]
 
+        kinds = doc.get("kinds", ["random"])
+        if not isinstance(kinds, list):  # a bare string would split into letters
+            raise BadParameter(f"kinds must be a list of code kinds, got {kinds!r}")
+        timing = doc.get("timing", False)
+        if type(timing) is not bool:
+            raise BadParameter(f"timing must be true or false, got {timing!r}")
         return cls(
             cells=tuple(_json_ints(c, "cells") for c in doc["cells"]),
-            kinds=tuple(doc.get("kinds", ("random",))),
+            kinds=tuple(kinds),
             t_mode=doc.get("t_mode", "default"),
             t_values=_json_ints(doc.get("t_values", []), "t_values"),
             trials=one_int("trials", 100),
@@ -113,7 +123,7 @@ class ExperimentSpec:
             prime=one_int("prime", DEFAULT_PRIME),
             budget=one_int("budget", DEFAULT_BUDGET),
             suite=doc.get("suite", "both"),
-            timing=bool(doc.get("timing", False)),
+            timing=timing,
             workers=one_int("workers", 1),
         )
 

@@ -9,8 +9,8 @@ reduced stacks: consistency, one particular solution, the data for a
 nullspace basis and the set of *pinned* coordinates (coordinates that take
 the same value in every solution), normalizing every pivot of the stack
 with a single modular inverse.  :func:`solve` reads its stack of one
-through it, and the feasibility decoder reads the stacks it passed to
-:func:`batch_feasible`.
+through it, and the feasibility decoder reads the stacks of flagged
+scenario systems it passed to :func:`batch_feasible`.
 
 Matrices are backed by numpy.  For moduli up to ``_INT64_SAFE_P`` the entries
 live in ``int64`` (entrywise products of reduced values cannot overflow);
@@ -202,35 +202,17 @@ def _batch_inverse(vals: list[int], p: int) -> list[int]:
     return out
 
 
-def _pivots(red: np.ndarray, nvars: int):
-    """Pivot structure of a stack ``(B, rows, nvars+1)`` of systems that
-    :func:`_batch_eliminate` has reduced over their first ``nvars`` columns.
-
-    Returns ``lead`` (B, rows), the pivot column of each row or -1 for none,
-    and the (B, nvars) masks ``free`` and ``pinned``.  A row's leading
-    nonzero is its pivot, and a pivot coordinate is pinned when its row is
-    zero on every free column.  None of this needs an inverse.
-    """
-    nz = red[:, :, :nvars] != 0
-    pivotal = nz.any(axis=2)
-    lead = np.where(pivotal, nz.argmax(axis=2), -1)
-    s, r = np.nonzero(pivotal)
-    c = lead[s, r]
-    free = np.ones((len(red), nvars), dtype=bool)
-    free[s, c] = False
-    pinned = np.zeros_like(free)
-    pinned[s, c] = ~(nz[s, r] & free[s]).any(axis=1)
-    return lead, free, pinned
-
-
 @dataclass(frozen=True)
 class _Reduced:
     """Solution sets of a stack of reduced systems ``[A | b]``, by system.
 
     ``particular`` (B, nvars) sets free variables to zero; it is meaningful
-    only where ``consistent``.  ``lead``, ``free`` and ``pinned`` are as in
-    :func:`_pivots`, and ``norm`` is the stack with every pivot row scaled
-    to a leading 1.
+    only where ``consistent``.  ``lead`` (B, rows) is each row's pivot
+    column, its leading nonzero, or -1 for a row without one.  ``free``
+    (B, nvars) marks the columns without a pivot, and ``pinned`` (B, nvars)
+    the pivot columns whose row is zero on every free column: coordinates
+    that take the same value in every solution.  ``norm`` is the stack with
+    every pivot row scaled to a leading 1.
     """
 
     p: int
@@ -260,13 +242,19 @@ def _read_reduced(red: np.ndarray, nvars: int, p: int) -> _Reduced:
     the stack, and each pivot row's right-hand side is then its pivot
     coordinate's value in the particular solution.
     """
-    lead, free, pinned = _pivots(red, nvars)
-    s, r = np.nonzero(lead >= 0)
+    nz = red[:, :, :nvars] != 0
+    pivotal = nz.any(axis=2)
+    lead = np.where(pivotal, nz.argmax(axis=2), -1)
+    s, r = np.nonzero(pivotal)
     c = lead[s, r]
+    free = np.ones((len(red), nvars), dtype=bool)
+    free[s, c] = False
+    pinned = np.zeros_like(free)
+    pinned[s, c] = ~(nz[s, r] & free[s]).any(axis=1)
     inv = np.ones(lead.shape, dtype=red.dtype)
     inv[s, r] = _batch_inverse(red[s, r, c].tolist(), p)
     norm = red * inv[:, :, None] % p
-    consistent = ~((red[:, :, nvars] != 0) & (lead < 0)).any(axis=1)
+    consistent = ~((red[:, :, nvars] != 0) & ~pivotal).any(axis=1)
     particular = np.zeros(free.shape, dtype=red.dtype)
     particular[s, c] = norm[s, r, nvars]
     return _Reduced(p, consistent, particular, lead, free, pinned, norm)

@@ -115,25 +115,33 @@ class TestBadInput:
             "code_entry_a_float",
             "spec_trials_a_float",
             "spec_cell_entry_a_float",
+            "spec_kind_unknown",
+            "spec_kinds_a_string",
+            "spec_timing_a_string",
+            "transcript_empty",
         ],
     )
     def test_one_error_line_and_exit_code_1(self, tmp_path, capsys, case):
         specs = {
             "spec_trials_a_float": {"cells": [[9, 3, 1, 2]], "trials": 2.7},
             "spec_cell_entry_a_float": {"cells": [[9.5, 3, 1, 2]], "trials": 2},
+            "spec_kind_unknown": {"cells": [[9, 3, 1, 2]], "trials": 1, "kinds": ["bogus"]},
+            "spec_kinds_a_string": {"cells": [[9, 3, 1, 2]], "trials": 1, "kinds": "random"},
+            "spec_timing_a_string": {"cells": [[9, 3, 1, 2]], "trials": 1, "timing": "no"},
         }
         if case in specs:
             (tmp_path / "spec.json").write_text(json.dumps(specs[case]))
-        argv = {
-            "points_not_integers": ["gen-code", "--kind", "reed_solomon", "--n", "3",
-                                    "--k", "2", "--points", "a,b"],
-            "sweep_trials_zero": ["sweep", "--trials", "0", "--out", str(tmp_path / "r.csv")],
-            "sweep_workers_zero": ["sweep", "--workers", "0", "--out", str(tmp_path / "r.csv")],
-            "spec_trials_a_float": ["sweep", "--spec", str(tmp_path / "spec.json"),
-                                    "--out", str(tmp_path / "r.csv")],
-            "spec_cell_entry_a_float": ["sweep", "--spec", str(tmp_path / "spec.json"),
-                                        "--out", str(tmp_path / "r.csv")],
-        }.get(case) or self._decode_argv(tmp_path, case)
+            argv = ["sweep", "--spec", str(tmp_path / "spec.json"),
+                    "--out", str(tmp_path / "r.csv")]
+        else:
+            argv = {
+                "points_not_integers": ["gen-code", "--kind", "reed_solomon", "--n", "3",
+                                        "--k", "2", "--points", "a,b"],
+                "sweep_trials_zero": ["sweep", "--trials", "0",
+                                      "--out", str(tmp_path / "r.csv")],
+                "sweep_workers_zero": ["sweep", "--workers", "0",
+                                       "--out", str(tmp_path / "r.csv")],
+            }.get(case) or self._decode_argv(tmp_path, case)
         capsys.readouterr()
         rc = run_cli(*argv)
         err = capsys.readouterr().err
@@ -152,6 +160,8 @@ class TestBadInput:
         beta, v = {"beta_not_below_k": ("5", "2"), "v_zero": ("1", "0")}.get(case, ("1", "2"))
         if case == "transcript_without_values":
             del doc["values"]
+        if case == "transcript_empty":
+            doc = {"node_set": [], "values": []}
         bad = {"value_a_string": "a", "value_null": None, "value_a_list": [1], "value_a_float": 1.5}
         if case in bad:
             doc["values"][0] = bad[case]
@@ -203,6 +213,20 @@ class TestSweep:
         doc = json.loads(out.read_text())
         assert doc["meta"]["prime"] == P
         assert len(doc["results"]) == 2
+
+    def test_sweep_options_override_the_spec(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"cells": [[9, 3, 1, 2]], "trials": 2, "seed": 0}))
+        out = tmp_path / "results.json"
+        assert run_cli("sweep", "--spec", str(spec_path), "--format", "json",
+                       "--seed", "7", "--prime", "65537", "--trials", "1",
+                       "--suite", "converse", "--out", str(out)) == 0
+        doc = json.loads(out.read_text())
+        assert doc["meta"]["master_seed"] == 7
+        assert doc["meta"]["prime"] == 65537
+        assert doc["meta"]["trials"] == 1
+        assert doc["meta"]["suite"] == "converse"
+        assert [r["trials"] for r in doc["results"]] == [1]
 
 
 def test_console_entry_point_runs():

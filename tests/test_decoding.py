@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 
 import numpy as np
@@ -10,12 +11,14 @@ from distcode import (
     FieldContext,
     FieldMatrix,
     GeneratorMatrix,
+    NodeOutOfRange,
     PresumedScenario,
     SystemConfig,
     Transcript,
     TranscriptMismatch,
     behavior_honest,
     behavior_random_adversarial,
+    converse_attack,
     decode,
     draw_mds,
     encode_transcript,
@@ -160,6 +163,11 @@ class TestDecode:
         cfg, gm, behavior, nodes, tr = _random_instance(9)
         with pytest.raises(TranscriptMismatch):
             decode(gm, nodes[::-1], tr, cfg)
+
+    def test_empty_node_set(self):
+        cfg, gm, behavior, nodes, tr = _random_instance(9)
+        with pytest.raises(NodeOutOfRange):
+            decode(gm, (), Transcript((), ()), cfg)
 
     @pytest.mark.parametrize("mode", ["fast", "strict"])
     def test_residual_guard_rejects_a_wrong_solution(self, mode, monkeypatch):
@@ -316,17 +324,71 @@ class TestFeasibleCountOracle:
                 assert want == res.scenarios_examined
 
 
+class TestRebuilds:
+    # Projected systems decide feasibility; only the scenarios decode records
+    # are rebuilt in full.  Every presumed-adversary set's sweep below fits
+    # one chunk, so fast mode rebuilds at most one system per set.
+    CASES = [
+        pytest.param("converse", (12, 6, 1, 2), id="converse-12-6-1-2"),
+        pytest.param("converse", (9, 3, 2, 2), id="converse-9-3-2-2"),
+        pytest.param("threshold", (12, 4, 2, 2), id="threshold-12-4-2-2"),
+    ]
+
+    @staticmethod
+    def _instance(kind, cell):
+        N, K, beta, v = cell
+        cfg, gm, _, nodes, tr = _random_instance(21, N=N, K=K, beta=beta, v=v)
+        if kind == "converse":  # the attack's setup 1 at t*-1
+            atk = converse_attack(gm, cfg, seed=1)
+            nodes, tr = atk.node_set, encode_transcript(gm, atk.setup1, atk.node_set)
+        return cfg, gm, nodes, tr
+
+    @pytest.mark.parametrize("kind, cell", CASES)
+    def test_fast_rebuilds_at_most_one_system_per_set(self, kind, cell, monkeypatch):
+        cfg, gm, nodes, tr = self._instance(kind, cell)
+        full_nvars = cfg.K - cfg.beta + cfg.beta * cfg.v
+        rebuilt = []  # systems in each full-system call
+
+        def counting(aug, p, nvars):
+            if nvars == full_nvars:
+                rebuilt.append(len(aug))
+            return batch_feasible(aug, p, nvars)
+
+        batch_feasible = decoding.batch_feasible
+        monkeypatch.setattr(decoding, "batch_feasible", counting)
+        res = decode(gm, nodes, tr, cfg, mode="fast")
+        assert rebuilt and set(rebuilt) == {1}
+        assert len(rebuilt) <= math.comb(cfg.K, cfg.beta)
+        assert res.feasible_count > 0
+
+    @pytest.mark.parametrize("kind, cell", CASES)
+    def test_strict_builds_each_flagged_system_once(self, kind, cell, monkeypatch):
+        cfg, gm, nodes, tr = self._instance(kind, cell)
+        built = []  # systems in each full-system build
+
+        def counting(D, X, yv, combos):
+            if D.shape[1]:  # projected systems carry no honest columns
+                built.append(len(combos))
+            return scenario_stack(D, X, yv, combos)
+
+        scenario_stack = decoding._scenario_stack
+        monkeypatch.setattr(decoding, "_scenario_stack", counting)
+        res = decode(gm, nodes, tr, cfg, mode="strict")
+        assert 0 not in built
+        assert sum(built) == res.feasible_count == len(res.feasible)
+
+
 class TestFirstFeasiblePinsMost:
-    # Fast mode reads a presumed-adversary set's flagged scenarios only until
-    # every unset honest coordinate is pinned.  That the cut is exact rests on
-    # this invariant: if b is unpinned in the set's first feasible scenario,
-    # g_b is a combination of D's other columns and each presumed adversary's
-    # block columns; merging two blocks whose coefficients differ keeps the
-    # column space (so the system stays feasible) and gives an earlier
-    # scenario, so all coefficients of one adversary are equal, g_b lies in
-    # the span of D's other columns and the adversaries' code columns, and no
-    # scenario of the set pins b.  Hence "until every unset coordinate is
-    # pinned" and "until any is" read the same scenarios' values.
+    # Fast mode reads only each presumed-adversary set's first flagged
+    # scenario.  That loses no estimate because of this invariant: if b is
+    # unpinned in the set's first feasible scenario, g_b is a combination of
+    # D's other columns and each presumed adversary's block columns; merging
+    # two blocks whose coefficients differ keeps the column space (so the
+    # system stays feasible) and gives an earlier scenario, so all
+    # coefficients of one adversary are equal, g_b lies in the span of D's
+    # other columns and the adversaries' code columns, and no scenario of the
+    # set pins b.  So no later scenario of the set pins a coordinate the
+    # first one leaves unset.
     @pytest.mark.parametrize("p", [3, 5, 101])
     @pytest.mark.parametrize("cell", [(6, 3, 1, 2), (6, 4, 1, 3), (6, 4, 2, 2)])
     def test_first_feasible_scenario_pins_every_later_pin(self, cell, p):
