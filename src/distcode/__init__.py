@@ -66,7 +66,6 @@ from .decoding import (
 )
 from .attacks import (
     AttackInstance,
-    ConverseConfiguration,
     DifferenceBasis,
     converse_attack,
     diff_basis,

@@ -6,11 +6,15 @@ The attack manufactures two complete source behaviors that encode to the
 same transcript on a chosen set of t*-1 encoders while differing in at least
 one honest message.  Sketch: pick beta adversarial source columns and t*-1
 encoder rows such that few rows ignore all chosen columns; split the rows
-into groups whose restrictions to the chosen columns are full rank; assign
-version indices to groups so that on every row the difference between the
-two setups collapses to a single difference variable per adversary; the
-resulting homogeneous system has more variables than equations and its
-block structure forces a solution that shifts an honest message.
+into m <= 2v-1 groups whose restrictions to the chosen columns are full
+rank, so that the setups may differ on group g by a single variable w_g per
+adversary; the resulting homogeneous system has more variables than
+equations and its block structure forces a solution that shifts an honest
+message.  Each adversary's values then walk one version path,
+P_0 = base, P_{g+1} = P_g + (-1)^g w_g: group g (0-based) gets P_{g+g%2} in
+setup 1 and P_{g+1-g%2} in setup 2, and encoders outside the attacked set
+get P_0 and P_1.  Setup 1 uses the even-indexed values and setup 2 the odd
+ones, at most v of each.
 """
 
 from __future__ import annotations
@@ -61,11 +65,7 @@ class DifferenceBasis:
             raise ValueError(f"indices must lie in [0, {v})")
         pos = {pair: idx for idx, pair in enumerate(self.pairs)}
         coeffs = [0] * len(self.pairs)
-        if j == i:
-            coeffs[pos[(i, i)]] = 1
-        elif j == i + 1:
-            coeffs[pos[(i, i + 1)]] = 1
-        elif j > i + 1:
+        if j > i:
             # Telescope forward: chain c_{l,l+1} minus the interior c_{l,l}.
             for l in range(i, j):
                 coeffs[pos[(l, l + 1)]] += 1
@@ -132,28 +132,28 @@ def _repair_leftover(ctx, E: np.ndarray, leftover, groups, beta: int):
         for i in leftover:
             if _rows_rank(ctx, E, independent + [i]) == len(independent) + 1:
                 independent.append(i)
-        swapped = False
-        for r_star in leftover:
-            if r_star in independent or not (E[r_star] != 0).any():
-                continue
-            for gi, grp in enumerate(groups):
-                for r_hat in grp:
-                    new_grp = [r for r in grp if r != r_hat] + [r_star]
-                    if _rows_rank(ctx, E, new_grp) != beta:
-                        continue
-                    new_left = [r for r in leftover if r != r_star] + [r_hat]
-                    if _rows_rank(ctx, E, new_left) <= rk:
-                        continue
-                    groups = groups[:gi] + [sorted(new_grp)] + groups[gi + 1 :]
-                    leftover = sorted(new_left)
-                    swapped = True
-                    break
-                if swapped:
-                    break
-            if swapped:
-                break
-        if not swapped:
+        # Exchange a dependent nonzero leftover row r_star with a row r_hat
+        # of some group when both blocks gain: the group stays at rank beta
+        # and the leftover's rank grows.
+        exchanges = (
+            (gi, new_grp, new_left)
+            for r_star in leftover
+            if r_star not in independent and (E[r_star] != 0).any()
+            for gi, grp in enumerate(groups)
+            for r_hat in grp
+            for new_grp, new_left in [(
+                [r for r in grp if r != r_hat] + [r_star],
+                [r for r in leftover if r != r_star] + [r_hat],
+            )]
+            if _rows_rank(ctx, E, new_grp) == beta
+            and _rows_rank(ctx, E, new_left) > rk
+        )
+        found = next(exchanges, None)
+        if found is None:
             return leftover, groups, False
+        gi, new_grp, new_left = found
+        groups = groups[:gi] + [sorted(new_grp)] + groups[gi + 1 :]
+        leftover = sorted(new_left)
     return leftover, groups, _rows_rank(ctx, E, leftover) == beta
 
 
@@ -219,25 +219,6 @@ def partition_full_rank(E: FieldMatrix, h: int, beta: int, v: int):
 
 
 @dataclass(frozen=True)
-class ConverseConfiguration:
-    """How adversarial versions map onto encoder groups.
-
-    Group g (1-based) receives x-version ceil((g+1)/2) in setup 1 and
-    z-version ceil(g/2) in setup 2, so the setup difference on group g is a
-    single variable per adversary.  ``groups`` holds encoder ids; the first
-    group is the large leftover block.
-    """
-
-    groups: tuple[tuple[int, ...], ...]
-    x_versions: tuple[int, ...]
-    z_versions: tuple[int, ...]
-
-    @property
-    def group_sizes(self) -> tuple[int, ...]:
-        return tuple(len(g) for g in self.groups)
-
-
-@dataclass(frozen=True)
 class AttackInstance:
     """Converse witness: two behaviors, one transcript, a shifted honest message."""
 
@@ -246,7 +227,7 @@ class AttackInstance:
     setup2: SourceBehavior
     delta: tuple[tuple[int, int], ...]  # (honest source, shift), ascending
     w_values: tuple[tuple[int, ...], ...]  # per group, one value per adversary
-    configuration: ConverseConfiguration
+    groups: tuple[tuple[int, ...], ...]  # encoder ids per group, leftover first
 
     def __post_init__(self):
         if all(d == 0 for _, d in self.delta):
@@ -285,7 +266,7 @@ def converse_attack(gm: GeneratorMatrix, cfg: SystemConfig, seed: int) -> Attack
     if gm.N != cfg.N or gm.K != cfg.K or gm.ctx.p != cfg.p:
         raise ValueError("generator and system config disagree")
     ctx = gm.ctx
-    K, beta, v, h = cfg.K, cfg.beta, cfg.v, cfg.h
+    N, K, beta, v, h, p = cfg.N, cfg.K, cfg.beta, cfg.v, cfg.h, cfg.p
     t = cfg.t_star - 1
     m = max(1, -(-(t - h + 1) // beta))  # ceil((t-h+1)/beta)
     if m > 2 * v - 1:
@@ -313,7 +294,41 @@ def converse_attack(gm: GeneratorMatrix, cfg: SystemConfig, seed: int) -> Attack
             log.warning("selection T=%s A=%s left honest messages fixed", T, A)
             continue
 
-        return _instantiate(gm, cfg, seed, T, A, Hs, blocks, m, vec)
+        rng = random.Random(seed)
+        base = [rng.randrange(p) for _ in range(K)]  # source order
+        w = [[int(vec[g * beta + a]) for a in range(beta)] for g in range(m)]
+        delta = {k: int(vec[m * beta + j]) for j, k in enumerate(Hs)}
+
+        rows1 = [[b] * N for b in base]
+        rows2 = [[(b + delta.get(k, 0)) % p] * N for k, b in enumerate(base)]
+        for j, k in enumerate(A):
+            # The version path P_0 = base, P_{g+1} = P_g + (-1)^g w_g.
+            path = [base[k]]
+            for g in range(m):
+                path.append((path[g] + (-1) ** g * w[g][j]) % p)
+            rows2[k] = [path[1]] * N
+            for g, blk in enumerate(blocks):
+                for i in blk:
+                    rows1[k][T[i]] = path[g + g % 2]
+                    rows2[k][T[i]] = path[g + 1 - g % 2]
+
+        adv = frozenset(A)
+        setup1 = SourceBehavior(cfg, tuple(map(tuple, rows1)), adv)
+        setup2 = SourceBehavior(cfg, tuple(map(tuple, rows2)), adv)
+        t1 = encode_transcript(gm, setup1, T)
+        t2 = encode_transcript(gm, setup2, T)
+        if t1.values != t2.values:
+            raise AttackConstructionFailed(
+                "setups do not encode to the same transcript"
+            )
+        return AttackInstance(
+            node_set=tuple(T),
+            setup1=setup1,
+            setup2=setup2,
+            delta=tuple(sorted(delta.items())),
+            w_values=tuple(map(tuple, w)),
+            groups=tuple(tuple(T[i] for i in blk) for blk in blocks),
+        )
 
     if not saw_candidate:
         raise SelectionImpossible(
@@ -321,78 +336,6 @@ def converse_attack(gm: GeneratorMatrix, cfg: SystemConfig, seed: int) -> Attack
         )
     raise NullspaceDeltaZero(
         "no selection produced a nullspace vector shifting an honest message"
-    )
-
-
-def _instantiate(gm, cfg, seed, T, A, Hs, blocks, m, vec) -> AttackInstance:
-    p = cfg.p
-    beta = cfg.beta
-    rng = random.Random(seed)
-
-    w = [[int(vec[g * beta + a]) for a in range(beta)] for g in range(m)]
-    delta = {k: int(vec[m * beta + j]) for j, k in enumerate(Hs)}
-
-    # Base draws in source order: honest message, or first version.
-    base = [rng.randrange(p) for _ in range(cfg.K)]
-
-    # Version chains: z_i = x_i + w_{2i-1}; x_{i+1} = z_i - w_{2i} (1-based).
-    xs: dict[int, list[int]] = {}
-    zs: dict[int, list[int]] = {}
-    for j, k in enumerate(A):
-        xk = [base[k]]
-        zk: list[int] = []
-        for g in range(1, m + 1):
-            if g % 2 == 1:
-                zk.append((xk[(g + 1) // 2 - 1] + w[g - 1][j]) % p)
-            else:
-                xk.append((zk[g // 2 - 1] - w[g - 1][j]) % p)
-        xs[k] = xk
-        zs[k] = zk
-        if len(set(xk)) < len(xk) or len(set(zk)) < len(zk):
-            log.debug("version collision for source %d (still a valid attack)", k)
-
-    x_ver = tuple((g + 2) // 2 for g in range(1, m + 1))
-    z_ver = tuple((g + 1) // 2 for g in range(1, m + 1))
-    group_of = {}
-    for g, blk in enumerate(blocks):
-        for i in blk:
-            group_of[T[i]] = g
-
-    rows1 = []
-    rows2 = []
-    for k in range(cfg.K):
-        if k in delta:
-            rows1.append((base[k],) * cfg.N)
-            rows2.append(((base[k] + delta[k]) % p,) * cfg.N)
-        else:
-            r1 = [xs[k][0]] * cfg.N
-            r2 = [zs[k][0]] * cfg.N
-            for n in T:
-                g = group_of[n]
-                r1[n] = xs[k][x_ver[g] - 1]
-                r2[n] = zs[k][z_ver[g] - 1]
-            rows1.append(tuple(r1))
-            rows2.append(tuple(r2))
-
-    adv = frozenset(A)
-    setup1 = SourceBehavior(cfg, tuple(rows1), adv)
-    setup2 = SourceBehavior(cfg, tuple(rows2), adv)
-
-    t1 = encode_transcript(gm, setup1, T)
-    t2 = encode_transcript(gm, setup2, T)
-    if t1.values != t2.values:
-        raise AttackConstructionFailed("setups do not encode to the same transcript")
-
-    conf = ConverseConfiguration(
-        tuple(tuple(T[i] for i in blk) for blk in blocks), x_ver, z_ver
-    )
-    return AttackInstance(
-        node_set=tuple(T),
-        setup1=setup1,
-        setup2=setup2,
-        delta=tuple(sorted(delta.items())),
-        w_values=tuple(tuple(row) for row in w),
-        configuration=conf,
     )
 
 

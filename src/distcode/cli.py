@@ -20,7 +20,7 @@ from dataclasses import replace
 
 from . import experiments
 from .attacks import converse_attack, verify_attack
-from .codes import GeneratorMatrix, draw_mds
+from .codes import KINDS, GeneratorMatrix, draw_mds
 from .decoding import DEFAULT_BUDGET, decode
 from .errors import BadParameter, DistcodeError, IoFailure
 from .field import DEFAULT_PRIME, field_new
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-code", help="generate a code and store it as JSON")
-    g.add_argument("--kind", choices=("random", "systematic", "reed_solomon"), required=True)
+    g.add_argument("--kind", choices=KINDS, required=True)
     g.add_argument("--n", type=int, required=True, help="number of encoding nodes")
     g.add_argument("--k", type=int, required=True, help="number of source nodes")
     g.add_argument("--prime", type=int, default=DEFAULT_PRIME)

@@ -159,21 +159,28 @@ class DecodeResult:
     ``estimates[k]`` is ``None`` while no feasible scenario pinned source k.
     ``guaranteed`` says whether the transcript covers at least t* encoders,
     the only case in which the theorem vouches for the honest estimates.
-    Strict mode additionally carries every feasible solution, the set of
-    coordinates on which feasible solutions disagree, and one witness pair
-    per such coordinate (``ambiguity`` is the witness for the smallest one).
+    Strict mode additionally carries every feasible solution and one witness
+    pair per coordinate on which feasible solutions disagree; the properties
+    ``ambiguous_coordinates`` (those coordinates) and ``ambiguity`` (the
+    witness for the smallest one) are read off ``witnesses``.
     """
 
     estimates: tuple[int | None, ...]
     feasible_count: int
     guaranteed: bool = False
-    ambiguity: tuple[ScenarioSolution, ScenarioSolution] | None = None
-    ambiguous_coordinates: frozenset[int] = frozenset()
     witnesses: dict[int, tuple[ScenarioSolution, ScenarioSolution]] = field(
         default_factory=dict
     )
     feasible: tuple[ScenarioSolution, ...] = ()
     scenarios_examined: int = 0
+
+    @property
+    def ambiguous_coordinates(self) -> frozenset[int]:
+        return frozenset(self.witnesses)
+
+    @property
+    def ambiguity(self) -> tuple[ScenarioSolution, ScenarioSolution] | None:
+        return self.witnesses[min(self.witnesses)] if self.witnesses else None
 
     def to_json(self) -> dict:
         doc: dict = {
@@ -400,14 +407,10 @@ def decode(
             rows, vecs = zip(*recorded)
             _check_residuals(full[list(rows)], vecs, p)
 
-    ambiguous = frozenset(witnesses)
-    ambiguity = witnesses[min(ambiguous)] if ambiguous else None
     return DecodeResult(
         estimates=tuple(estimates),
         feasible_count=feasible_count,
         guaranteed=t >= cfg.t_star,
-        ambiguity=ambiguity,
-        ambiguous_coordinates=ambiguous,
         witnesses=witnesses,
         feasible=tuple(feasible_list),
         scenarios_examined=total,

@@ -80,6 +80,10 @@ class ExperimentSpec:
             raise BadParameter(f"unknown suite {self.suite!r}")
         if self.trials < 1 or self.workers < 1:
             raise BadParameter("trials and workers must be positive")
+        if not self.cells or not self.kinds:
+            raise BadParameter("a spec needs at least one cell and one kind")
+        if self.t_mode != "default" and not self.t_values:
+            raise BadParameter(f"t_mode {self.t_mode!r} needs at least one t_value")
         for kind in self.kinds:
             if kind not in KINDS:
                 raise BadParameter(f"unknown code kind {kind!r}")
@@ -142,7 +146,8 @@ class CellResult:
     """Aggregated outcomes for one (cell, kind, t) combination.
 
     Every trial lands in exactly one bucket, so honest_correct + ambiguous +
-    undetermined + failures == trials.
+    undetermined + failures == trials.  Both suites bucket a decoded trial
+    the same way (``_classify``): a wrong honest estimate is a failure.
     """
 
     N: int
@@ -179,6 +184,22 @@ def _run_cell(task) -> CellResult:
     return result
 
 
+def _classify(res: CellResult, out, behavior) -> None:
+    """Count one decoded trial in its bucket: ambiguous if strict decoding
+    found an honest coordinate ambiguous, else a failure if an honest
+    estimate is wrong, undetermined if one is missing, else honest_correct.
+    Fast results carry no ambiguous coordinates."""
+    statuses = {s for _, s in verify_against_truth(out, behavior).statuses}
+    if not out.ambiguous_coordinates.isdisjoint(behavior.honest_sources):
+        res.ambiguous += 1
+    elif "wrong" in statuses:
+        res.failures += 1
+    elif "missing" in statuses:
+        res.undetermined += 1
+    else:
+        res.honest_correct += 1
+
+
 def _achievability_cell(spec, cell, kind, t) -> CellResult:
     N, K, beta, v = cell
     cfg = SystemConfig(N, K, beta, v, p=spec.prime)
@@ -201,20 +222,7 @@ def _achievability_cell(spec, cell, kind, t) -> CellResult:
         except BudgetExceeded:
             res.failures += spec.trials - trial
             break
-        honest_true = behavior.honest_sources
-        if mode == "strict" and any(
-            k in out.ambiguous_coordinates for k in honest_true
-        ):
-            res.ambiguous += 1
-            continue
-        report = verify_against_truth(out, behavior)
-        statuses = dict(report.statuses)
-        if any(statuses[k] == "wrong" for k in honest_true):
-            res.failures += 1
-        elif any(statuses[k] == "missing" for k in honest_true):
-            res.undetermined += 1
-        else:
-            res.honest_correct += 1
+        _classify(res, out, behavior)
     return res
 
 
@@ -246,13 +254,7 @@ def _converse_cell(spec, cell, kind, t) -> CellResult:
         except BudgetExceeded:
             res.failures += spec.trials - trial
             break
-        honest_true = attack.setup1.honest_sources
-        if any(k in out.ambiguous_coordinates for k in honest_true):
-            res.ambiguous += 1
-            continue
-        report = verify_against_truth(out, attack.setup1)
-        res.honest_correct += 1 if report.ok else 0
-        res.undetermined += 0 if report.ok else 1
+        _classify(res, out, attack.setup1)
     return res
 
 

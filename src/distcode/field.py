@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, ModulusTooSmall, NonPrimeModulus
+from .errors import BadParameter, DimensionMismatch, ModulusTooSmall, NonPrimeModulus
 
 FieldElement = int
 
@@ -36,12 +36,14 @@ _INT64_SAFE_P = 3_037_000_499
 
 _LARGE_FIELD_FLOOR = 1 << 16
 
-# Deterministic Miller-Rabin witness set, exact for n < 3.3 * 10^24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witness set, exact for n < _MR_BOUND (the
+# least strong pseudoprime to every base up to 41, about 3.3 * 10^24).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (exact below 3.3e24)."""
+    """Deterministic Miller-Rabin primality test (exact below ``_MR_BOUND``)."""
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -70,8 +72,9 @@ def is_prime(n: int) -> bool:
 class FieldContext:
     """The prime modulus of GF(p) and the dtype its matrices use.
 
-    The constructor only requires ``p`` to be prime, so unit tests may build
-    small fields directly.  Production code should go through
+    The constructor only requires ``p`` to be prime and below ``_MR_BOUND``,
+    where primality is decided exactly, so unit tests may build small fields
+    directly.  Production code should go through
     :func:`field_new`, which additionally enforces the large-field floor.
     """
 
@@ -79,6 +82,11 @@ class FieldContext:
 
     def __init__(self, p: int):
         p = int(p)
+        if p >= _MR_BOUND:
+            raise BadParameter(
+                f"p={p} is not below {_MR_BOUND}, the bound under which "
+                "primality is decided exactly"
+            )
         if not is_prime(p):
             raise NonPrimeModulus(f"{p} is not prime")
         self.p = p
@@ -102,6 +110,7 @@ def field_new(p: int) -> FieldContext:
 
     Raises:
         NonPrimeModulus: primality test failed.
+        BadParameter: p is too large for the primality test to be exact.
         ModulusTooSmall: prime but below the large-field floor.
     """
     ctx = FieldContext(p)

@@ -281,7 +281,7 @@ class TestConverseAttack:
         gm = draw_mds(CTX, "random", 12, 4, seed=8)
         atk = converse_attack(gm, cfg, seed=9)
         assert len(atk.node_set) == 7
-        assert atk.configuration.group_sizes == (3, 2, 2)
+        assert tuple(map(len, atk.groups)) == (3, 2, 2)
         assert verify_attack(gm, atk)
 
     def test_reed_solomon_also_attacked_below_threshold(self):

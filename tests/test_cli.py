@@ -119,6 +119,10 @@ class TestBadInput:
             "spec_kinds_a_string",
             "spec_timing_a_string",
             "transcript_empty",
+            "prime_a_pseudoprime",
+            "spec_cells_empty",
+            "spec_kinds_empty",
+            "spec_t_values_empty",
         ],
     )
     def test_one_error_line_and_exit_code_1(self, tmp_path, capsys, case):
@@ -128,6 +132,10 @@ class TestBadInput:
             "spec_kind_unknown": {"cells": [[9, 3, 1, 2]], "trials": 1, "kinds": ["bogus"]},
             "spec_kinds_a_string": {"cells": [[9, 3, 1, 2]], "trials": 1, "kinds": "random"},
             "spec_timing_a_string": {"cells": [[9, 3, 1, 2]], "trials": 1, "timing": "no"},
+            "spec_cells_empty": {"cells": [], "trials": 1},
+            "spec_kinds_empty": {"cells": [[9, 3, 1, 2]], "trials": 1, "kinds": []},
+            "spec_t_values_empty": {"cells": [[9, 3, 1, 2]], "trials": 1,
+                                    "t_mode": "relative", "t_values": []},
         }
         if case in specs:
             (tmp_path / "spec.json").write_text(json.dumps(specs[case]))
@@ -137,6 +145,9 @@ class TestBadInput:
             argv = {
                 "points_not_integers": ["gen-code", "--kind", "reed_solomon", "--n", "3",
                                         "--k", "2", "--points", "a,b"],
+                # 798330580441 * 399165290221, a strong pseudoprime to bases 2..37
+                "prime_a_pseudoprime": ["gen-code", "--kind", "random", "--n", "3",
+                                        "--k", "2", "--prime", "318665857834031151167461"],
                 "sweep_trials_zero": ["sweep", "--trials", "0",
                                       "--out", str(tmp_path / "r.csv")],
                 "sweep_workers_zero": ["sweep", "--workers", "0",

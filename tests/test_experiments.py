@@ -5,6 +5,7 @@ import pytest
 
 from distcode import (
     CellResult,
+    DecodeResult,
     ExperimentSpec,
     IoFailure,
     default_spec,
@@ -14,6 +15,7 @@ from distcode import (
     run_converse,
     run_experiments,
 )
+from distcode import experiments
 from distcode.experiments import CSV_COLUMNS
 
 SMALL_SPEC = ExperimentSpec(cells=((9, 3, 1, 2),), trials=6, seed=3)
@@ -84,6 +86,27 @@ class TestRuns:
         r = run_converse(spec)[0]
         assert r.ambiguous == 0
         assert r.honest_correct == 4  # the attack is harmless with t* encoders
+
+    def test_converse_counts_a_wrong_estimate_as_a_failure(self, monkeypatch):
+        # A wrong, unflagged honest estimate is a failure in both suites,
+        # even when another honest estimate is missing.
+        attacks = []
+        real_attack = experiments.converse_attack
+
+        def recording_attack(*args, **kwargs):
+            attacks.append(real_attack(*args, **kwargs))
+            return attacks[-1]
+
+        def wrong_decode(gm, *args, **kwargs):
+            setup = attacks[-1].setup1
+            estimates = [(r[0] + 1) % gm.ctx.p for r in setup.rows]
+            estimates[setup.honest_sources[0]] = None
+            return DecodeResult(tuple(estimates), 1)
+
+        monkeypatch.setattr(experiments, "converse_attack", recording_attack)
+        monkeypatch.setattr(experiments, "decode", wrong_decode)
+        r = run_converse(SMALL_SPEC)[0]
+        assert r.failures == r.trials == 6
 
     def test_bucket_identity(self):
         for r in run_experiments(SMALL_SPEC):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from distcode import (
     DEFAULT_PRIME,
+    BadParameter,
     DimensionMismatch,
     FieldContext,
     FieldMatrix,
@@ -48,9 +49,16 @@ class TestContext:
         with pytest.raises(NonPrimeModulus):
             FieldContext(100)
 
+    def test_modulus_beyond_exact_primality_rejected(self):
+        # Miller-Rabin with bases up to 41 is exact only below this number.
+        with pytest.raises(BadParameter, match="3317044064679887385961981"):
+            FieldContext(3317044064679887385961981)
+
     def test_is_prime_known_values(self):
         assert is_prime(2) and is_prime(65537) and is_prime(2**31 - 1)
         assert not is_prime(1) and not is_prime(2**31 - 2)
+        # 798330580441 * 399165290221: a strong pseudoprime to bases 2..37.
+        assert not is_prime(318665857834031151167461)
 
     def test_inv_of_two(self):
         # solve normalizes each pivot by its inverse.  Frozen:
