@@ -28,11 +28,15 @@ from .system import SystemConfig, Transcript
 
 
 def _read_json(path: str, parse):
-    """Apply ``parse`` to the JSON document at ``path``.  A file that cannot
-    be read or parsed raises :class:`IoFailure` naming the path."""
+    """Apply ``parse`` to the JSON object at ``path``.  A file that cannot be
+    read or parsed, or whose document is not an object, raises
+    :class:`IoFailure` naming the path."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse(json.load(fh))
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+        return parse(doc)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise IoFailure(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
 

@@ -102,9 +102,9 @@ class GeneratorMatrix:
 
     @classmethod
     def from_json(cls, doc: dict) -> "GeneratorMatrix":
-        ctx = FieldContext(int(doc["p"]))
-        m = FieldMatrix(ctx, [_json_ints(r, "rows") for r in doc["rows"]])
-        if m.rows != int(doc["N"]) or m.cols != int(doc["K"]):
+        p, N, K = _json_ints([doc["p"], doc["N"], doc["K"]], "p, N and K")
+        m = FieldMatrix(FieldContext(p), [_json_ints(r, "rows") for r in doc["rows"]])
+        if m.rows != N or m.cols != K:
             raise BadDimensions("declared N/K disagree with the row grid")
         pts = doc.get("rs_points")
         return cls(m, doc["kind"], _json_ints(pts, "rs_points") if pts else None)

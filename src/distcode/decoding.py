@@ -32,13 +32,26 @@ blocks of each presumed adversary.  With ``L`` a basis of the left nullspace
 of ``G_T`` (the code's parity check on the observed encoders, found by one
 elimination per decode), the scenario is feasible iff ``[L X'_q | L y]`` is
 consistent.  ``L X'`` is computed once per source and ``L y`` once, so each
-system the batched kernel reduces has ``t - rank G_T`` rows and beta*(v-1)
-unknowns.  Only the flagged scenarios that are recorded are rebuilt in full
-and reduced by :func:`~distcode.field.batch_feasible`, and their solution
-sets are read off that stack in one batched pass.  If a rebuilt system is
-infeasible the projection was wrong and ``decode`` raises ``RuntimeError``;
-every recorded solution is also re-checked against an unreduced copy of its
-system.
+projected system has ``t - rank G_T`` rows and beta*(v-1) unknowns.
+
+The projected systems of one presumed-adversary set are decided by a nested
+sweep that fixes one presumed adversary's partition per level.  A level-j
+stack holds, for every prefix of j partition choices, the remaining columns
+``[L X'_{a_{j+1}} of every partition | ... | L X'_{a_beta} of every partition
+| L y]`` with the prefix's columns eliminated.  Gauss-Jordan elimination of
+one adversary's v-1 columns leaves every non-pivot row zero over them, and
+each pivot row holds a pivot variable that appears in no other row, so that
+equation can always be satisfied.  Zeroing the pivot rows and dropping the
+eliminated columns therefore keeps consistency, for every choice of the
+later partitions at once: they only select columns, which the row operations
+of the elimination act on alike.  The last level decides each scenario on
+v-1 columns.
+
+Only the flagged scenarios that are recorded are rebuilt in full and reduced
+by :func:`~distcode.field.batch_feasible`, and their solution sets are read
+off that stack in one batched pass.  If a rebuilt system is infeasible the
+projection was wrong and ``decode`` raises ``RuntimeError``; every recorded
+solution is also re-checked against an unreduced copy of its system.
 
 Fast mode rebuilds and reads one scenario per presumed-adversary set, the
 first flagged one, because it pins every coordinate that a later scenario of
@@ -53,6 +66,7 @@ scenario of the set pins b.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -96,6 +110,31 @@ def enumerate_partitions(items, v: int):
             yield from rec(i + 1, max(used, lbl + 1))
 
     yield from rec(0, 0)
+
+
+@functools.lru_cache(maxsize=32)
+def _partition_labels(t: int, v: int) -> np.ndarray:
+    """The partitions of t positions into at most v blocks as read-only
+    restricted-growth labels, one row per partition in
+    :func:`enumerate_partitions` order: entry i is position i's block."""
+    rows = []
+    for part in enumerate_partitions(range(t), v):
+        row = [0] * t
+        for b, block in enumerate(part):
+            for i in block:
+                row[i] = b
+        rows.append(row)
+    labels = np.array(rows, dtype=np.int64)
+    labels.setflags(write=False)
+    return labels
+
+
+def _blocks(nodes, row) -> tuple[tuple[int, ...], ...]:
+    """The partition of ``nodes`` whose restricted-growth labels are ``row``."""
+    blocks: list[list[int]] = [[] for _ in range(max(row) + 1)]
+    for n, b in zip(nodes, row):
+        blocks[b].append(n)
+    return tuple(map(tuple, blocks))
 
 
 @dataclass(frozen=True)
@@ -201,8 +240,7 @@ def _scenario_stack(D, X, yv, combos) -> np.ndarray:
     block columns for every partition; scenario ``q`` uses partition
     ``(q // n_parts**(beta-1-j)) % n_parts`` for adversary ``j``.  A full
     scenario system has the presumed-honest code columns as ``D`` and all v
-    padded blocks (w = v); a parity-check-projected one has no ``D``, ``L y``
-    as ``y`` and only the first v-1 blocks, premultiplied by ``L`` (w = v-1).
+    padded blocks (w = v).
     """
     t, h = D.shape
     beta = len(X)
@@ -214,6 +252,37 @@ def _scenario_stack(D, X, yv, combos) -> np.ndarray:
         aug[:, :, h + j * w : h + (j + 1) * w] = X[j][(combos // div) % n_parts]
     aug[:, :, -1] = yv
     return aug
+
+
+def _nested_flags(parents: np.ndarray, m: int, n_parts: int, w: int, p: int):
+    """Yield the feasibility flags of the projected systems below
+    ``parents``, in scenario order, at most ``_CHUNK`` at a time.
+
+    ``parents`` (S, rows, m*n_parts*w + 1) holds, per prefix of partition
+    choices, the w reduced columns of each of the n_parts partitions of each
+    of the m presumed adversaries left, then ``L y`` (see the module
+    docstring).  A child fixes the next adversary's partition.  Children are
+    made in slices of at most ``_CHUNK`` last-level descendants, depth first:
+    whole parents at a time, or part of one parent's children.
+    """
+    S, rows, width = parents.shape
+    step = max(1, _CHUNK // n_parts ** (m - 1))
+    per, q_step = max(1, step // n_parts), min(step, n_parts)
+    kid_width = width - (n_parts - 1) * w
+    for s0 in range(0, S, per):
+        group = parents[s0 : s0 + per]
+        for q0 in range(0, n_parts, q_step):
+            nq = min(q_step, n_parts - q0)
+            kids = np.empty((len(group), nq, rows, kid_width), dtype=parents.dtype)
+            own = group[:, :, q0 * w : (q0 + nq) * w].reshape(len(group), rows, nq, w)
+            kids[..., :w] = own.transpose(0, 2, 1, 3)
+            kids[..., w:] = group[:, None, :, n_parts * w :]
+            kids = kids.reshape(len(group) * nq, rows, kid_width)
+            if m == 1:
+                yield batch_feasible(kids, p, w)
+            else:
+                kids[_batch_eliminate(kids, p, w)] = 0
+                yield from _nested_flags(kids[:, :, w:], m - 1, n_parts, w, p)
 
 
 def _parity_check(Gsub, p: int) -> np.ndarray:
@@ -300,27 +369,22 @@ def decode(
     K, beta, v = cfg.K, cfg.beta, cfg.v
     strict = mode == "strict"
 
-    parts = list(enumerate_partitions(nodes, v))
-    n_parts = len(parts)
-    n_combos = n_parts**beta
-    total = math.comb(K, beta) * n_combos
+    labels = _partition_labels(t, v)
+    n_parts = len(labels)
+    total = math.comb(K, beta) * n_parts**beta
     if total > budget:
         raise BudgetExceeded(
             f"{total} scenario solves exceed the budget of {budget}"
         )
 
-    pos_of = {n: i for i, n in enumerate(nodes)}
     Gsub = gm.matrix._a[np.array(nodes)]
     yv = np.array([x % p for x in transcript.values], dtype=object).astype(ctx.dtype)
 
     # Block membership of every partition, padded to v columns so scenario
     # coefficient stacks have uniform width.  Padding columns are zero and
     # only add free variables, which cannot affect consistency.
-    memb = np.zeros((n_parts, t, v), dtype=ctx.dtype)
-    for q, part in enumerate(parts):
-        for b, block in enumerate(part):
-            for n in block:
-                memb[q, pos_of[n], b] = 1
+    memb = (labels[:, :, None] == np.arange(v)).astype(ctx.dtype)
+    parts = [_blocks(nodes, row) for row in labels.tolist()] if strict else None
 
     estimates: list[int | None] = [None] * K
     feasible_count = 0
@@ -329,12 +393,14 @@ def decode(
     pinned_first: dict[int, tuple[int, ScenarioSolution]] = {}
 
     # The projected systems [L X'_q | L y] decide feasibility (see the module
-    # docstring).  L X'_k is block sums of the columns of L diag(g_k); each
-    # sum stays below t*p.
+    # docstring).  LX[k] holds L X'_k of every partition side by side, column
+    # q*w + b for block b of partition q: block sums of the columns of
+    # L diag(g_k), each below t*p.
+    w = v - 1
     L = _parity_check(Gsub, p)
-    LX = [np.matmul((L * Gsub[:, k]) % p, memb[:, :, : v - 1]) % p for k in range(K)]
-    Ly = ((L * yv) % p).sum(axis=1) % p
-    no_honest = np.empty((len(L), 0), dtype=ctx.dtype)
+    side_by_side = memb[:, :, :w].transpose(1, 0, 2).reshape(t, n_parts * w)
+    LX = [(L * Gsub[:, k]) % p @ side_by_side % p for k in range(K)]
+    Ly = ((L * yv) % p).sum(axis=1, keepdims=True) % p
 
     for A_hat in itertools.combinations(range(K), beta):
         Hs = [k for k in range(K) if k not in A_hat]
@@ -346,12 +412,14 @@ def decode(
         # every coordinate that a later one pins (see the module docstring).
         to_read = strict or any(estimates[k] is None for k in Hs)
 
-        for start in range(0, n_combos, _CHUNK):
-            idxs = np.arange(start, min(start + _CHUNK, n_combos), dtype=np.int64)
-            projected = _scenario_stack(no_honest, [LX[k] for k in A_hat], Ly, idxs)
-            flags = batch_feasible(projected, p, beta * (v - 1))
-            feasible_count += int(flags.sum())
-            flagged = idxs[flags] if strict else idxs[flags][:1]
+        root = np.concatenate([LX[k] for k in A_hat] + [Ly], axis=1)[None]
+        start = 0
+        for flags in _nested_flags(root, beta, n_parts, w, p):
+            flagged = start + np.flatnonzero(flags)
+            start += len(flags)
+            feasible_count += len(flagged)
+            if not strict:
+                flagged = flagged[:1]
             if not (to_read and len(flagged)):
                 continue  # feasibility already tallied; nothing left to record
             to_read = strict

@@ -43,7 +43,16 @@ _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (exact below ``_MR_BOUND``)."""
+    """Deterministic Miller-Rabin primality test.
+
+    Raises:
+        BadParameter: ``n >= _MR_BOUND``, where the test is no longer exact.
+    """
+    if n >= _MR_BOUND:
+        raise BadParameter(
+            f"{n} is not below {_MR_BOUND}, the bound under which "
+            "primality is decided exactly"
+        )
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -72,8 +81,8 @@ def is_prime(n: int) -> bool:
 class FieldContext:
     """The prime modulus of GF(p) and the dtype its matrices use.
 
-    The constructor only requires ``p`` to be prime and below ``_MR_BOUND``,
-    where primality is decided exactly, so unit tests may build small fields
+    The constructor only requires ``p`` to be prime (:func:`is_prime` refuses
+    to decide at or above ``_MR_BOUND``), so unit tests may build small fields
     directly.  Production code should go through
     :func:`field_new`, which additionally enforces the large-field floor.
     """
@@ -82,11 +91,6 @@ class FieldContext:
 
     def __init__(self, p: int):
         p = int(p)
-        if p >= _MR_BOUND:
-            raise BadParameter(
-                f"p={p} is not below {_MR_BOUND}, the bound under which "
-                "primality is decided exactly"
-            )
         if not is_prime(p):
             raise NonPrimeModulus(f"{p} is not prime")
         self.p = p

@@ -1,18 +1,26 @@
+import functools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distcode import (
+    DistcodeError,
     GeneratorMatrix,
+    SourceBehavior,
     SystemConfig,
+    Transcript,
     behavior_random_adversarial,
     encode_transcript,
 )
-from distcode.cli import main
+from distcode.cli import _read_json, main
+from distcode.experiments import ExperimentSpec
 
 P = 2**31 - 1
 
@@ -123,6 +131,10 @@ class TestBadInput:
             "spec_cells_empty",
             "spec_kinds_empty",
             "spec_t_values_empty",
+            "spec_a_list",
+            "code_a_string",
+            "code_p_a_float",
+            "transcript_null",
         ],
     )
     def test_one_error_line_and_exit_code_1(self, tmp_path, capsys, case):
@@ -136,6 +148,7 @@ class TestBadInput:
             "spec_kinds_empty": {"cells": [[9, 3, 1, 2]], "trials": 1, "kinds": []},
             "spec_t_values_empty": {"cells": [[9, 3, 1, 2]], "trials": 1,
                                     "t_mode": "relative", "t_values": []},
+            "spec_a_list": [1],
         }
         if case in specs:
             (tmp_path / "spec.json").write_text(json.dumps(specs[case]))
@@ -176,10 +189,16 @@ class TestBadInput:
         bad = {"value_a_string": "a", "value_null": None, "value_a_list": [1], "value_a_float": 1.5}
         if case in bad:
             doc["values"][0] = bad[case]
+        if case == "transcript_null":
+            doc = None
+        code = json.loads(code_path.read_text())
         if case == "code_entry_a_float":
-            code = json.loads(code_path.read_text())
             code["rows"][0][0] = 1.5
-            code_path.write_text(json.dumps(code))
+        if case == "code_p_a_float":
+            code["p"] = P + 0.5  # was read as int(p), that is P
+        if case == "code_a_string":
+            code = "code"
+        code_path.write_text(json.dumps(code))
         tr_path = tmp_path / "tr.json"
         if case == "malformed_json":
             tr_path.write_text('{"node_set": [0, 1,')
@@ -187,6 +206,37 @@ class TestBadInput:
             tr_path.write_text(json.dumps(doc))
         return ["decode", "--code", str(code_path), "--transcript", str(tr_path),
                 "--beta", beta, "--v", v]
+
+
+# Arbitrary JSON documents; object keys are often ones the loaders read, so
+# documents get past the first lookup.
+_KEYS = ("p", "N", "K", "kind", "rows", "rs_points", "node_set", "values", "adversary_set",
+         "cells", "kinds", "t_mode", "t_values", "trials", "seed", "prime", "suite", "timing")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=4), inner, max_size=6),
+    max_leaves=30,
+)
+_LOADERS = {
+    "code": GeneratorMatrix.from_json,
+    "transcript": Transcript.from_json,
+    "spec": ExperimentSpec.from_json,
+    "behavior": functools.partial(SourceBehavior.from_json, SystemConfig(4, 2, 1, 2, p=P)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_JSON, loader=st.sampled_from(sorted(_LOADERS)))
+def test_loaders_raise_only_distcode_errors(doc, loader):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        try:
+            _read_json(path, _LOADERS[loader])
+        except DistcodeError:
+            pass
 
 
 class TestSweep:

@@ -324,6 +324,93 @@ class TestFeasibleCountOracle:
                 assert want == res.scenarios_examined
 
 
+def _planted_transcript(rows, nodes, K, beta, v, p, rng):
+    """Values on ``nodes`` of a random scenario with beta equivocating
+    sources, each sending at most v values."""
+    adv = rng.sample(range(K), beta)
+    sent = [[rng.randrange(p)] * len(nodes) for _ in range(K)]
+    for k in adv:
+        vals = [rng.randrange(p) for _ in range(v)]
+        sent[k] = [rng.choice(vals) for _ in nodes]
+    return [sum(rows[n][k] * sent[k][i] for k in range(K)) % p for i, n in enumerate(nodes)]
+
+
+class TestNestedSweep:
+    # The nested sweep eliminates one presumed adversary per level; it must
+    # flag exactly the scenarios whose flat projected system [L X'_q | L y]
+    # is consistent, in scenario order.
+    @pytest.mark.parametrize(
+        "kind, p",
+        [("mds", P)]
+        + [(kind, p) for kind in ("repeated_column", "zero_column") for p in (3, 5, 101, P)],
+    )
+    @pytest.mark.parametrize(
+        "cell, t",
+        [
+            ((6, 3, 1, 2), 5),
+            ((6, 3, 1, 3), 6),
+            ((7, 4, 2, 2), 6),
+            ((6, 3, 2, 3), 5),
+            ((7, 4, 3, 2), 5),
+            ((6, 3, 2, 1), 6),  # v = 1: no block columns, L y alone decides
+            ((6, 4, 2, 2), 4),  # t = K: L has no rows unless G_T is singular
+        ],
+    )
+    def test_flags_match_the_flat_projected_stack(self, cell, t, kind, p):
+        N, K, beta, v = cell
+        w = v - 1
+        rng = random.Random(f"{cell}{t}{kind}{p}")
+        rows = _code_rows(kind, N, K, p, seed=rng.randrange(1 << 30))
+        nodes = sorted(rng.sample(range(N), t))
+        G = np.array([rows[n] for n in nodes], dtype=np.int64)
+        L = decoding._parity_check(G, p)
+        labels = decoding._partition_labels(t, v)
+        n_parts = len(labels)
+        memb = (labels[:, :, None] == np.arange(w)).astype(np.int64)
+        planted = _planted_transcript(rows, nodes, K, beta, v, p, rng)
+        noise = [rng.randrange(p) for _ in nodes]
+        for y in (np.array(planted), np.array(noise)):
+            Ly = ((L * y) % p).sum(axis=1) % p
+            for A_hat in itertools.combinations(range(K), beta):
+                LX = [np.matmul((L * G[:, k]) % p, memb) % p for k in A_hat]
+                flat = decoding._scenario_stack(
+                    np.empty((len(L), 0), dtype=np.int64), LX, Ly, np.arange(n_parts**beta)
+                )
+                want = decoding.batch_feasible(flat, p, beta * w)
+                side_by_side = [x.transpose(1, 0, 2).reshape(len(L), n_parts * w) for x in LX]
+                root = np.concatenate(side_by_side + [Ly[:, None]], axis=1)[None]
+                got = list(decoding._nested_flags(root, beta, n_parts, w, p))
+                assert np.concatenate(got).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("chunk", [7, 3])
+    @pytest.mark.parametrize(
+        "cell, t",
+        [((7, 4, 2, 2), 5), ((6, 3, 2, 2), 3), ((7, 4, 3, 2), 4), ((6, 3, 1, 3), 5)],
+    )
+    def test_outputs_do_not_depend_on_the_chunk_size(self, cell, t, chunk, monkeypatch):
+        # Both chunk sizes are below the partition count, so slices split the
+        # children of one parent as well as the parents of a level.
+        N, K, beta, v = cell
+        outputs = []
+        for size in (decoding._CHUNK, chunk):
+            monkeypatch.setattr(decoding, "_CHUNK", size)
+            out = []
+            for seed in range(2):
+                cfg, gm, _, nodes, tr = _random_instance(
+                    500 + seed, N=N, K=K, beta=beta, v=v, t=t
+                )
+                for mode in ("fast", "strict"):
+                    res = decode(gm, nodes, tr, cfg, mode=mode)
+                    out.append((
+                        res.to_json(),
+                        res.scenarios_examined,
+                        [s.to_json() for s in res.feasible],
+                        {k: (a.to_json(), b.to_json()) for k, (a, b) in res.witnesses.items()},
+                    ))
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+
 class TestRebuilds:
     # Projected systems decide feasibility; only the scenarios decode records
     # are rebuilt in full.  Every presumed-adversary set's sweep below fits

@@ -53,6 +53,8 @@ class TestContext:
         # Miller-Rabin with bases up to 41 is exact only below this number.
         with pytest.raises(BadParameter, match="3317044064679887385961981"):
             FieldContext(3317044064679887385961981)
+        with pytest.raises(BadParameter):  # composite, yet passes every base
+            is_prime(3317044064679887385961981)
 
     def test_is_prime_known_values(self):
         assert is_prime(2) and is_prime(65537) and is_prime(2**31 - 1)

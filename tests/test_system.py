@@ -3,6 +3,7 @@ import random
 import pytest
 
 from distcode import (
+    BadParameter,
     FieldContext,
     NodeOutOfRange,
     SourceBehavior,
@@ -45,6 +46,11 @@ class TestSystemConfig:
     def test_invalid_configs(self, bad):
         with pytest.raises(ValueError):
             SystemConfig(*bad, p=P)
+
+    def test_modulus_beyond_exact_primality_rejected(self):
+        # A composite that Miller-Rabin with bases up to 41 calls prime.
+        with pytest.raises(BadParameter, match="3317044064679887385961981"):
+            SystemConfig(12, 4, 2, 2, p=3317044064679887385961981)
 
 
 class TestBehaviors:
