@@ -195,7 +195,7 @@ class TestBadInput:
         if case == "code_entry_a_float":
             code["rows"][0][0] = 1.5
         if case == "code_p_a_float":
-            code["p"] = P + 0.5  # was read as int(p), that is P
+            code["p"] = P + 0.5  # truncates to P, so only a type check rejects it
         if case == "code_a_string":
             code = "code"
         code_path.write_text(json.dumps(code))
