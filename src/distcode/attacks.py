@@ -29,6 +29,7 @@ import numpy as np
 from .codes import GeneratorMatrix, iter_converse_selections
 from .errors import (
     AttackConstructionFailed,
+    BadParameter,
     DimensionMismatch,
     DistcodeError,
     NullspaceDeltaZero,
@@ -264,7 +265,7 @@ def converse_attack(gm: GeneratorMatrix, cfg: SystemConfig, seed: int) -> Attack
             that keeps honest messages fixed (non-generic code).
     """
     if gm.N != cfg.N or gm.K != cfg.K or gm.ctx.p != cfg.p:
-        raise ValueError("generator and system config disagree")
+        raise BadParameter("generator and system config disagree")
     ctx = gm.ctx
     N, K, beta, v, h, p = cfg.N, cfg.K, cfg.beta, cfg.v, cfg.h, cfg.p
     t = cfg.t_star - 1

@@ -53,6 +53,14 @@ off that stack in one batched pass.  If a rebuilt system is infeasible the
 projection was wrong and ``decode`` raises ``RuntimeError``; every recorded
 solution is also re-checked against an unreduced copy of its system.
 
+Strict mode keeps each rebuilt chunk's arrays (scenario indices, particular
+solutions, pinned masks) rather than one object per feasible scenario.  It
+fills the estimates and finds each coordinate's first witness event with
+whole-chunk array operations, carrying each coordinate's first pinned value
+across chunks and presumed-adversary sets, and builds
+:class:`ScenarioSolution` objects eagerly only for the witness pairs; the
+feasible solutions are built when ``DecodeResult.feasible`` is first read.
+
 Fast mode rebuilds and reads one scenario per presumed-adversary set, the
 first flagged one, because it pins every coordinate that a later scenario of
 the set pins.  Were some b unpinned there, ``g_b`` would be a combination of
@@ -69,12 +77,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .codes import GeneratorMatrix
-from .errors import BudgetExceeded, NodeOutOfRange, TranscriptMismatch
+from .errors import BadParameter, BudgetExceeded, NodeOutOfRange, TranscriptMismatch
 from .field import _batch_eliminate, _read_reduced, batch_feasible
 from .system import SourceBehavior, SystemConfig, Transcript
 
@@ -198,8 +207,9 @@ class DecodeResult:
     ``estimates[k]`` is ``None`` while no feasible scenario pinned source k.
     ``guaranteed`` says whether the transcript covers at least t* encoders,
     the only case in which the theorem vouches for the honest estimates.
-    Strict mode additionally carries every feasible solution and one witness
-    pair per coordinate on which feasible solutions disagree; the properties
+    Strict mode additionally carries every feasible solution, built when
+    ``feasible`` is first read, and one witness pair per coordinate on which
+    feasible solutions disagree; the properties
     ``ambiguous_coordinates`` (those coordinates) and ``ambiguity`` (the
     witness for the smallest one) are read off ``witnesses``.
     """
@@ -210,7 +220,7 @@ class DecodeResult:
     witnesses: dict[int, tuple[ScenarioSolution, ScenarioSolution]] = field(
         default_factory=dict
     )
-    feasible: tuple[ScenarioSolution, ...] = ()
+    feasible: Sequence[ScenarioSolution] = ()
     scenarios_examined: int = 0
 
     @property
@@ -317,13 +327,118 @@ def _check_residuals(stack: np.ndarray, vecs, p: int) -> None:
         raise RuntimeError("a recorded solution does not satisfy its scenario system")
 
 
-def _vector_to_solution(scenario, Hs, spans, vec, unpinned) -> ScenarioSolution:
-    honest = {k: int(vec[i]) for i, k in enumerate(Hs)}
-    blocks = {
-        k: tuple(int(vec[c]) for c in range(spans[j][0], spans[j][1]))
-        for j, k in enumerate(scenario.adversaries)
-    }
-    return ScenarioSolution(scenario, honest, blocks, unpinned)
+@dataclass
+class _Chunk:
+    """One rebuilt chunk of feasible scenarios of the presumed-adversary set
+    ``A_hat``: their scenario indices, particular solutions (honest columns
+    ``Hs`` first, then v block columns per presumed adversary) and the
+    pinned mask of the honest columns."""
+
+    A_hat: tuple[int, ...]
+    Hs: list[int]
+    combos: np.ndarray
+    particular: np.ndarray
+    pinned: np.ndarray
+
+
+class _FeasibleSolutions(Sequence):
+    """The solutions of every feasible scenario, in sweep order.
+
+    Strict decoding keeps only each rebuilt chunk's arrays; the
+    :class:`ScenarioSolution` objects are built on the first read.
+    """
+
+    def __init__(self, nodes, labels: np.ndarray, v: int):
+        self._nodes, self._labels, self._v = nodes, labels, v
+        self._parts: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._chunks: list[_Chunk] = []
+        self._count = 0
+
+    def append(self, chunk: _Chunk) -> None:
+        self._chunks.append(chunk)
+        self._count += len(chunk.combos)
+
+    def solution(self, chunk: _Chunk, row: int, vec=None) -> ScenarioSolution:
+        """Row ``row`` of ``chunk`` as a solution, with ``vec`` (default: the
+        particular solution) as its values."""
+        n_parts, beta, h, v = len(self._labels), len(chunk.A_hat), len(chunk.Hs), self._v
+        combo = int(chunk.combos[row])
+        sel = []
+        for j in range(beta):
+            q = combo // n_parts ** (beta - 1 - j) % n_parts
+            if q not in self._parts:
+                self._parts[q] = _blocks(self._nodes, self._labels[q].tolist())
+            sel.append(self._parts[q])
+        vec = chunk.particular[row].tolist() if vec is None else vec
+        honest = {k: vec[i] for i, k in enumerate(chunk.Hs)}
+        blocks = {
+            k: tuple(vec[h + j * v : h + j * v + len(sel[j])])
+            for j, k in enumerate(chunk.A_hat)
+        }
+        unpinned = frozenset(
+            k for k, pin in zip(chunk.Hs, chunk.pinned[row].tolist()) if not pin
+        )
+        scenario = PresumedScenario(chunk.A_hat, tuple(sel))
+        return ScenarioSolution(scenario, honest, blocks, unpinned)
+
+    @functools.cached_property
+    def _solutions(self) -> tuple[ScenarioSolution, ...]:
+        return tuple(
+            self.solution(chunk, row)
+            for chunk in self._chunks
+            for row in range(len(chunk.combos))
+        )
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i):
+        return self._solutions[i]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+
+def _record_witnesses(chunk: _Chunk, red, feasible, witnesses, pinned_first, p):
+    """Record the witness of each honest coordinate of ``chunk`` whose first
+    witness event lies in it, and return the ``(row, alternate)`` pairs of
+    the witnesses that step along a nullspace vector.
+
+    A coordinate's event is the first feasible scenario that leaves it
+    unpinned or pins it to a value other than its first pinned value;
+    ``pinned_first`` carries that value and where it was pinned across
+    chunks and presumed-adversary sets.  Witnesses are inserted in sweep
+    order, then by coordinate.
+    """
+    Hs, pins = chunk.Hs, chunk.pinned
+    vals = chunk.particular[:, : len(Hs)]
+    first = pins.argmax(axis=0)
+    for i in np.flatnonzero(pins.any(axis=0)).tolist():
+        pinned_first.setdefault(Hs[i], (int(vals[first[i], i]), chunk, int(first[i])))
+    ref = np.array(
+        [pinned_first[k][0] if k in pinned_first else 0 for k in Hs], dtype=vals.dtype
+    )
+    events = ~pins | (vals != ref)
+    at = events.argmax(axis=0)
+    found = sorted(
+        (int(at[i]), i) for i in np.flatnonzero(events.any(axis=0)).tolist()
+        if Hs[i] not in witnesses
+    )
+    alts = []
+    for row, i in found:
+        sol = feasible.solution(chunk, row)
+        if pins[row, i]:
+            _, where, r0 = pinned_first[Hs[i]]
+            witnesses[Hs[i]] = (feasible.solution(where, r0), sol)
+        else:
+            x = chunk.particular[row].tolist()
+            bvec = next(bv for bv in red.nullspace(row).tolist() if bv[i] != 0)
+            alt = [(a + b) % p for a, b in zip(x, bvec)]
+            alts.append((row, alt))
+            witnesses[Hs[i]] = (sol, feasible.solution(chunk, row, alt))
+    return alts
 
 
 def decode(
@@ -352,7 +467,7 @@ def decode(
         BudgetExceeded: the sweep would be too large.
     """
     if mode not in ("fast", "strict"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise BadParameter(f"unknown mode {mode!r}")
     nodes = tuple(int(n) for n in nodes)
     if nodes != tuple(transcript.node_set):
         raise TranscriptMismatch("decode node set differs from transcript node set")
@@ -361,7 +476,7 @@ def decode(
     if not nodes or len(set(nodes)) != len(nodes) or any(not 0 <= n < gm.N for n in nodes):
         raise NodeOutOfRange(f"bad node subset {nodes} for N={gm.N}")
     if gm.N != cfg.N or gm.K != cfg.K or gm.ctx.p != cfg.p:
-        raise ValueError("generator and system config disagree")
+        raise BadParameter("generator and system config disagree")
 
     ctx = gm.ctx
     p = ctx.p
@@ -384,13 +499,12 @@ def decode(
     # coefficient stacks have uniform width.  Padding columns are zero and
     # only add free variables, which cannot affect consistency.
     memb = (labels[:, :, None] == np.arange(v)).astype(ctx.dtype)
-    parts = [_blocks(nodes, row) for row in labels.tolist()] if strict else None
 
     estimates: list[int | None] = [None] * K
     feasible_count = 0
-    feasible_list: list[ScenarioSolution] = []
+    feasible = _FeasibleSolutions(nodes, labels, v)
     witnesses: dict[int, tuple[ScenarioSolution, ScenarioSolution]] = {}
-    pinned_first: dict[int, tuple[int, ScenarioSolution]] = {}
+    pinned_first: dict[int, tuple[int, _Chunk, int]] = {}  # value, chunk, row
 
     # The projected systems [L X'_q | L y] decide feasibility (see the module
     # docstring).  LX[k] holds L X'_k of every partition side by side, column
@@ -405,8 +519,7 @@ def decode(
     for A_hat in itertools.combinations(range(K), beta):
         Hs = [k for k in range(K) if k not in A_hat]
         h = len(Hs)
-        D = Gsub[:, Hs]
-        X = [(memb * Gsub[:, k][None, :, None]) % p for k in A_hat]
+        X = None  # the full systems' block columns, built at the first rebuild
         ncols = h + beta * v
         # Fast mode reads only the set's first flagged scenario: it pins
         # every coordinate that a later one pins (see the module docstring).
@@ -427,60 +540,38 @@ def decode(
             # Rebuild the full systems of the scenarios to record and read
             # their solution sets off the reduced stack; ``full`` keeps them
             # unreduced for the residual check.
+            if X is None:
+                D = Gsub[:, Hs]
+                X = [(memb * Gsub[:, k][None, :, None]) % p for k in A_hat]
             full = _scenario_stack(D, X, yv, flagged)
             aug = full.copy()
             if not batch_feasible(aug, p, ncols).all():
                 raise RuntimeError("projected and full scenario systems disagree")
             red = _read_reduced(aug, ncols, p)
-            sols = red.particular.tolist()
-            pins = red.pinned[:, :h].tolist()
+            pins = red.pinned[:, :h]
+            vals = red.particular[:, :h]
+            first = pins.argmax(axis=0)
+            for i in np.flatnonzero(pins.any(axis=0)).tolist():
+                if estimates[Hs[i]] is None:
+                    estimates[Hs[i]] = int(vals[first[i], i])
 
-            recorded: list[tuple[int, list[int]]] = []  # (row of full, solution)
-            for local, combo in enumerate(flagged.tolist()):
-                x = sols[local]
-                recorded.append((local, x))
-                for k, pin, val in zip(Hs, pins[local], x):
-                    if estimates[k] is None and pin:
-                        estimates[k] = val
-                if not strict:
-                    continue
-
-                sel = tuple(
-                    parts[(combo // n_parts ** (beta - 1 - j)) % n_parts]
-                    for j in range(beta)
-                )
-                scenario = PresumedScenario(A_hat, sel)
-                spans = [(h + j * v, h + j * v + len(part)) for j, part in enumerate(sel)]
-                unpinned = frozenset(k for k, pin in zip(Hs, pins[local]) if not pin)
-                sol = _vector_to_solution(scenario, Hs, spans, x, unpinned)
-                feasible_list.append(sol)
-                for i, k in enumerate(Hs):
-                    if k in unpinned:
-                        if k not in witnesses:
-                            basis = red.nullspace(local).tolist()
-                            bvec = next(bv for bv in basis if bv[i] != 0)
-                            alt = [(a + b) % p for a, b in zip(x, bvec)]
-                            recorded.append((local, alt))
-                            witnesses[k] = (
-                                sol,
-                                _vector_to_solution(scenario, Hs, spans, alt, unpinned),
-                            )
-                    else:
-                        val = sol.honest_values[k]
-                        seen = pinned_first.get(k)
-                        if seen is None:
-                            pinned_first[k] = (val, sol)
-                        elif seen[0] != val and k not in witnesses:
-                            witnesses[k] = (seen[1], sol)
-            rows, vecs = zip(*recorded)
-            _check_residuals(full[list(rows)], vecs, p)
+            checked, vecs = full, red.particular
+            if strict:
+                chunk = _Chunk(A_hat, Hs, flagged, red.particular, pins)
+                feasible.append(chunk)
+                alts = _record_witnesses(chunk, red, feasible, witnesses, pinned_first, p)
+                if alts:
+                    rows, alt_vecs = zip(*alts)
+                    checked = np.concatenate([full, full[list(rows)]])
+                    vecs = np.concatenate([vecs, np.array(alt_vecs, dtype=vecs.dtype)])
+            _check_residuals(checked, vecs, p)
 
     return DecodeResult(
         estimates=tuple(estimates),
         feasible_count=feasible_count,
         guaranteed=t >= cfg.t_star,
         witnesses=witnesses,
-        feasible=tuple(feasible_list),
+        feasible=feasible,
         scenarios_examined=total,
     )
 

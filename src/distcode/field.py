@@ -21,6 +21,7 @@ for unbounded precision.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,12 +43,21 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
+def _is_integer(x) -> bool:
+    """Whether ``x`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test.
 
     Raises:
-        BadParameter: ``n >= _MR_BOUND``, where the test is no longer exact.
+        BadParameter: ``n`` is not an integer, or ``n >= _MR_BOUND``, where
+            the test is no longer exact.
     """
+    if not _is_integer(n):
+        raise BadParameter(f"need an integer, got {n!r}")
+    n = int(n)
     if n >= _MR_BOUND:
         raise BadParameter(
             f"{n} is not below {_MR_BOUND}, the bound under which "
@@ -90,10 +100,9 @@ class FieldContext:
     __slots__ = ("p", "dtype")
 
     def __init__(self, p: int):
-        p = int(p)
         if not is_prime(p):
             raise NonPrimeModulus(f"{p} is not prime")
-        self.p = p
+        self.p = int(p)
         self.dtype = np.int64 if p <= _INT64_SAFE_P else object
 
     def __eq__(self, other) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .codes import GeneratorMatrix, _json_ints, threshold
 from .errors import BadDimensions, NodeOutOfRange, NonPrimeModulus, TooManyAdversaries
-from .field import DEFAULT_PRIME, is_prime
+from .field import DEFAULT_PRIME, _is_integer, is_prime
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,10 @@ class SystemConfig:
     p: int = DEFAULT_PRIME
 
     def __post_init__(self):
+        for name in ("N", "K", "beta", "v"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise BadDimensions(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.beta < self.K <= self.N:
             raise BadDimensions(
                 f"need 1 <= beta < K <= N, got beta={self.beta}, K={self.K}, N={self.N}"

@@ -178,3 +178,31 @@ def strict_result_projections(result):
         key: (frozenset() if unp else frozenset(vals), unp)
         for key, (vals, unp) in out.items()
     }
+
+
+def strict_record(feasible, K: int, p: int):
+    """Replay strict decoding's per-scenario recording over its feasible
+    solutions, in sweep order.
+
+    A coordinate's estimate is its first pinned value.  Its witness is found
+    at the first solution that leaves it unpinned (the pair starts with that
+    solution) or pins it to a value other than its first pinned one (the
+    pair starts with the solution that pinned that first value).  Returns
+    the estimates, the witness coordinates in the order found, and
+    ``{coordinate: first member of its witness pair}``.
+    """
+    estimates = [None] * K
+    first_pinned: dict = {}
+    first_member: dict = {}
+    for sol in feasible:
+        for k in sorted(sol.honest_values):
+            if k in sol.unpinned:
+                first_member.setdefault(k, sol)
+                continue
+            val = sol.honest_values[k] % p
+            if estimates[k] is None:
+                estimates[k] = val
+            seen_val, seen_sol = first_pinned.setdefault(k, (val, sol))
+            if seen_val != val:
+                first_member.setdefault(k, seen_sol)
+    return estimates, list(first_member), first_member

@@ -5,6 +5,7 @@ import pytest
 
 from distcode import (
     AttackConstructionFailed,
+    BadParameter,
     DimensionMismatch,
     FieldMatrix,
     PreconditionViolated,
@@ -204,6 +205,11 @@ class TestConverseAttack:
         t2 = encode_transcript(gm, atk.setup2, atk.node_set)
         assert t1.values == t2.values
         assert any(d != 0 for _, d in atk.delta)
+
+    def test_mismatched_config_rejected(self):
+        gm = draw_mds(CTX, "random", 9, 3, seed=1)
+        with pytest.raises(BadParameter, match="disagree"):
+            converse_attack(gm, SystemConfig(N=10, K=3, beta=1, v=2, p=P), seed=0)
 
     def test_strict_decode_reports_honest_ambiguity(self):
         cfg = SystemConfig(N=9, K=3, beta=1, v=2, p=P)

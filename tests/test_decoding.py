@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from distcode import (
+    BadParameter,
     BudgetExceeded,
     FieldContext,
     FieldMatrix,
@@ -35,6 +36,7 @@ from oracles import (
     matvec,
     rank_naive,
     stirling2,
+    strict_record,
     strict_result_projections,
 )
 
@@ -150,6 +152,14 @@ class TestDecode:
         cfg, gm, behavior, nodes, tr = _random_instance(7)
         with pytest.raises(BudgetExceeded):
             decode(gm, nodes, tr, cfg, budget=10)
+
+    def test_unknown_mode_and_mismatched_config_rejected(self):
+        cfg, gm, behavior, nodes, tr = _random_instance(7)
+        with pytest.raises(BadParameter, match="unknown mode"):
+            decode(gm, nodes, tr, cfg, mode="exact")
+        other = SystemConfig(N=cfg.N, K=cfg.K, beta=cfg.beta, v=cfg.v, p=65537)
+        with pytest.raises(BadParameter, match="disagree"):
+            decode(gm, nodes, tr, other)
 
     def test_scenarios_examined_matches_formula(self):
         from math import comb
@@ -463,6 +473,97 @@ class TestRebuilds:
         res = decode(gm, nodes, tr, cfg, mode="strict")
         assert 0 not in built
         assert sum(built) == res.feasible_count == len(res.feasible)
+
+
+class TestStrictRecording:
+    # Strict decode records estimates and witnesses from whole rebuilt chunks
+    # at once and builds its feasible solutions only when they are read.
+    # oracles.strict_record replays the per-scenario loop over those
+    # solutions.  A chunk of 3 splits every presumed-adversary set's sweep,
+    # so first pinned values are carried across chunks as well as sets.
+    @staticmethod
+    def _instances(cell, t):
+        N, K, beta, v = cell
+        cfg, gm, _, nodes, tr = _random_instance(600, N=N, K=K, beta=beta, v=v, t=t)
+        yield cfg, gm, nodes, tr
+        atk = converse_attack(gm, cfg, seed=1)
+        extra = tuple(n for n in range(N) if n not in atk.node_set)
+        nodes = tuple(sorted((atk.node_set + extra)[:t]))
+        yield cfg, gm, nodes, encode_transcript(gm, atk.setup1, nodes)
+        # A zero-column code at p = 5: a coordinate pinned alike throughout one
+        # presumed-adversary set can be pinned otherwise in a later one.
+        rows = _code_rows("zero_column", N, K, 5, seed=2)
+        gm = GeneratorMatrix(FieldMatrix(FieldContext(5), rows), "random")
+        rng = random.Random(f"{cell}{t}")
+        nodes = tuple(sorted(rng.sample(range(N), t)))
+        tr = Transcript(nodes, tuple(rng.randrange(5) for _ in nodes))
+        yield SystemConfig(N=N, K=K, beta=beta, v=v, p=5), gm, nodes, tr
+
+    @pytest.mark.parametrize("chunk", [None, 3])
+    @pytest.mark.parametrize("below", [0, 1, 2])
+    @pytest.mark.parametrize("cell", [(7, 3, 1, 2), (8, 3, 1, 3), (6, 4, 2, 2), (5, 3, 2, 3)])
+    def test_matches_the_per_scenario_loop(self, cell, below, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(decoding, "_CHUNK", chunk)
+        N, K, beta, v = cell
+        for cfg, gm, nodes, tr in self._instances(cell, min(N, K + 2 * beta * (v - 1)) - below):
+            res = decode(gm, nodes, tr, cfg, mode="strict")
+            estimates, order, first = strict_record(res.feasible, K, cfg.p)
+            assert res.estimates == tuple(estimates)
+            assert list(res.witnesses) == order
+            for k, (a, b) in res.witnesses.items():
+                assert a.to_json() == first[k].to_json()
+                assert a.honest_values[k] != b.honest_values[k]
+                if k in a.unpinned:  # b steps a along a nullspace vector
+                    assert b.scenario == a.scenario
+                    again = encode_transcript(gm, b.to_behavior(cfg), nodes)
+                    assert again.values == tr.values
+
+    @pytest.mark.parametrize("drop", [0, 1])
+    def test_builds_solutions_only_for_witnesses_until_read(self, drop, monkeypatch):
+        # The converse attack's transcript on (12,6,1,2), at t*-1 and t*-2.
+        cfg = SystemConfig(N=12, K=6, beta=1, v=2, p=P)
+        gm = draw_mds(CTX, "random", 12, 6, seed=1)
+        atk = converse_attack(gm, cfg, seed=1)
+        nodes = atk.node_set[: len(atk.node_set) - drop]
+        tr = encode_transcript(gm, atk.setup1, nodes)
+        full_nvars = cfg.K - cfg.beta + cfg.beta * cfg.v
+        built, rebuilt, checked = [], [], []
+
+        class Counting(decoding.ScenarioSolution):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        def counting_feasible(aug, p, nvars):
+            if nvars == full_nvars:
+                rebuilt.append(len(aug))
+            return batch_feasible(aug, p, nvars)
+
+        def counting_check(stack, vecs, p):
+            checked.append(len(stack))
+            return check_residuals(stack, vecs, p)
+
+        batch_feasible = decoding.batch_feasible
+        check_residuals = decoding._check_residuals
+        monkeypatch.setattr(decoding, "ScenarioSolution", Counting)
+        monkeypatch.setattr(decoding, "batch_feasible", counting_feasible)
+        monkeypatch.setattr(decoding, "_check_residuals", counting_check)
+        res = decode(gm, nodes, tr, cfg, mode="strict")
+        assert res.witnesses
+        assert len(built) <= 2 * len(res.witnesses) < res.feasible_count
+        # Every rebuilt chunk passed the projection guard, and every recorded
+        # solution and every witness alternate the residual check.
+        assert sum(rebuilt) == res.feasible_count and len(checked) == len(rebuilt)
+        alternates = sum(k in a.unpinned for k, (a, _) in res.witnesses.items())
+        assert (alternates > 0) == (drop > 0)
+        assert sum(checked) == res.feasible_count + alternates
+        before = len(built)
+        assert len(res.feasible) == res.feasible_count
+        assert len(built) == before  # a length builds nothing
+        solutions = list(res.feasible)
+        assert len(solutions) == res.feasible_count == len(built) - before
+        assert list(res.feasible) == solutions and len(built) == before + len(solutions)
 
 
 class TestFirstFeasiblePinsMost:

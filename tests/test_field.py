@@ -56,6 +56,17 @@ class TestContext:
         with pytest.raises(BadParameter):  # composite, yet passes every base
             is_prime(3317044064679887385961981)
 
+    @pytest.mark.parametrize("p", [65537.9, 65537.0, True, "65537", None])
+    def test_non_integer_modulus_rejected(self, p):
+        with pytest.raises(BadParameter):
+            FieldContext(p)
+        with pytest.raises(BadParameter):
+            is_prime(p)
+
+    def test_numpy_integer_modulus_accepted(self):
+        ctx = FieldContext(np.int64(65537))
+        assert ctx == FieldContext(65537) and type(ctx.p) is int
+
     def test_is_prime_known_values(self):
         assert is_prime(2) and is_prime(65537) and is_prime(2**31 - 1)
         assert not is_prime(1) and not is_prime(2**31 - 2)

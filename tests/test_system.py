@@ -3,6 +3,7 @@ import random
 import pytest
 
 from distcode import (
+    BadDimensions,
     BadParameter,
     FieldContext,
     NodeOutOfRange,
@@ -46,6 +47,18 @@ class TestSystemConfig:
     def test_invalid_configs(self, bad):
         with pytest.raises(ValueError):
             SystemConfig(*bad, p=P)
+
+    @pytest.mark.parametrize(
+        "bad", [(12.0, 4, 2, 2), (12, 4.0, 2, 2), (12, 4, True, 2), (12, 4, 2, "2")]
+    )
+    def test_non_integer_dimensions_rejected(self, bad):
+        with pytest.raises(BadDimensions):
+            SystemConfig(*bad, p=P)
+
+    @pytest.mark.parametrize("p", [65537.9, True, "65537"])
+    def test_non_integer_modulus_rejected(self, p):
+        with pytest.raises(BadParameter):
+            SystemConfig(12, 4, 2, 2, p=p)
 
     def test_modulus_beyond_exact_primality_rejected(self):
         # A composite that Miller-Rabin with bases up to 41 calls prime.
