@@ -400,6 +400,9 @@ class _FeasibleSolutions(Sequence):
             return NotImplemented
         return tuple(self) == tuple(other)
 
+    def __repr__(self) -> str:
+        return repr(self._solutions)
+
 
 def _record_witnesses(chunk: _Chunk, red, feasible, witnesses, pinned_first, p):
     """Record the witness of each honest coordinate of ``chunk`` whose first

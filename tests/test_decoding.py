@@ -506,7 +506,8 @@ class TestStrictRecording:
         if chunk is not None:
             monkeypatch.setattr(decoding, "_CHUNK", chunk)
         N, K, beta, v = cell
-        for cfg, gm, nodes, tr in self._instances(cell, min(N, K + 2 * beta * (v - 1)) - below):
+        t = min(N, K + 2 * beta * (v - 1)) - below
+        for cfg, gm, nodes, tr in self._instances(cell, t):
             res = decode(gm, nodes, tr, cfg, mode="strict")
             estimates, order, first = strict_record(res.feasible, K, cfg.p)
             assert res.estimates == tuple(estimates)
