@@ -423,6 +423,7 @@ def _record_witnesses(chunk: _Chunk, red, feasible, witnesses, pinned_first, p):
     ref = np.array(
         [pinned_first[k][0] if k in pinned_first else 0 for k in Hs], dtype=vals.dtype
     )
+    # A row is a coordinate's event if it leaves it unpinned or pins another value.
     events = ~pins | (vals != ref)
     at = events.argmax(axis=0)
     found = sorted(

@@ -103,7 +103,7 @@ class FieldContext:
         if not is_prime(p):
             raise NonPrimeModulus(f"{p} is not prime")
         self.p = int(p)
-        self.dtype = np.int64 if p <= _INT64_SAFE_P else object
+        self.dtype = np.int64 if self.p <= _INT64_SAFE_P else object
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FieldContext) and other.p == self.p
