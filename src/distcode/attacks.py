@@ -29,6 +29,7 @@ import numpy as np
 from .codes import GeneratorMatrix, iter_converse_selections
 from .errors import (
     AttackConstructionFailed,
+    BadDimensions,
     BadParameter,
     DimensionMismatch,
     DistcodeError,
@@ -63,7 +64,7 @@ class DifferenceBasis:
     def coefficients(self, i: int, j: int) -> tuple[int, ...]:
         v = self.v
         if not (0 <= i < v and 0 <= j < v):
-            raise ValueError(f"indices must lie in [0, {v})")
+            raise BadParameter(f"indices must lie in [0, {v})")
         pos = {pair: idx for idx, pair in enumerate(self.pairs)}
         coeffs = [0] * len(self.pairs)
         if j > i:
@@ -83,7 +84,7 @@ class DifferenceBasis:
 
 def diff_basis(v: int) -> DifferenceBasis:
     if v < 1:
-        raise ValueError(f"need v >= 1, got v={v}")
+        raise BadDimensions(f"need v >= 1, got v={v}")
     pairs = tuple((i, i) for i in range(v)) + tuple((i, i + 1) for i in range(v - 1))
     return DifferenceBasis(v, pairs)
 

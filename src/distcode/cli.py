@@ -45,9 +45,12 @@ def _write_json(doc, out: str | None) -> None:
     text = json.dumps(doc, sort_keys=True, indent=2)
     if out is None or out == "-":
         print(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    except OSError as exc:
+        raise IoFailure(f"cannot write {out}: {exc}") from exc
 
 
 def _cmd_gen_code(args) -> int:

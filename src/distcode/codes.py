@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimensions, DuplicatePoints
+from .errors import BadDimensions, BadParameter, DuplicatePoints
 from .field import (
     FieldContext,
     FieldMatrix,
@@ -51,30 +51,30 @@ class GeneratorMatrix:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown code kind {self.kind!r}")
+            raise BadParameter(f"unknown code kind {self.kind!r}")
         m = self.matrix
         if m.rows < m.cols or m.cols < 1:
             raise BadDimensions(f"need N >= K >= 1, got N={m.rows}, K={m.cols}")
         for n in range(m.rows):
             if all(x == 0 for x in m.row(n)):
-                raise ValueError(f"encoder row {n} is identically zero")
+                raise BadParameter(f"encoder row {n} is identically zero")
         if self.kind == "systematic":
             for n in range(m.cols):
                 expect = tuple(1 if j == n else 0 for j in range(m.cols))
                 if m.row(n) != expect:
-                    raise ValueError("systematic rows must form the identity pattern")
+                    raise BadParameter("systematic rows must form the identity pattern")
         if self.kind == "reed_solomon":
             pts = self.rs_points
             if pts is None or len(pts) != m.rows:
-                raise ValueError("reed_solomon codes need one point per row")
+                raise BadDimensions("reed_solomon codes need one point per row")
             if len(set(pts)) != len(pts):
                 raise DuplicatePoints("evaluation points must be distinct")
             p = m.ctx.p
             for n, lam in enumerate(pts):
                 if m.row(n) != tuple(pow(lam, k, p) for k in range(m.cols)):
-                    raise ValueError("rows do not match the evaluation points")
+                    raise BadParameter("rows do not match the evaluation points")
         elif self.rs_points is not None:
-            raise ValueError("rs_points only apply to reed_solomon codes")
+            raise BadParameter("rs_points only apply to reed_solomon codes")
 
     @property
     def N(self) -> int:
@@ -112,12 +112,12 @@ class GeneratorMatrix:
 
 def _json_ints(entries, what: str) -> tuple[int, ...]:
     """The entries of a JSON list, which must all be integers; anything else
-    (a float, a string, null, a list, a boolean) raises ``ValueError``."""
+    (a float, a string, null, a list, a boolean) raises :class:`BadParameter`."""
     if not isinstance(entries, list):
-        raise ValueError(f"{what} must be a list of integers, got {entries!r}")
+        raise BadParameter(f"{what} must be a list of integers, got {entries!r}")
     for x in entries:
         if type(x) is not int:
-            raise ValueError(f"{what} must hold only integers, got {x!r}")
+            raise BadParameter(f"{what} must hold only integers, got {x!r}")
     return tuple(entries)
 
 
@@ -212,7 +212,7 @@ def draw_mds(
         elif kind == "reed_solomon":
             gm = gen_reed_solomon(ctx, N, K, points=points, seed=s)
         else:
-            raise ValueError(f"unknown code kind {kind!r}")
+            raise BadParameter(f"unknown code kind {kind!r}")
         if is_mds(gm):
             if attempt:
                 log.warning("MDS draw needed %d redraws (kind=%s)", attempt, kind)

@@ -45,7 +45,10 @@ equation can always be satisfied.  Zeroing the pivot rows and dropping the
 eliminated columns therefore keeps consistency, for every choice of the
 later partitions at once: they only select columns, which the row operations
 of the elimination act on alike.  The last level decides each scenario on
-v-1 columns.
+v-1 columns.  For v=2 that is one column ``c_q`` per child, and ``L y``
+lies in its span iff, after ``L y`` is eliminated once per parent,
+``L y`` is zero or ``c_q`` is nonzero on the pivot row and zero off it; so
+that level pivots once per parent instead of building its children.
 
 Only the flagged scenarios that are recorded are rebuilt in full and reduced
 by :func:`~distcode.field.batch_feasible`, and their solution sets are read
@@ -83,7 +86,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codes import GeneratorMatrix
-from .errors import BadParameter, BudgetExceeded, NodeOutOfRange, TranscriptMismatch
+from .errors import (
+    BadDimensions,
+    BadParameter,
+    BudgetExceeded,
+    NodeOutOfRange,
+    TranscriptMismatch,
+)
 from .field import _batch_eliminate, _read_reduced, batch_feasible
 from .system import SourceBehavior, SystemConfig, Transcript
 
@@ -102,9 +111,9 @@ def enumerate_partitions(items, v: int):
     items = tuple(items)
     n = len(items)
     if n < 1:
-        raise ValueError("cannot partition an empty set")
+        raise BadParameter("cannot partition an empty set")
     if v < 1:
-        raise ValueError(f"need v >= 1, got v={v}")
+        raise BadDimensions(f"need v >= 1, got v={v}")
     labels = [0] * n
 
     def rec(i: int, used: int):
@@ -264,6 +273,23 @@ def _scenario_stack(D, X, yv, combos) -> np.ndarray:
     return aug
 
 
+def _pivot_flags(parents: np.ndarray, p: int) -> np.ndarray:
+    """The (S, n) feasibility flags of the one-column systems ``[c_q | L y]``
+    of parents ``(S, rows, n + 1)`` laid out as ``[c_0 .. c_{n-1} | L y]``.
+
+    ``L y`` is eliminated once per parent.  If it is zero every child is
+    feasible.  Otherwise it is left nonzero only on its pivot row r, and
+    ``[c_q | L y]`` is consistent iff row r of the reduced ``c_q`` is outside
+    the span of its other rows: for one column, iff ``c_q`` vanishes off row
+    r and not on it.
+    """
+    stack = np.concatenate([parents[:, :, -1:], parents[:, :, :-1]], axis=2)
+    pivot = _batch_eliminate(stack, p, 1)[:, :, None]
+    nz = stack[:, :, 1:] != 0
+    on, off = (nz & pivot).any(axis=1), (nz & ~pivot).any(axis=1)
+    return ~pivot.any(axis=1) | (on & ~off)
+
+
 def _nested_flags(parents: np.ndarray, m: int, n_parts: int, w: int, p: int):
     """Yield the feasibility flags of the projected systems below
     ``parents``, in scenario order, at most ``_CHUNK`` at a time.
@@ -273,7 +299,10 @@ def _nested_flags(parents: np.ndarray, m: int, n_parts: int, w: int, p: int):
     of the m presumed adversaries left, then ``L y`` (see the module
     docstring).  A child fixes the next adversary's partition.  Children are
     made in slices of at most ``_CHUNK`` last-level descendants, depth first:
-    whole parents at a time, or part of one parent's children.
+    whole parents at a time, or part of one parent's children.  At the last
+    level of a v=2 sweep (m = w = 1) no child is built: :func:`_pivot_flags`
+    decides all children of a group of parents with one pivot on ``L y``
+    each, and its flags are sliced alike.
     """
     S, rows, width = parents.shape
     step = max(1, _CHUNK // n_parts ** (m - 1))
@@ -281,6 +310,11 @@ def _nested_flags(parents: np.ndarray, m: int, n_parts: int, w: int, p: int):
     kid_width = width - (n_parts - 1) * w
     for s0 in range(0, S, per):
         group = parents[s0 : s0 + per]
+        if m == 1 and w == 1:
+            flags = _pivot_flags(group, p)
+            for q0 in range(0, n_parts, q_step):
+                yield flags[:, q0 : q0 + q_step].reshape(-1)
+            continue
         for q0 in range(0, n_parts, q_step):
             nq = min(q_step, n_parts - q0)
             kids = np.empty((len(group), nq, rows, kid_width), dtype=parents.dtype)

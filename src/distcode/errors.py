@@ -22,7 +22,8 @@ class DimensionMismatch(DistcodeError):
 # --- code construction ---------------------------------------------------
 
 class BadDimensions(DistcodeError, ValueError):
-    """Dimensions violate N >= K >= 1, 1 <= beta < K or v >= 1."""
+    """Dimensions violate N >= K >= 1, 1 <= beta < K or v >= 1, or a count
+    of rows, messages, values or evaluation points disagrees with them."""
 
 
 class DuplicatePoints(DistcodeError):

@@ -299,7 +299,7 @@ def emit_results(results, fmt: str, path, meta: dict | None = None) -> None:
         IoFailure: the file could not be written.
     """
     if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown format {fmt!r}")
+        raise BadParameter(f"unknown format {fmt!r}")
     try:
         if fmt == "csv":
             with open(path, "w", encoding="utf-8", newline="") as fh:

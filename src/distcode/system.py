@@ -17,7 +17,13 @@ import random
 from dataclasses import dataclass
 
 from .codes import GeneratorMatrix, _json_ints, threshold
-from .errors import BadDimensions, NodeOutOfRange, NonPrimeModulus, TooManyAdversaries
+from .errors import (
+    BadDimensions,
+    BadParameter,
+    NodeOutOfRange,
+    NonPrimeModulus,
+    TooManyAdversaries,
+)
 from .field import DEFAULT_PRIME, _is_integer, is_prime
 
 
@@ -82,20 +88,20 @@ class SourceBehavior:
                 f"{len(self.adversary_set)} adversaries exceed beta={cfg.beta}"
             )
         if any(not 0 <= k < cfg.K for k in self.adversary_set):
-            raise ValueError("adversary indices must lie in [0, K)")
+            raise BadParameter("adversary indices must lie in [0, K)")
         if len(self.rows) != cfg.K:
-            raise ValueError(f"need {cfg.K} source rows, got {len(self.rows)}")
+            raise BadDimensions(f"need {cfg.K} source rows, got {len(self.rows)}")
         for k, row in enumerate(self.rows):
             if len(row) != cfg.N:
-                raise ValueError(f"source {k} row has length {len(row)}, need {cfg.N}")
+                raise BadDimensions(f"source {k} row has length {len(row)}, need {cfg.N}")
             distinct = len(set(row))
             if k in self.adversary_set:
                 if distinct > cfg.v:
-                    raise ValueError(
+                    raise BadParameter(
                         f"adversarial source {k} uses {distinct} values, cap is {cfg.v}"
                     )
             elif distinct != 1:
-                raise ValueError(f"honest source {k} must send one constant value")
+                raise BadParameter(f"honest source {k} must send one constant value")
 
     @property
     def honest_sources(self) -> tuple[int, ...]:
@@ -103,7 +109,7 @@ class SourceBehavior:
 
     def honest_message(self, k: int) -> int:
         if k in self.adversary_set:
-            raise ValueError(f"source {k} is adversarial")
+            raise BadParameter(f"source {k} is adversarial")
         return self.rows[k][0]
 
     def to_json(self) -> dict:
@@ -130,9 +136,9 @@ class Transcript:
 
     def __post_init__(self):
         if len(self.node_set) != len(self.values):
-            raise ValueError("one value per node required")
+            raise BadDimensions("one value per node required")
         if len(set(self.node_set)) != len(self.node_set):
-            raise ValueError("node indices must be distinct")
+            raise BadParameter("node indices must be distinct")
 
     def to_json(self) -> dict:
         return {"node_set": list(self.node_set), "values": list(self.values)}
@@ -147,7 +153,7 @@ class Transcript:
 def behavior_honest(cfg: SystemConfig, messages) -> SourceBehavior:
     """All sources honest: source k sends ``messages[k]`` everywhere."""
     if len(messages) != cfg.K:
-        raise ValueError(f"need {cfg.K} messages, got {len(messages)}")
+        raise BadDimensions(f"need {cfg.K} messages, got {len(messages)}")
     rows = tuple((int(m) % cfg.p,) * cfg.N for m in messages)
     return SourceBehavior(cfg, rows, frozenset())
 
@@ -168,7 +174,7 @@ def behavior_random_adversarial(
             f"{len(adversary_set)} adversaries exceed beta={cfg.beta}"
         )
     if len(honest_messages) != cfg.K:
-        raise ValueError(f"need {cfg.K} messages, got {len(honest_messages)}")
+        raise BadDimensions(f"need {cfg.K} messages, got {len(honest_messages)}")
     rng = random.Random(seed)
     rows = []
     for k in range(cfg.K):
@@ -190,7 +196,7 @@ def encode_transcript(gm: GeneratorMatrix, behavior: SourceBehavior, nodes) -> T
     if len(set(nodes)) != len(nodes) or any(not 0 <= n < gm.N for n in nodes):
         raise NodeOutOfRange(f"bad node subset {nodes} for N={gm.N}")
     if gm.N != behavior.cfg.N or gm.K != behavior.cfg.K or gm.ctx.p != behavior.cfg.p:
-        raise ValueError("generator and behavior disagree on system shape")
+        raise BadDimensions("generator and behavior disagree on system shape")
     behavior.validate()
     p = gm.ctx.p
     values = []

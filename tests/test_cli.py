@@ -1,3 +1,4 @@
+import argparse
 import functools
 import json
 import os
@@ -19,7 +20,7 @@ from distcode import (
     behavior_random_adversarial,
     encode_transcript,
 )
-from distcode.cli import _read_json, main
+from distcode.cli import _read_json, build_parser, main
 from distcode.experiments import ExperimentSpec
 
 P = 2**31 - 1
@@ -237,6 +238,93 @@ def test_loaders_raise_only_distcode_errors(doc, loader):
             _read_json(path, _LOADERS[loader])
         except DistcodeError:
             pass
+
+
+def _options():
+    """Each subcommand of the real parser with its ``--`` options as
+    ``(flag, takes_value, choices, required)``."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: [
+            (a.option_strings[0], a.nargs != 0, a.choices, a.required)
+            for a in p._actions
+            if a.option_strings and a.option_strings[0].startswith("--")
+            and a.option_strings[0] != "--help"
+        ]
+        for name, p in sub.choices.items()
+    }
+
+
+_OPTIONS = _options()
+# (good, bad) values per option; paths are placeholders filled in from the
+# test's directory.  Values stay small so every run is quick: sweeps read a
+# one-cell spec and never start more than one worker.
+_NUMBERS = (["1", "2", "3"], ["-1", "0", "9", "", "x", "1.5"])
+_FILES = ["code", "transcript", "spec", "bad", "missing"]
+_VALUES = {
+    **{
+        f"--{name}": (
+            [f"{{d}}/{name}.json"],
+            [f"{{d}}/{other}.json" for other in _FILES if other != name] + ["{d}"],
+        )
+        for name in ("code", "transcript", "spec")
+    },
+    "--out": (["-", "{d}/out.json"], ["{d}/missing/out.json", "{d}"]),
+    "--prime": (["65537", "2147483647"], ["4", "2", "-1", "x"]),
+    "--points": (["1,2,3"], ["1,1,1", "a,b", ""]),
+    "--workers": (["1"], ["-1", "0", "x"]),
+}
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of one real subcommand: each option present or not, with a
+    good value three times in four and a bad one otherwise."""
+    argv = ["-q"] if draw(st.booleans()) else []
+    name = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv.append(name)
+    # A sweep always reads a spec file and writes into the test's directory,
+    # never the default grid or the working directory.
+    pinned = ("--spec", "--out") if name == "sweep" else ()
+    for flag, takes_value, choices, required in _OPTIONS[name]:
+        if flag not in pinned and draw(st.integers(0, 19 if required else 1)) == 0:
+            continue
+        argv.append(flag)
+        if takes_value:
+            good, bad = (list(choices), ["bogus"]) if choices else _VALUES.get(flag, _NUMBERS)
+            pool = bad if draw(st.integers(0, 3)) == 0 else good
+            argv.append(draw(st.sampled_from([v for v in pool if v != "-" or not pinned])))
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "extra"])))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("argv")
+    run_cli("gen-code", "--kind", "random", "--n", "6", "--k", "3", "--seed", "1",
+            "--out", str(d / "code.json"))
+    gm = GeneratorMatrix.from_json(json.loads((d / "code.json").read_text()))
+    behavior = behavior_random_adversarial(SystemConfig(6, 3, 1, 2, p=P), [1, 2, 3], (0,), 4)
+    tr = encode_transcript(gm, behavior, (0, 1, 2, 3, 4))
+    (d / "transcript.json").write_text(json.dumps(tr.to_json()))
+    (d / "spec.json").write_text(json.dumps({"cells": [[5, 2, 1, 2]], "trials": 1}))
+    (d / "bad.json").write_text('{"p": [')
+    return str(d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=_argvs())
+def test_cli_argv_fuzz_exits_cleanly(argv_dir, argv):
+    # main returns 0 or 1; argparse rejects bad usage with exit status 2.
+    argv = [a.format(d=argv_dir) for a in argv]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+    else:
+        assert rc in (0, 1), argv
 
 
 class TestSweep:

@@ -5,6 +5,7 @@ import pytest
 
 from distcode import (
     BadDimensions,
+    DistcodeError,
     DuplicatePoints,
     FieldContext,
     FieldMatrix,
@@ -14,6 +15,7 @@ from distcode import (
     converse_attack,
     draw_mds,
     encode_transcript,
+    enumerate_partitions,
     field_new,
     gen_random_linear,
     gen_reed_solomon,
@@ -246,6 +248,28 @@ class TestSerialization:
         doc["rows"][0][1] = 99  # no longer a power of the point
         with pytest.raises(ValueError):
             GeneratorMatrix.from_json(doc)
+
+
+def _k_a_float():
+    doc = gen_random_linear(CTX, 4, 2, seed=0).to_json()
+    doc["K"] = 1.5
+    return GeneratorMatrix.from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: GeneratorMatrix(FieldMatrix(FieldContext(7), [[1, 2], [0, 0], [3, 4]]), "random"),
+        _k_a_float,
+        lambda: list(enumerate_partitions((), 2)),
+    ],
+    ids=["zero-encoder-row", "json-K-a-float", "partition-empty-set"],
+)
+def test_library_checks_raise_distcode_errors(call):
+    # Library callers can catch DistcodeError alone; ValueError still works.
+    with pytest.raises(DistcodeError) as info:
+        call()
+    assert isinstance(info.value, ValueError)
 
 
 def test_mds_implies_every_k_submatrix_nonsingular():

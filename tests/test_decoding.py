@@ -364,6 +364,7 @@ class TestNestedSweep:
             ((7, 4, 3, 2), 5),
             ((6, 3, 2, 1), 6),  # v = 1: no block columns, L y alone decides
             ((6, 4, 2, 2), 4),  # t = K: L has no rows unless G_T is singular
+            ((9, 3, 1, 2), 8),  # beta = 1, v = 2: the root pivots on L y, 5 rows
         ],
     )
     def test_flags_match_the_flat_projected_stack(self, cell, t, kind, p):
@@ -391,6 +392,54 @@ class TestNestedSweep:
                 root = np.concatenate(side_by_side + [Ly[:, None]], axis=1)[None]
                 got = list(decoding._nested_flags(root, beta, n_parts, w, p))
                 assert np.concatenate(got).tolist() == want.tolist()
+
+    # The last level of a v = 2 sweep pivots on L y once per parent and
+    # reads each child's flag off the reduced columns; every flag must be
+    # the consistency of the child's own system [c_q | L y].
+    @staticmethod
+    def _assert_pivot_read(parents, p):
+        S, rows, width = parents.shape
+        n = width - 1
+        got = np.concatenate(list(decoding._nested_flags(parents, 1, n, 1, p)))
+        want = [
+            gauss_jordan(parents[s, :, q : q + 1].tolist(), parents[s, :, n].tolist(), p)[0]
+            for s in range(S)
+            for q in range(n)
+        ]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("chunk", [None, 5])
+    def test_pivot_read_on_every_gf3_pair(self, chunk, monkeypatch):
+        # One parent per L y in GF(3)^3, each holding all 27 columns: all
+        # 729 (column, L y) pairs.  A chunk of 5 splits each parent's children.
+        if chunk:
+            monkeypatch.setattr(decoding, "_CHUNK", chunk)
+        vecs = np.array(list(itertools.product(range(3), repeat=3)), dtype=np.int64)
+        parents = np.empty((27, 3, 28), dtype=np.int64)
+        parents[:, :, :27] = vecs.T
+        parents[:, :, 27] = vecs
+        self._assert_pivot_read(parents, 3)
+
+    @pytest.mark.parametrize("p", [5, 101, P])
+    def test_pivot_read_on_planted_stacks(self, p):
+        rng = np.random.default_rng(p)
+        S, rows, n = 12, 4, 24
+        parents = rng.integers(0, p, size=(S, rows, n + 1), dtype=np.int64)
+        parents[::4, :, n] = 0  # L y = 0: every child feasible
+        for s in range(S):
+            ly = parents[s, :, n].copy()
+            if not ly.any():
+                continue
+            r = int(np.flatnonzero(ly)[0])  # the pivot row
+            parents[s, :, 0] = 0
+            parents[s, :, 1:4] = ly[:, None] * rng.integers(1, p, size=3) % p
+            parents[s, :, 4:7] = 0
+            parents[s, r, 4:7] = rng.integers(1, p, size=3)
+            parents[s, 1:, 7] = 0  # zero off row 0, which need not be r
+            if s % 3 == 0:  # L y itself nonzero only on its pivot row
+                parents[s, :, n] = 0
+                parents[s, r, n] = ly[r]
+        self._assert_pivot_read(parents, p)
 
     @pytest.mark.parametrize("chunk", [7, 3])
     @pytest.mark.parametrize(
