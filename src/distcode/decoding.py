@@ -50,13 +50,24 @@ lies in its span iff, after ``L y`` is eliminated once per parent,
 ``L y`` is zero or ``c_q`` is nonzero on the pivot row and zero off it; so
 that level pivots once per parent instead of building its children.
 
-Only the flagged scenarios that are recorded are rebuilt in full and reduced
-by :func:`~distcode.field.batch_feasible`, and their solution sets are read
-off that stack in one batched pass.  If a rebuilt system is infeasible the
-projection was wrong and ``decode`` raises ``RuntimeError``; every recorded
-solution is also re-checked against an unreduced copy of its system.
+The flagged scenarios that are recorded are read off one honest elimination
+per presumed-adversary set (:func:`_read_flagged`).  Every scenario of a set
+shares the honest block ``D = G_T[:, Hs]``, so ``D`` is Gauss-Jordan
+eliminated once, in one kernel call for all sets of a batch of at most
+``_CHUNK`` scenarios.  The rows without an honest pivot then hold each
+scenario's small system over its beta*v block columns; one
+:func:`~distcode.field.batch_feasible` call and one batched read solve all of
+them, and the honest values are back-substituted from D's pivot rows, whose
+inverses are taken once per set.  Pivot columns, particular solutions, pinned
+sets and nullspace bases depend only on each system's solution set and column
+order, so they equal those of reducing the full system ``[D | X_q | y]``.  If
+a small system is infeasible the projection was wrong and ``decode`` raises
+``RuntimeError``; every recorded solution is also re-checked against an
+unreduced copy of its full system.  On the ``converse`` benchmark workload
+this read takes a strict decode at t*-1 on (12,6,1,2) from about 33 ms to
+about 20 ms per trial (three decodes, 2-vCPU Xeon).
 
-Strict mode keeps each rebuilt chunk's arrays (scenario indices, particular
+Strict mode keeps each read chunk's arrays (scenario indices, particular
 solutions, pinned masks) rather than one object per feasible scenario.  It
 fills the estimates and finds each coordinate's first witness event with
 whole-chunk array operations, carrying each coordinate's first pinned value
@@ -64,8 +75,8 @@ across chunks and presumed-adversary sets, and builds
 :class:`ScenarioSolution` objects eagerly only for the witness pairs; the
 feasible solutions are built when ``DecodeResult.feasible`` is first read.
 
-Fast mode rebuilds and reads one scenario per presumed-adversary set, the
-first flagged one, because it pins every coordinate that a later scenario of
+Fast mode reads one scenario per presumed-adversary set, the first flagged
+one, because it pins every coordinate that a later scenario of
 the set pins.  Were some b unpinned there, ``g_b`` would be a combination of
 the other honest columns and the adversaries' block columns.  Merging two
 blocks of one adversary whose coefficients differ keeps the column space, so
@@ -93,7 +104,13 @@ from .errors import (
     NodeOutOfRange,
     TranscriptMismatch,
 )
-from .field import _batch_eliminate, _read_reduced, batch_feasible
+from .field import (
+    _batch_eliminate,
+    _read_normalized,
+    _read_reduced,
+    _Reduced,
+    batch_feasible,
+)
 from .system import SourceBehavior, SystemConfig, Transcript
 
 DEFAULT_BUDGET = 10**8
@@ -363,7 +380,7 @@ def _check_residuals(stack: np.ndarray, vecs, p: int) -> None:
 
 @dataclass
 class _Chunk:
-    """One rebuilt chunk of feasible scenarios of the presumed-adversary set
+    """One read chunk of feasible scenarios of the presumed-adversary set
     ``A_hat``: their scenario indices, particular solutions (honest columns
     ``Hs`` first, then v block columns per presumed adversary) and the
     pinned mask of the honest columns."""
@@ -378,7 +395,7 @@ class _Chunk:
 class _FeasibleSolutions(Sequence):
     """The solutions of every feasible scenario, in sweep order.
 
-    Strict decoding keeps only each rebuilt chunk's arrays; the
+    Strict decoding keeps only each read chunk's arrays; the
     :class:`ScenarioSolution` objects are built on the first read.
     """
 
@@ -438,10 +455,84 @@ class _FeasibleSolutions(Sequence):
         return repr(self._solutions)
 
 
-def _record_witnesses(chunk: _Chunk, red, feasible, witnesses, pinned_first, p):
+def _batches(pieces):
+    """Group ``(A_hat, scenario indices)`` pieces, in order, into batches of
+    at most ``_CHUNK`` scenarios; a larger piece makes a batch of its own."""
+    batch, size = [], 0
+    for piece in pieces:
+        if batch and size + len(piece[1]) > _CHUNK:
+            yield batch
+            batch, size = [], 0
+        batch.append(piece)
+        size += len(piece[1])
+    if batch:
+        yield batch
+
+
+def _read_flagged(Gsub, yv, memb, batch, p: int) -> _Reduced:
+    """The solution sets of the full systems ``[D | X_q | y]`` (columns as in
+    :func:`_scenario_stack`) of the ``(A_hat, scenario indices)`` pieces of
+    ``batch``, in order, read off one honest elimination per set (see the
+    module docstring).  The eliminated base is ``[D | diag(g_a) per presumed
+    adversary a | y]``: a scenario's block columns are block sums of its
+    reduced ``diag(g_a)`` columns, so the base carries no partition.
+
+    Raises:
+        RuntimeError: a small system, and so its full system, is infeasible.
+    """
+    t, K = Gsub.shape
+    n_parts, _, v = memb.shape
+    A = np.array([A_hat for A_hat, _ in batch])
+    n_sets, beta = A.shape
+    h, bv = K - beta, beta * v
+    H = np.array([[k for k in range(K) if k not in A_hat] for A_hat in A.tolist()])
+    base = np.zeros((n_sets, t, h + beta * t + 1), dtype=Gsub.dtype)
+    base[:, :, :h] = Gsub[:, H].transpose(1, 0, 2)
+    diag = np.arange(t)
+    for j in range(beta):
+        base[:, diag, h + j * t + diag] = Gsub[:, A[:, j]].T
+    base[:, :, -1] = yv
+    _batch_eliminate(base, p, h)
+    honest = _read_reduced(base, h, p)  # D's pivot rows scaled to a leading 1
+
+    sets = np.repeat(np.arange(n_sets), [len(combos) for _, combos in batch])
+    combos = np.concatenate([combos for _, combos in batch])
+    G = np.empty((len(sets), t, bv + 1), dtype=Gsub.dtype)
+    for j in range(beta):
+        q = combos // n_parts ** (beta - 1 - j) % n_parts
+        diag_j = honest.norm[sets, :, h + j * t : h + (j + 1) * t]
+        G[:, :, j * v : (j + 1) * v] = diag_j @ memb[q] % p
+    G[:, :, -1] = honest.norm[sets, :, -1]
+    # Set the honest pivot rows aside; zeroed, they leave the small systems.
+    s, r = np.nonzero(honest.lead[sets] >= 0)
+    top = G[s, r]
+    G[s, r] = 0
+    if not batch_feasible(G, p, bv).all():
+        raise RuntimeError("projected and full scenario systems disagree")
+    red = _read_reduced(G, bv, p)
+
+    # Row c of P is block column c's normalized pivot row (zero if c is free)
+    # with its particular value last; each term is reduced as it is added.
+    P = np.zeros((len(sets), bv, bv + 1), dtype=G.dtype)
+    ps, pr = np.nonzero(red.lead >= 0)
+    P[ps, red.lead[ps, pr], :bv] = red.norm[ps, pr, :bv]
+    P[:, :, bv] = red.particular
+    back = top
+    for c in range(bv):
+        back = (back - top[:, c, None] * P[s, c]) % p
+
+    norm = np.zeros((len(sets), t, h + bv + 1), dtype=G.dtype)
+    norm[:, :, h:] = red.norm
+    norm[s, r, :h] = honest.norm[sets[s], r, :h]
+    norm[s, r, h:] = back
+    return _read_normalized(norm, h + bv, p)
+
+
+def _record_witnesses(chunk: _Chunk, red, row0, feasible, witnesses, pinned_first, p):
     """Record the witness of each honest coordinate of ``chunk`` whose first
     witness event lies in it, and return the ``(row, alternate)`` pairs of
-    the witnesses that step along a nullspace vector.
+    the witnesses that step along a nullspace vector.  ``red`` holds the
+    chunk's systems from its row ``row0`` on.
 
     A coordinate's event is the first feasible scenario that leaves it
     unpinned or pins it to a value other than its first pinned value;
@@ -472,7 +563,7 @@ def _record_witnesses(chunk: _Chunk, red, feasible, witnesses, pinned_first, p):
             witnesses[Hs[i]] = (feasible.solution(where, r0), sol)
         else:
             x = chunk.particular[row].tolist()
-            bvec = next(bv for bv in red.nullspace(row).tolist() if bv[i] != 0)
+            bvec = next(bv for bv in red.nullspace(row0 + row).tolist() if bv[i] != 0)
             alt = [(a + b) % p for a, b in zip(x, bvec)]
             alts.append((row, alt))
             witnesses[Hs[i]] = (sol, feasible.solution(chunk, row, alt))
@@ -554,55 +645,53 @@ def decode(
     LX = [(L * Gsub[:, k]) % p @ side_by_side % p for k in range(K)]
     Ly = ((L * yv) % p).sum(axis=1, keepdims=True) % p
 
-    for A_hat in itertools.combinations(range(K), beta):
-        Hs = [k for k in range(K) if k not in A_hat]
-        h = len(Hs)
-        X = None  # the full systems' block columns, built at the first rebuild
-        ncols = h + beta * v
-        # Fast mode reads only the set's first flagged scenario: it pins
-        # every coordinate that a later one pins (see the module docstring).
-        to_read = strict or any(estimates[k] is None for k in Hs)
+    def flagged():
+        # (A_hat, flagged scenario indices) in sweep order; fast mode keeps
+        # only each set's first, which pins every coordinate a later one pins.
+        nonlocal feasible_count
+        for A_hat in itertools.combinations(range(K), beta):
+            root = np.concatenate([LX[k] for k in A_hat] + [Ly], axis=1)[None]
+            start, to_read = 0, True
+            for flags in _nested_flags(root, beta, n_parts, w, p):
+                hits = start + np.flatnonzero(flags)
+                start += len(flags)
+                feasible_count += len(hits)
+                if to_read and len(hits):
+                    to_read = strict
+                    yield A_hat, hits if strict else hits[:1]
 
-        root = np.concatenate([LX[k] for k in A_hat] + [Ly], axis=1)[None]
-        start = 0
-        for flags in _nested_flags(root, beta, n_parts, w, p):
-            flagged = start + np.flatnonzero(flags)
-            start += len(flags)
-            feasible_count += len(flagged)
-            if not strict:
-                flagged = flagged[:1]
-            if not (to_read and len(flagged)):
-                continue  # feasibility already tallied; nothing left to record
-            to_read = strict
-
-            # Rebuild the full systems of the scenarios to record and read
-            # their solution sets off the reduced stack; ``full`` keeps them
-            # unreduced for the residual check.
-            if X is None:
-                D = Gsub[:, Hs]
-                X = [(memb * Gsub[:, k][None, :, None]) % p for k in A_hat]
-            full = _scenario_stack(D, X, yv, flagged)
-            aug = full.copy()
-            if not batch_feasible(aug, p, ncols).all():
-                raise RuntimeError("projected and full scenario systems disagree")
-            red = _read_reduced(aug, ncols, p)
-            pins = red.pinned[:, :h]
-            vals = red.particular[:, :h]
+    X_for = None  # the presumed-adversary set whose block columns X holds
+    for batch in _batches(flagged()):
+        red = _read_flagged(Gsub, yv, memb, batch, p)
+        row0 = 0
+        for A_hat, combos in batch:
+            Hs = [k for k in range(K) if k not in A_hat]
+            h = len(Hs)
+            rows = slice(row0, row0 + len(combos))
+            pins = red.pinned[rows, :h]
+            vals = red.particular[rows, :h]
             first = pins.argmax(axis=0)
             for i in np.flatnonzero(pins.any(axis=0)).tolist():
                 if estimates[Hs[i]] is None:
                     estimates[Hs[i]] = int(vals[first[i], i])
 
-            checked, vecs = full, red.particular
+            # Check each recorded solution against its unreduced full system.
+            if A_hat != X_for:
+                X_for, X = A_hat, [(memb * Gsub[:, k][None, :, None]) % p for k in A_hat]
+            full = _scenario_stack(Gsub[:, Hs], X, yv, combos)
+            checked, vecs = full, red.particular[rows]
             if strict:
-                chunk = _Chunk(A_hat, Hs, flagged, red.particular, pins)
+                chunk = _Chunk(A_hat, Hs, combos, vecs, pins)
                 feasible.append(chunk)
-                alts = _record_witnesses(chunk, red, feasible, witnesses, pinned_first, p)
+                alts = _record_witnesses(
+                    chunk, red, row0, feasible, witnesses, pinned_first, p
+                )
                 if alts:
-                    rows, alt_vecs = zip(*alts)
-                    checked = np.concatenate([full, full[list(rows)]])
+                    alt_rows, alt_vecs = zip(*alts)
+                    checked = np.concatenate([full, full[list(alt_rows)]])
                     vecs = np.concatenate([vecs, np.array(alt_vecs, dtype=vecs.dtype)])
             _check_residuals(checked, vecs, p)
+            row0 += len(combos)
 
     return DecodeResult(
         estimates=tuple(estimates),

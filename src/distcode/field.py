@@ -9,8 +9,9 @@ reduced stacks: consistency, one particular solution, the data for a
 nullspace basis and the set of *pinned* coordinates (coordinates that take
 the same value in every solution), normalizing every pivot of the stack
 with a single modular inverse.  :func:`solve` reads its stack of one
-through it, and the feasibility decoder reads the stacks of flagged
-scenario systems it passed to :func:`batch_feasible`.
+through it, and the feasibility decoder reads the small block systems of
+flagged scenarios it passed to :func:`batch_feasible`, and the honest blocks
+it eliminated once per presumed-adversary set.
 
 Matrices are backed by numpy.  For moduli up to ``_INT64_SAFE_P`` the entries
 live in ``int64`` (entrywise products of reduced values cannot overflow);
@@ -261,23 +262,32 @@ def _read_reduced(red: np.ndarray, nvars: int, p: int) -> _Reduced:
     """Read the solution sets off a stack ``(B, rows, nvars+1)`` of systems
     ``[A | b]`` that :func:`_batch_eliminate` has reduced over their first
     ``nvars`` columns.  One batched inversion normalizes every pivot row of
-    the stack, and each pivot row's right-hand side is then its pivot
-    coordinate's value in the particular solution.
+    the stack; :func:`_read_normalized` reads the rest.
     """
     nz = red[:, :, :nvars] != 0
+    pivotal = nz.any(axis=2)
+    s, r = np.nonzero(pivotal)
+    inv = np.ones(pivotal.shape, dtype=red.dtype)
+    inv[s, r] = _batch_inverse(red[s, r, nz[s, r].argmax(axis=1)].tolist(), p)
+    return _read_normalized(red * inv[:, :, None] % p, nvars, p)
+
+
+def _read_normalized(norm: np.ndarray, nvars: int, p: int) -> _Reduced:
+    """Read the solution sets off a reduced stack whose pivot rows already
+    have a leading 1.  Each pivot row's right-hand side is then its pivot
+    coordinate's value in the particular solution.
+    """
+    nz = norm[:, :, :nvars] != 0
     pivotal = nz.any(axis=2)
     lead = np.where(pivotal, nz.argmax(axis=2), -1)
     s, r = np.nonzero(pivotal)
     c = lead[s, r]
-    free = np.ones((len(red), nvars), dtype=bool)
+    free = np.ones((len(norm), nvars), dtype=bool)
     free[s, c] = False
     pinned = np.zeros_like(free)
     pinned[s, c] = ~(nz[s, r] & free[s]).any(axis=1)
-    inv = np.ones(lead.shape, dtype=red.dtype)
-    inv[s, r] = _batch_inverse(red[s, r, c].tolist(), p)
-    norm = red * inv[:, :, None] % p
-    consistent = ~((red[:, :, nvars] != 0) & ~pivotal).any(axis=1)
-    particular = np.zeros(free.shape, dtype=red.dtype)
+    consistent = ~((norm[:, :, nvars] != 0) & ~pivotal).any(axis=1)
+    particular = np.zeros(free.shape, dtype=norm.dtype)
     particular[s, c] = norm[s, r, nvars]
     return _Reduced(p, consistent, particular, lead, free, pinned, norm)
 

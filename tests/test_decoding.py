@@ -272,6 +272,84 @@ class TestParityCheck:
             assert rank_L == t - rank_naive(G, p)
 
 
+class TestFlaggedReader:
+    # _read_flagged eliminates each presumed-adversary set's honest block D
+    # once and reads every scenario off a small stack.  Each system's
+    # particular solution, pinned set and nullspace basis must equal naive
+    # Gauss-Jordan's on its full system [D | X_q | y], including when D is
+    # rank-deficient (a zero or a repeated code column) and when the batch
+    # mixes several presumed-adversary sets.
+    @staticmethod
+    def _full_system(G, labels, A_hat, combo, v):
+        K, n_parts = len(G[0]), len(labels)
+        mat = [[row[k] for k in range(K) if k not in A_hat] for row in G]
+        for j, a in enumerate(A_hat):
+            q = combo // n_parts ** (len(A_hat) - 1 - j) % n_parts
+            for i, row in enumerate(G):
+                mat[i] += [row[a] if labels[q][i] == b else 0 for b in range(v)]
+        return mat
+
+    @pytest.mark.parametrize("p", [5, 101, P], ids=["p5", "p101", "p2^31-1"])
+    @pytest.mark.parametrize("beta, v", [(1, 2), (1, 3), (2, 2), (2, 3)])
+    @pytest.mark.parametrize("kind", ["random", "repeated_column", "zero_column"])
+    def test_matches_gauss_jordan(self, kind, beta, v, p):
+        K = beta + 2
+        h = K - beta
+        honest_free = mixed = 0
+        for trial in range(4):
+            rng = random.Random(f"{kind},{beta},{v},{p},{trial}")
+            t = rng.randrange(K, K + beta * v + 1)
+            G = [[rng.randrange(p) for _ in range(K)] for _ in range(t)]
+            for row in G:
+                if kind != "random":
+                    row[1] = row[0] if kind == "repeated_column" else 0
+            labels = decoding._partition_labels(t, v).tolist()
+            total = len(labels) ** beta
+            sets = list(itertools.combinations(range(K), beta))
+            # y is a codeword, which every scenario reaches, or solves one
+            # planted scenario, which low-rank scenarios may reach too.
+            planted = (rng.choice(sets), rng.randrange(total))
+            mat = G if trial % 2 else self._full_system(G, labels, *planted, v)
+            y = matvec(mat, [rng.randrange(p) for _ in mat[0]], p)
+
+            batch, systems, infeasible = [], [], None
+            for A_hat in sets:
+                combos = rng.sample(range(total), min(total, 6))
+                if A_hat == planted[0] and planted[1] not in combos:
+                    combos.append(planted[1])
+                kept = []
+                for combo in combos:
+                    mat = self._full_system(G, labels, A_hat, combo, v)
+                    want = gauss_jordan(mat, y, p)
+                    if want[0]:
+                        kept.append(combo)
+                        systems.append(want)
+                    else:
+                        infeasible = (A_hat, combo)
+                if kept:
+                    batch.append((A_hat, np.array(kept)))
+            mixed += len(batch) > 1
+
+            Gsub = np.array(G, dtype=np.int64)
+            yv = np.array(y, dtype=np.int64)
+            memb = (np.array(labels)[:, :, None] == np.arange(v)).astype(np.int64)
+            red = decoding._read_flagged(Gsub, yv, memb, batch, p)
+            assert len(red.particular) == len(systems)
+            for s, (_, particular, basis, pinned) in enumerate(systems):
+                assert tuple(red.particular[s].tolist()) == particular
+                assert frozenset(np.flatnonzero(red.pinned[s]).tolist()) == pinned
+                assert tuple(map(tuple, red.nullspace(s).tolist())) == basis
+            honest_free += int(red.free[:, :h].any(axis=1).sum())
+
+            if infeasible is not None:  # the projection guard
+                A_hat, combo = infeasible
+                with pytest.raises(RuntimeError, match="disagree"):
+                    decoding._read_flagged(Gsub, yv, memb, [(A_hat, np.array([combo]))], p)
+        assert mixed
+        if kind != "random":  # some honest block was rank-deficient
+            assert honest_free > 0
+
+
 def _oracle_feasible_count(rows, nodes, values, K, beta, v, p):
     """Consistent full scenario systems, built and solved on Python ints."""
     partitions = [pt for pt in all_set_partitions(nodes) if len(pt) <= v]
@@ -470,10 +548,33 @@ class TestNestedSweep:
         assert outputs[0] == outputs[1]
 
 
+def _count_reads(monkeypatch, cfg):
+    """Record the ``(A_hat, scenario indices)`` pieces of each
+    ``_read_flagged`` call, and the systems of each full-width
+    ``batch_feasible`` call (one over all ``h + beta*v`` unknowns)."""
+    reads, full_width = [], []
+    full_nvars = cfg.K - cfg.beta + cfg.beta * cfg.v
+
+    def reading(Gsub, yv, memb, batch, p):
+        reads.append([(A_hat, combos.tolist()) for A_hat, combos in batch])
+        return read_flagged(Gsub, yv, memb, batch, p)
+
+    def deciding(aug, p, nvars):
+        if nvars == full_nvars:
+            full_width.append(len(aug))
+        return batch_feasible(aug, p, nvars)
+
+    read_flagged, batch_feasible = decoding._read_flagged, decoding.batch_feasible
+    monkeypatch.setattr(decoding, "_read_flagged", reading)
+    monkeypatch.setattr(decoding, "batch_feasible", deciding)
+    return reads, full_width
+
+
 class TestRebuilds:
     # Projected systems decide feasibility; only the scenarios decode records
-    # are rebuilt in full.  Every presumed-adversary set's sweep below fits
-    # one chunk, so fast mode rebuilds at most one system per set.
+    # are read, off one honest elimination per presumed-adversary set, and
+    # rebuilt in full for the residual check.  Fast mode reads at most the
+    # first flagged scenario of each set.
     CASES = [
         pytest.param("converse", (12, 6, 1, 2), id="converse-12-6-1-2"),
         pytest.param("converse", (9, 3, 2, 2), id="converse-9-3-2-2"),
@@ -492,19 +593,13 @@ class TestRebuilds:
     @pytest.mark.parametrize("kind, cell", CASES)
     def test_fast_rebuilds_at_most_one_system_per_set(self, kind, cell, monkeypatch):
         cfg, gm, nodes, tr = self._instance(kind, cell)
-        full_nvars = cfg.K - cfg.beta + cfg.beta * cfg.v
-        rebuilt = []  # systems in each full-system call
-
-        def counting(aug, p, nvars):
-            if nvars == full_nvars:
-                rebuilt.append(len(aug))
-            return batch_feasible(aug, p, nvars)
-
-        batch_feasible = decoding.batch_feasible
-        monkeypatch.setattr(decoding, "batch_feasible", counting)
+        reads, full_width = _count_reads(monkeypatch, cfg)
         res = decode(gm, nodes, tr, cfg, mode="fast")
-        assert rebuilt and set(rebuilt) == {1}
-        assert len(rebuilt) <= math.comb(cfg.K, cfg.beta)
+        pieces = [piece for batch in reads for piece in batch]
+        assert pieces and {len(combos) for _, combos in pieces} == {1}
+        sets = [A_hat for A_hat, _ in pieces]
+        assert len(set(sets)) == len(sets) <= math.comb(cfg.K, cfg.beta)
+        assert not full_width
         assert res.feasible_count > 0
 
     @pytest.mark.parametrize("kind, cell", CASES)
@@ -577,34 +672,31 @@ class TestStrictRecording:
         atk = converse_attack(gm, cfg, seed=1)
         nodes = atk.node_set[: len(atk.node_set) - drop]
         tr = encode_transcript(gm, atk.setup1, nodes)
-        full_nvars = cfg.K - cfg.beta + cfg.beta * cfg.v
-        built, rebuilt, checked = [], [], []
+        built, checked = [], []
 
         class Counting(decoding.ScenarioSolution):
             def __init__(self, *args):
                 built.append(1)
                 super().__init__(*args)
 
-        def counting_feasible(aug, p, nvars):
-            if nvars == full_nvars:
-                rebuilt.append(len(aug))
-            return batch_feasible(aug, p, nvars)
-
         def counting_check(stack, vecs, p):
             checked.append(len(stack))
             return check_residuals(stack, vecs, p)
 
-        batch_feasible = decoding.batch_feasible
         check_residuals = decoding._check_residuals
         monkeypatch.setattr(decoding, "ScenarioSolution", Counting)
-        monkeypatch.setattr(decoding, "batch_feasible", counting_feasible)
         monkeypatch.setattr(decoding, "_check_residuals", counting_check)
+        reads, full_width = _count_reads(monkeypatch, cfg)
         res = decode(gm, nodes, tr, cfg, mode="strict")
         assert res.witnesses
         assert len(built) <= 2 * len(res.witnesses) < res.feasible_count
-        # Every rebuilt chunk passed the projection guard, and every recorded
-        # solution and every witness alternate the residual check.
-        assert sum(rebuilt) == res.feasible_count and len(checked) == len(rebuilt)
+        # Each flagged scenario is read exactly once, no full-width stack is
+        # decided, and each read chunk (one set's piece of a batch) has its
+        # solutions and witness alternates residual-checked at once.
+        pieces = [piece for batch in reads for piece in batch]
+        read = [(A_hat, q) for A_hat, combos in pieces for q in combos]
+        assert len(read) == len(set(read)) == res.feasible_count
+        assert not full_width and len(checked) == len(pieces)
         alternates = sum(k in a.unpinned for k, (a, _) in res.witnesses.items())
         assert (alternates > 0) == (drop > 0)
         assert sum(checked) == res.feasible_count + alternates
