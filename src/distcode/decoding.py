@@ -64,8 +64,8 @@ order, so they equal those of reducing the full system ``[D | X_q | y]``.  If
 a small system is infeasible the projection was wrong and ``decode`` raises
 ``RuntimeError``; every recorded solution is also re-checked against an
 unreduced copy of its full system.  On the ``converse`` benchmark workload
-this read takes a strict decode at t*-1 on (12,6,1,2) from about 33 ms to
-about 20 ms per trial (three decodes, 2-vCPU Xeon).
+(three strict decodes of the (12,6,1,2) attack at t*-1 per trial) this
+read cut the median trial from 34.1 to 22.1 ms on a 2-vCPU Xeon.
 
 Strict mode keeps each read chunk's arrays (scenario indices, particular
 solutions, pinned masks) rather than one object per feasible scenario.  It

@@ -9,9 +9,9 @@ reduced stacks: consistency, one particular solution, the data for a
 nullspace basis and the set of *pinned* coordinates (coordinates that take
 the same value in every solution), normalizing every pivot of the stack
 with a single modular inverse.  :func:`solve` reads its stack of one
-through it, and the feasibility decoder reads the small block systems of
-flagged scenarios it passed to :func:`batch_feasible`, and the honest blocks
-it eliminated once per presumed-adversary set.
+through it.  The feasibility decoder reads the small block systems of
+flagged scenarios through it too, and the full systems it assembles from
+them through :func:`_read_normalized`.
 
 Matrices are backed by numpy.  For moduli up to ``_INT64_SAFE_P`` the entries
 live in ``int64`` (entrywise products of reduced values cannot overflow);

@@ -620,7 +620,7 @@ class TestRebuilds:
 
 
 class TestStrictRecording:
-    # Strict decode records estimates and witnesses from whole rebuilt chunks
+    # Strict decode records estimates and witnesses from whole read chunks
     # at once and builds its feasible solutions only when they are read.
     # oracles.strict_record replays the per-scenario loop over those
     # solutions.  A chunk of 3 splits every presumed-adversary set's sweep,
