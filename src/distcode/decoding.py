@@ -45,10 +45,18 @@ equation can always be satisfied.  Zeroing the pivot rows and dropping the
 eliminated columns therefore keeps consistency, for every choice of the
 later partitions at once: they only select columns, which the row operations
 of the elimination act on alike.  The last level decides each scenario on
-v-1 columns.  For v=2 that is one column ``c_q`` per child, and ``L y``
-lies in its span iff, after ``L y`` is eliminated once per parent,
-``L y`` is zero or ``c_q`` is nonzero on the pivot row and zero off it; so
-that level pivots once per parent instead of building its children.
+v-1 columns.  For v=2 the last two levels are decided together by one
+pivot on ``L y`` per parent of the next-to-last level (the root when
+beta=2), and no child is built (:func:`_pivot_flags`).  After ``L y`` is
+eliminated, with pivot row r, a scenario ``[c_a | c_b | L y]`` is
+consistent iff ``L y`` is zero, ``c_a`` or ``c_b`` is nonzero on row r and
+zero off it, or the parts of ``c_a`` and ``c_b`` off row r are nonzero
+multiples of one vector while their entries on row r are not the same
+multiple.  Scaling every column so that its first nonzero entry off row r
+is 1 turns that last test into a comparison of scaled columns.  For beta=1
+the root's single column per partition takes the first two tests alone.
+On the ``threshold`` benchmark workload (decodes of (12,4,2,2) at t*) this
+leaves 9 kernel calls per decode instead of 15.
 
 The flagged scenarios that are recorded are read off one honest elimination
 per presumed-adversary set (:func:`_read_flagged`).  Every scenario of a set
@@ -106,6 +114,7 @@ from .errors import (
 )
 from .field import (
     _batch_eliminate,
+    _batch_inverse,
     _read_normalized,
     _read_reduced,
     _Reduced,
@@ -290,21 +299,55 @@ def _scenario_stack(D, X, yv, combos) -> np.ndarray:
     return aug
 
 
-def _pivot_flags(parents: np.ndarray, p: int) -> np.ndarray:
-    """The (S, n) feasibility flags of the one-column systems ``[c_q | L y]``
-    of parents ``(S, rows, n + 1)`` laid out as ``[c_0 .. c_{n-1} | L y]``.
+def _pivot_flags(parents: np.ndarray, m: int, q_step: int, p: int):
+    """Yield the feasibility flags of the systems ``[c_q | L y]`` (m = 1) or
+    ``[c_a | c_b | L y]`` (m = 2) below parents ``(S, rows, m*n + 1)`` laid
+    out as ``[c_0 .. c_{m*n-1} | L y]``, in scenario order: for each slice of
+    at most ``q_step`` first indices q or a, the flags of the whole group,
+    with b split into slices of at most ``_CHUNK``.
 
-    ``L y`` is eliminated once per parent.  If it is zero every child is
-    feasible.  Otherwise it is left nonzero only on its pivot row r, and
-    ``[c_q | L y]`` is consistent iff row r of the reduced ``c_q`` is outside
-    the span of its other rows: for one column, iff ``c_q`` vanishes off row
-    r and not on it.
+    ``L y`` is eliminated once per parent.  If it is zero every system is
+    feasible.  Otherwise it is left nonzero only on its pivot row r; write
+    ``c'`` for a reduced column with row r zeroed and ``c[r]`` for its entry
+    on row r.  ``[c_q | L y]`` is consistent iff ``c_q`` is *pure*:
+    ``c'_q = 0`` and ``c_q[r] != 0``.  ``[c_a | c_b | L y]`` is consistent
+    iff ``c_a`` or ``c_b`` is pure, or ``c'_a`` and ``c'_b`` are nonzero
+    multiples of one vector while ``c[r]`` is not the same multiple: after
+    each column is scaled so that its first nonzero off-r entry is 1 (one
+    batched inverse per group), iff the scaled ``c'`` agree and the scaled
+    ``c[r]`` differ.  That comparison alone also settles two columns that
+    are both zero off r: they stay unscaled and differ on r only if one of
+    them is pure.
     """
-    stack = np.concatenate([parents[:, :, -1:], parents[:, :, :-1]], axis=2)
-    pivot = _batch_eliminate(stack, p, 1)[:, :, None]
-    nz = stack[:, :, 1:] != 0
-    on, off = (nz & pivot).any(axis=1), (nz & ~pivot).any(axis=1)
-    return ~pivot.any(axis=1) | (on & ~off)
+    S, rows, width = parents.shape
+    n = (width - 1) // m
+    # A zero equation keeps every system's solution set and gives argmax a row.
+    stack = np.zeros((S, max(rows, 1), width), dtype=parents.dtype)
+    stack[:, :rows, 0] = parents[:, :, -1]
+    stack[:, :rows, 1:] = parents[:, :, :-1]
+    pivot = _batch_eliminate(stack, p, 1)
+    cols = stack[:, :, 1:]
+    on = cols[np.arange(S), pivot.argmax(axis=1)]
+    off = np.where(pivot[:, :, None], 0, cols)
+    nz = off != 0
+    has = nz.any(axis=1)
+    pure = ~pivot.any(axis=1)[:, None] | ((on != 0) & ~has)
+    if m == 1:
+        for q0 in range(0, n, q_step):
+            yield pure[:, q0 : q0 + q_step].reshape(-1)
+        return
+    s, c = np.nonzero(has)
+    inv = np.ones(has.shape, dtype=stack.dtype)
+    inv[s, c] = _batch_inverse(off[s, nz[s, :, c].argmax(axis=1), c].tolist(), p)
+    off = off * inv[:, None, :] % p
+    on = on * inv % p
+    for a0 in range(0, n, q_step):
+        a = slice(a0, a0 + q_step)
+        for b0 in range(n, 2 * n, _CHUNK):
+            b = slice(b0, min(b0 + _CHUNK, 2 * n))
+            same = (off[:, :, a, None] == off[:, :, None, b]).all(axis=1)
+            join = same & (on[:, a, None] != on[:, None, b])
+            yield (pure[:, a, None] | pure[:, None, b] | join).reshape(-1)
 
 
 def _nested_flags(parents: np.ndarray, m: int, n_parts: int, w: int, p: int):
@@ -316,9 +359,9 @@ def _nested_flags(parents: np.ndarray, m: int, n_parts: int, w: int, p: int):
     of the m presumed adversaries left, then ``L y`` (see the module
     docstring).  A child fixes the next adversary's partition.  Children are
     made in slices of at most ``_CHUNK`` last-level descendants, depth first:
-    whole parents at a time, or part of one parent's children.  At the last
-    level of a v=2 sweep (m = w = 1) no child is built: :func:`_pivot_flags`
-    decides all children of a group of parents with one pivot on ``L y``
+    whole parents at a time, or part of one parent's children.  The last two
+    levels of a v=2 sweep (m <= 2, w = 1) build no child: :func:`_pivot_flags`
+    decides every descendant of a group of parents with one pivot on ``L y``
     each, and its flags are sliced alike.
     """
     S, rows, width = parents.shape
@@ -327,10 +370,8 @@ def _nested_flags(parents: np.ndarray, m: int, n_parts: int, w: int, p: int):
     kid_width = width - (n_parts - 1) * w
     for s0 in range(0, S, per):
         group = parents[s0 : s0 + per]
-        if m == 1 and w == 1:
-            flags = _pivot_flags(group, p)
-            for q0 in range(0, n_parts, q_step):
-                yield flags[:, q0 : q0 + q_step].reshape(-1)
+        if m <= 2 and w == 1:
+            yield from _pivot_flags(group, m, q_step, p)
             continue
         for q0 in range(0, n_parts, q_step):
             nq = min(q_step, n_parts - q0)

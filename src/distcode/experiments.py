@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -59,6 +60,10 @@ class ExperimentSpec:
 
     ``t_mode`` is ``"default"`` (achievability at t*, converse at t*-1),
     ``"relative"`` (offsets added to t*), or ``"absolute"``.
+
+    ``workers`` caps the worker processes of each suite, which runs at most
+    ``min(workers, its task count, os.cpu_count())`` of them, and none if
+    that is 1.  Rows are per task and in grid order either way.
     """
 
     cells: tuple[tuple[int, int, int, int], ...]  # (N, K, beta, v)
@@ -260,8 +265,10 @@ def _converse_cell(spec, cell, kind, t) -> CellResult:
 
 def _run_suite(spec: ExperimentSpec, suite: str) -> list[CellResult]:
     tasks = list(_cell_tasks(spec, suite))
-    if spec.workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+    # A fork-started pool forks all of its workers at the first submit.
+    workers = min(spec.workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_cell, tasks))  # grid order preserved
     return [_run_cell(t) for t in tasks]
 

@@ -28,6 +28,7 @@ from distcode import (
     verify_against_truth,
 )
 from distcode import decoding
+from distcode import field as fieldmod
 
 from oracles import (
     all_set_partitions,
@@ -427,22 +428,31 @@ class TestNestedSweep:
     # The nested sweep eliminates one presumed adversary per level; it must
     # flag exactly the scenarios whose flat projected system [L X'_q | L y]
     # is consistent, in scenario order.
+    FLAT_CELLS = [
+        ((6, 3, 1, 2), 5),
+        ((6, 3, 1, 3), 6),
+        ((7, 4, 2, 2), 6),
+        ((6, 3, 2, 3), 5),
+        ((7, 4, 3, 2), 5),
+        ((6, 3, 2, 1), 6),  # v = 1: no block columns, L y alone decides
+        ((6, 4, 2, 2), 4),  # t = K: L has no rows unless G_T is singular
+        ((9, 3, 1, 2), 8),  # beta = 1, v = 2: the root pivots on L y, 5 rows
+    ]
+    FLAT_KINDS = [("mds", P)] + [
+        (kind, p) for kind in ("repeated_column", "zero_column") for p in (3, 5, 101, P)
+    ]
+
     @pytest.mark.parametrize(
-        "kind, p",
-        [("mds", P)]
-        + [(kind, p) for kind in ("repeated_column", "zero_column") for p in (3, 5, 101, P)],
-    )
-    @pytest.mark.parametrize(
-        "cell, t",
+        "cell, t, kind, p",
         [
-            ((6, 3, 1, 2), 5),
-            ((6, 3, 1, 3), 6),
-            ((7, 4, 2, 2), 6),
-            ((6, 3, 2, 3), 5),
-            ((7, 4, 3, 2), 5),
-            ((6, 3, 2, 1), 6),  # v = 1: no block columns, L y alone decides
-            ((6, 4, 2, 2), 4),  # t = K: L has no rows unless G_T is singular
-            ((9, 3, 1, 2), 8),  # beta = 1, v = 2: the root pivots on L y, 5 rows
+            pytest.param(cell, t, kind, p, id=f"cell{i}-{t}-{kind}-{p}")
+            for (i, (cell, t)), (kind, p) in itertools.product(enumerate(FLAT_CELLS), FLAT_KINDS)
+        ]
+        + [
+            # beta = 3, L of 2 rows: the pair read gets groups of 16 parents.
+            pytest.param((7, 4, 3, 2), 6, "mds", P, id="beta3-t6-two-rows"),
+            # beta = 2 on the object path, L of 2 rows.
+            pytest.param((7, 3, 2, 2), 5, "mds", P61, id="beta2-t5-p2^61-1"),
         ],
     )
     def test_flags_match_the_flat_projected_stack(self, cell, t, kind, p):
@@ -451,19 +461,20 @@ class TestNestedSweep:
         rng = random.Random(f"{cell}{t}{kind}{p}")
         rows = _code_rows(kind, N, K, p, seed=rng.randrange(1 << 30))
         nodes = sorted(rng.sample(range(N), t))
-        G = np.array([rows[n] for n in nodes], dtype=np.int64)
+        dtype = FieldContext(p).dtype
+        G = np.array([rows[n] for n in nodes], dtype=dtype)
         L = decoding._parity_check(G, p)
         labels = decoding._partition_labels(t, v)
         n_parts = len(labels)
-        memb = (labels[:, :, None] == np.arange(w)).astype(np.int64)
+        memb = (labels[:, :, None] == np.arange(w)).astype(dtype)
         planted = _planted_transcript(rows, nodes, K, beta, v, p, rng)
         noise = [rng.randrange(p) for _ in nodes]
-        for y in (np.array(planted), np.array(noise)):
+        for y in (np.array(planted, dtype=dtype), np.array(noise, dtype=dtype)):
             Ly = ((L * y) % p).sum(axis=1) % p
             for A_hat in itertools.combinations(range(K), beta):
                 LX = [np.matmul((L * G[:, k]) % p, memb) % p for k in A_hat]
                 flat = decoding._scenario_stack(
-                    np.empty((len(L), 0), dtype=np.int64), LX, Ly, np.arange(n_parts**beta)
+                    np.empty((len(L), 0), dtype=dtype), LX, Ly, np.arange(n_parts**beta)
                 )
                 want = decoding.batch_feasible(flat, p, beta * w)
                 side_by_side = [x.transpose(1, 0, 2).reshape(len(L), n_parts * w) for x in LX]
@@ -518,6 +529,84 @@ class TestNestedSweep:
                 parents[s, :, n] = 0
                 parents[s, r, n] = ly[r]
         self._assert_pivot_read(parents, p)
+
+    # The last two levels of a v = 2 sweep pivot on L y once per parent and
+    # join the pairs of columns whose scaled parts off the pivot row agree;
+    # every flag must be the consistency of the pair's own system
+    # [c_a | c_b | L y], and no slice may hold more than _CHUNK pairs.
+    @staticmethod
+    def _assert_pair_read(parents, p):
+        S, rows, width = parents.shape
+        n = (width - 1) // 2
+        pieces = list(decoding._nested_flags(parents, 2, n, 1, p))
+        assert max(map(len, pieces)) <= decoding._CHUNK
+        mats = parents.tolist()
+        want = [
+            not rows  # no equation: every system is consistent
+            or gauss_jordan([[r[a], r[n + b]] for r in mats[s]], [r[-1] for r in mats[s]], p)[0]
+            for s in range(S)
+            for a in range(n)
+            for b in range(n)
+        ]
+        assert np.concatenate(pieces).tolist() == want
+        return want
+
+    @pytest.mark.parametrize("chunk", [None, 5])
+    @pytest.mark.parametrize("p, dim", [(3, 3), (5, 2), (2, 4)])
+    def test_pair_read_on_every_small_triple(self, p, dim, chunk, monkeypatch):
+        # One parent per L y in GF(p)^dim, each holding every vector as c_a
+        # and as c_b: all (c_a, c_b, L y) triples.  A chunk of 5 splits each
+        # parent's pairs in the middle of a row of c_b's.
+        if chunk:
+            monkeypatch.setattr(decoding, "_CHUNK", chunk)
+        vecs = np.array(list(itertools.product(range(p), repeat=dim)), dtype=np.int64)
+        n = len(vecs)
+        parents = np.empty((n, dim, 2 * n + 1), dtype=np.int64)
+        parents[:, :, :n] = parents[:, :, n : 2 * n] = vecs.T
+        parents[:, :, -1] = vecs
+        self._assert_pair_read(parents, p)
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 4])
+    @pytest.mark.parametrize("p", [5, 101, P, P61])
+    def test_pair_read_on_planted_stacks(self, p, rows):
+        # Columns x*u + z*(L y) for a random u: z/x fixes the scaled entry on
+        # the pivot row once the parts off it are scaled alike, so (1, 1) and
+        # (2, 2) are proportional with equal entries, (1, 0) and (1, 2) with
+        # unequal ones; (0, z) is pure and (0, 0) zero.
+        rng = random.Random(f"{p}-{rows}")
+        S, n = 8, 12
+        shapes = [(0, 0), (0, 1 + rng.randrange(p - 1)), (1, 1), (2, 2), (1, 0), (3, 0), (1, 2)]
+        parents = np.zeros((S, rows, 2 * n + 1), dtype=FieldContext(p).dtype)
+        for s in range(S):
+            ly = [rng.randrange(p) for _ in range(rows)] if s % 4 else [0] * rows
+            u = [rng.randrange(p) for _ in range(rows)]
+            cols = [[(x * ui + z * li) % p for ui, li in zip(u, ly)] for x, z in shapes]
+            cols += [[rng.randrange(p) for _ in range(rows)] for _ in range(n - len(shapes))]
+            for j, col in enumerate(rng.sample(cols, n) + rng.sample(cols, n) + [ly]):
+                parents[s, :, j] = col
+        want = self._assert_pair_read(parents, p)
+        if rows:
+            assert True in want and False in want
+
+    @pytest.mark.parametrize("mode", ["fast", "strict"])
+    def test_threshold_decode_builds_no_child(self, mode, monkeypatch):
+        # (12,4,2,2) at t* = 8: one parity check, one pivot on each presumed-
+        # adversary set's 4 x 257 root (C(4,2) = 6 sets, 128 partitions each)
+        # and two eliminations to read the flagged scenarios.
+        cfg, gm, behavior, nodes, tr = _random_instance(13, N=12, K=4, beta=2, v=2)
+        shapes = []
+
+        def counting(batch, p, ncols):
+            shapes.append(batch.shape)
+            return eliminate(batch, p, ncols)
+
+        eliminate = fieldmod._batch_eliminate
+        monkeypatch.setattr(fieldmod, "_batch_eliminate", counting)
+        monkeypatch.setattr(decoding, "_batch_eliminate", counting)
+        res = decode(gm, nodes, tr, cfg, mode=mode)
+        assert verify_against_truth(res, behavior).ok
+        assert len(shapes) == 9
+        assert shapes[1:7] == [(1, 4, 257)] * 6
 
     @pytest.mark.parametrize("chunk", [7, 3])
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -117,10 +118,37 @@ class TestRuns:
             cells=((9, 3, 1, 2), (7, 3, 1, 2)), trials=3, seed=5, suite="both"
         )
         seq = [r.to_row() for r in run_experiments(spec)]
-        import dataclasses
-
         par = [r.to_row() for r in run_experiments(dataclasses.replace(spec, workers=2))]
         assert seq == par
+
+    @pytest.mark.parametrize("cpus, pools", [(64, [2, 2]), (1, []), (None, [])])
+    def test_pool_is_bounded_by_tasks_and_cpus(self, cpus, pools, monkeypatch):
+        # A fork-started pool forks max_workers children at the first submit,
+        # so --workers 5000 must not reach it.  The recorder starts no process.
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        spec = ExperimentSpec(
+            cells=((9, 3, 1, 2), (7, 3, 1, 2)), trials=2, seed=5, suite="both"
+        )
+        seq = [r.to_row() for r in run_experiments(spec)]
+        wide = dataclasses.replace(spec, workers=5000)
+        assert [r.to_row() for r in run_experiments(wide)] == seq
+        assert sizes == pools  # each suite has two tasks
 
 
 class TestEmit:
