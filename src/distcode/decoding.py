@@ -55,9 +55,6 @@ multiples of one vector while their entries on row r are not the same
 multiple.  Scaling every column so that its first nonzero entry off row r
 is 1 turns that last test into a comparison of scaled columns.  For beta=1
 the root's single column per partition takes the first two tests alone.
-On the ``threshold`` benchmark workload (decodes of (12,4,2,2) at t*) this
-leaves 9 kernel calls per decode instead of 15 and cut the median trial
-from 14.9 to 4.6 ms on a 2-vCPU Xeon.
 
 The flagged scenarios that are recorded are read off one honest elimination
 per presumed-adversary set (:func:`_read_flagged`).  Every scenario of a set
@@ -69,18 +66,17 @@ scenario's small system over its beta*v block columns; one
 them, and the honest values are back-substituted from D's pivot rows, whose
 inverses are taken once per set.  Pivot columns, particular solutions, pinned
 sets and nullspace bases depend only on each system's solution set and column
-order, so they equal those of reducing the full system ``[D | X_q | y]``.  If
-a small system is infeasible the projection was wrong and ``decode`` raises
-``RuntimeError``; every recorded solution is also re-checked against an
-unreduced copy of its full system.  On the ``converse`` benchmark workload
-(three strict decodes of the (12,6,1,2) attack at t*-1 per trial) this
-read cut the median trial from 34.1 to 22.1 ms on a 2-vCPU Xeon.
+order, so they equal those of reducing the full system ``[D | X_q | y]``,
+which is never built.  If a small system is infeasible the projection was
+wrong and ``decode`` raises ``RuntimeError``.  Every recorded solution, and in
+strict mode every witness alternate, is also encoded and compared with the
+transcript (:func:`_check_encodes`).
 
-Strict mode keeps each read chunk's arrays (scenario indices, particular
-solutions, pinned masks) rather than one object per feasible scenario.  It
-fills the estimates and finds each coordinate's first witness event with
-whole-chunk array operations, carrying each coordinate's first pinned value
-across chunks and presumed-adversary sets, and builds
+Both modes carry each coordinate's first pinned value across chunks and
+presumed-adversary sets, and the estimates are read off it.  Strict mode keeps
+each read chunk's arrays (scenario indices, particular solutions, pinned
+masks) rather than one object per feasible scenario, finds each coordinate's
+first witness event with whole-chunk array operations, and builds
 :class:`ScenarioSolution` objects eagerly only for the witness pairs; the
 feasible solutions are built when ``DecodeResult.feasible`` is first read.
 
@@ -172,6 +168,22 @@ def _partition_labels(t: int, v: int) -> np.ndarray:
     labels = np.array(rows, dtype=np.int64)
     labels.setflags(write=False)
     return labels
+
+
+def _partition_count(t: int, v: int) -> int:
+    """sum_{j=1..v} S(t, j), by the recurrence S(n+1, j) = j S(n, j) + S(n, j-1)."""
+    row = [1] + [0] * v  # S(0, 0..v)
+    for _ in range(t):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, v + 1)]
+    return sum(row)
+
+
+def _partition_indices(combos, n_parts: int, beta: int) -> np.ndarray:
+    """The ``(len(combos), beta)`` partition indices of scenario indices
+    ``combos``: scenario q uses partition ``q // n_parts**(beta-1-j) % n_parts``
+    for presumed adversary j."""
+    powers = n_parts ** np.arange(beta - 1, -1, -1)
+    return np.asarray(combos)[:, None] // powers % n_parts
 
 
 def _blocks(nodes, row) -> tuple[tuple[int, ...], ...]:
@@ -276,28 +288,6 @@ class DecodeResult:
         if self.ambiguity is not None:
             doc["ambiguity"] = [s.to_json() for s in self.ambiguity]
         return doc
-
-
-def _scenario_stack(D, X, yv, combos) -> np.ndarray:
-    """Stack the augmented systems ``[A | y]`` of the given scenario indices.
-
-    Variable order: the columns of ``D``, then each presumed adversary's
-    block columns in partition order.  ``X[j]`` holds adversary ``j``'s w
-    block columns for every partition; scenario ``q`` uses partition
-    ``(q // n_parts**(beta-1-j)) % n_parts`` for adversary ``j``.  A full
-    scenario system has the presumed-honest code columns as ``D`` and all v
-    padded blocks (w = v).
-    """
-    t, h = D.shape
-    beta = len(X)
-    n_parts, _, w = X[0].shape
-    aug = np.empty((len(combos), t, h + beta * w + 1), dtype=D.dtype)
-    aug[:, :, :h] = D
-    for j in range(beta):
-        div = n_parts ** (beta - 1 - j)
-        aug[:, :, h + j * w : h + (j + 1) * w] = X[j][(combos // div) % n_parts]
-    aug[:, :, -1] = yv
-    return aug
 
 
 def _pivot_flags(parents: np.ndarray, m: int, q_step: int, p: int):
@@ -407,16 +397,21 @@ def _parity_check(Gsub, p: int) -> np.ndarray:
     return stack[0, ~pivotal[0], K:]
 
 
-def _check_residuals(stack: np.ndarray, vecs, p: int) -> None:
-    """Raise unless each ``vecs[i]`` solves the unreduced system ``stack[i]``.
-
-    Each term is reduced as it is added, so int64 cannot wrap.
-    """
-    x = np.array(vecs, dtype=stack.dtype)
-    acc = np.zeros(stack.shape[:2], dtype=stack.dtype)
-    for c in range(x.shape[1]):
-        acc = (acc + stack[:, :, c] * x[:, c, None]) % p
-    if (acc != stack[:, :, -1]).any():
+def _check_encodes(Gsub, yv, labels, A_hat, Hs, combos, vecs, p: int) -> None:
+    """Raise unless each ``vecs[i]`` (values of the honest sources ``Hs``, then
+    v block values per presumed adversary) encodes to ``yv`` in scenario
+    ``combos[i]``: encoder n receives each honest value and, from presumed
+    adversary j, the value of its block ``labels[q_j, n]``.  Each product is
+    reduced before the sum, so int64 cannot wrap."""
+    h = len(Hs)
+    v = (vecs.shape[1] - h) // len(A_hat)
+    parts = _partition_indices(combos, len(labels), len(A_hat))
+    acc = (vecs[:, None, :h] * Gsub[:, Hs] % p).sum(axis=2)
+    for j, a in enumerate(A_hat):
+        blocks = vecs[:, h + j * v : h + (j + 1) * v]
+        sent = np.take_along_axis(blocks, labels[parts[:, j]], axis=1)
+        acc += sent * Gsub[:, a] % p
+    if (acc % p != yv).any():
         raise RuntimeError("a recorded solution does not satisfy its scenario system")
 
 
@@ -443,7 +438,6 @@ class _FeasibleSolutions(Sequence):
 
     def __init__(self, nodes, labels: np.ndarray, v: int):
         self._nodes, self._labels, self._v = nodes, labels, v
-        self._parts: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._chunks: list[_Chunk] = []
         self._count = 0
 
@@ -454,14 +448,9 @@ class _FeasibleSolutions(Sequence):
     def solution(self, chunk: _Chunk, row: int, vec=None) -> ScenarioSolution:
         """Row ``row`` of ``chunk`` as a solution, with ``vec`` (default: the
         particular solution) as its values."""
-        n_parts, beta, h, v = len(self._labels), len(chunk.A_hat), len(chunk.Hs), self._v
-        combo = int(chunk.combos[row])
-        sel = []
-        for j in range(beta):
-            q = combo // n_parts ** (beta - 1 - j) % n_parts
-            if q not in self._parts:
-                self._parts[q] = _blocks(self._nodes, self._labels[q].tolist())
-            sel.append(self._parts[q])
+        beta, h, v = len(chunk.A_hat), len(chunk.Hs), self._v
+        qs = _partition_indices(chunk.combos[row : row + 1], len(self._labels), beta)[0]
+        sel = [_blocks(self._nodes, self._labels[q].tolist()) for q in qs.tolist()]
         vec = chunk.particular[row].tolist() if vec is None else vec
         honest = {k: vec[i] for i, k in enumerate(chunk.Hs)}
         blocks = {
@@ -512,12 +501,14 @@ def _batches(pieces):
 
 
 def _read_flagged(Gsub, yv, memb, batch, p: int) -> _Reduced:
-    """The solution sets of the full systems ``[D | X_q | y]`` (columns as in
-    :func:`_scenario_stack`) of the ``(A_hat, scenario indices)`` pieces of
-    ``batch``, in order, read off one honest elimination per set (see the
-    module docstring).  The eliminated base is ``[D | diag(g_a) per presumed
-    adversary a | y]``: a scenario's block columns are block sums of its
-    reduced ``diag(g_a)`` columns, so the base carries no partition.
+    """The solution sets of the full systems ``[D | X_q | y]`` of the
+    ``(A_hat, scenario indices)`` pieces of ``batch``, in order, read off one
+    honest elimination per set (see the module docstring).  A full system,
+    never built, has the presumed-honest code columns ``D`` in source order,
+    then v block columns per presumed adversary a in ``A_hat`` order: column b
+    is ``g_a`` on block b of a's partition, zero elsewhere.  The eliminated
+    base is ``[D | diag(g_a) per a | y]``: a scenario's block columns are block
+    sums of its reduced ``diag(g_a)`` columns, so the base has no partition.
 
     Raises:
         RuntimeError: a small system, and so its full system, is infeasible.
@@ -539,11 +530,11 @@ def _read_flagged(Gsub, yv, memb, batch, p: int) -> _Reduced:
 
     sets = np.repeat(np.arange(n_sets), [len(combos) for _, combos in batch])
     combos = np.concatenate([combos for _, combos in batch])
+    parts = _partition_indices(combos, n_parts, beta)
     G = np.empty((len(sets), t, bv + 1), dtype=Gsub.dtype)
     for j in range(beta):
-        q = combos // n_parts ** (beta - 1 - j) % n_parts
         diag_j = honest.norm[sets, :, h + j * t : h + (j + 1) * t]
-        G[:, :, j * v : (j + 1) * v] = diag_j @ memb[q] % p
+        G[:, :, j * v : (j + 1) * v] = diag_j @ memb[parts[:, j]] % p
     G[:, :, -1] = honest.norm[sets, :, -1]
     # Set the honest pivot rows aside; zeroed, they leave the small systems.
     s, r = np.nonzero(honest.lead[sets] >= 0)
@@ -579,17 +570,12 @@ def _record_witnesses(chunk: _Chunk, red, row0, feasible, witnesses, pinned_firs
     A coordinate's event is the first feasible scenario that leaves it
     unpinned or pins it to a value other than its first pinned value;
     ``pinned_first`` carries that value and where it was pinned across
-    chunks and presumed-adversary sets.  Witnesses are inserted in sweep
-    order, then by coordinate.
+    chunks and presumed-adversary sets, and already holds ``chunk``'s own.
+    Witnesses are inserted in sweep order, then by coordinate.
     """
     Hs, pins = chunk.Hs, chunk.pinned
     vals = chunk.particular[:, : len(Hs)]
-    first = pins.argmax(axis=0)
-    for i in np.flatnonzero(pins.any(axis=0)).tolist():
-        pinned_first.setdefault(Hs[i], (int(vals[first[i], i]), chunk, int(first[i])))
-    ref = np.array(
-        [pinned_first[k][0] if k in pinned_first else 0 for k in Hs], dtype=vals.dtype
-    )
+    ref = np.array([pinned_first.get(k, (0,))[0] for k in Hs], dtype=vals.dtype)
     # A row is a coordinate's event if it leaves it unpinned or pins another value.
     events = ~pins | (vals != ref)
     at = events.argmax(axis=0)
@@ -655,13 +641,13 @@ def decode(
     K, beta, v = cfg.K, cfg.beta, cfg.v
     strict = mode == "strict"
 
-    labels = _partition_labels(t, v)
-    n_parts = len(labels)
-    total = math.comb(K, beta) * n_parts**beta
+    total = math.comb(K, beta) * _partition_count(t, v) ** beta
     if total > budget:
         raise BudgetExceeded(
             f"{total} scenario solves exceed the budget of {budget}"
         )
+    labels = _partition_labels(t, v)
+    n_parts = len(labels)
 
     Gsub = gm.matrix._a[np.array(nodes)]
     yv = np.array([x % p for x in transcript.values], dtype=object).astype(ctx.dtype)
@@ -671,7 +657,6 @@ def decode(
     # only add free variables, which cannot affect consistency.
     memb = (labels[:, :, None] == np.arange(v)).astype(ctx.dtype)
 
-    estimates: list[int | None] = [None] * K
     feasible_count = 0
     feasible = _FeasibleSolutions(nodes, labels, v)
     witnesses: dict[int, tuple[ScenarioSolution, ScenarioSolution]] = {}
@@ -702,41 +687,33 @@ def decode(
                     to_read = strict
                     yield A_hat, hits if strict else hits[:1]
 
-    X_for = None  # the presumed-adversary set whose block columns X holds
     for batch in _batches(flagged()):
         red = _read_flagged(Gsub, yv, memb, batch, p)
         row0 = 0
         for A_hat, combos in batch:
             Hs = [k for k in range(K) if k not in A_hat]
-            h = len(Hs)
             rows = slice(row0, row0 + len(combos))
-            pins = red.pinned[rows, :h]
-            vals = red.particular[rows, :h]
+            pins = red.pinned[rows, : len(Hs)]
+            chunk = _Chunk(A_hat, Hs, combos, red.particular[rows], pins)
             first = pins.argmax(axis=0)
             for i in np.flatnonzero(pins.any(axis=0)).tolist():
-                if estimates[Hs[i]] is None:
-                    estimates[Hs[i]] = int(vals[first[i], i])
-
-            # Check each recorded solution against its unreduced full system.
-            if A_hat != X_for:
-                X_for, X = A_hat, [(memb * Gsub[:, k][None, :, None]) % p for k in A_hat]
-            full = _scenario_stack(Gsub[:, Hs], X, yv, combos)
-            checked, vecs = full, red.particular[rows]
+                value = int(chunk.particular[first[i], i])
+                pinned_first.setdefault(Hs[i], (value, chunk, int(first[i])))
+            checked, vecs = combos, chunk.particular
             if strict:
-                chunk = _Chunk(A_hat, Hs, combos, vecs, pins)
                 feasible.append(chunk)
                 alts = _record_witnesses(
                     chunk, red, row0, feasible, witnesses, pinned_first, p
                 )
                 if alts:
                     alt_rows, alt_vecs = zip(*alts)
-                    checked = np.concatenate([full, full[list(alt_rows)]])
+                    checked = np.concatenate([combos, combos[list(alt_rows)]])
                     vecs = np.concatenate([vecs, np.array(alt_vecs, dtype=vecs.dtype)])
-            _check_residuals(checked, vecs, p)
+            _check_encodes(Gsub, yv, labels, A_hat, Hs, checked, vecs, p)
             row0 += len(combos)
 
     return DecodeResult(
-        estimates=tuple(estimates),
+        estimates=tuple(pinned_first.get(k, (None,))[0] for k in range(K)),
         feasible_count=feasible_count,
         guaranteed=t >= cfg.t_star,
         witnesses=witnesses,

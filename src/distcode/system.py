@@ -16,6 +16,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .codes import GeneratorMatrix, _json_ints, threshold
 from .errors import (
     BadDimensions,
@@ -198,12 +200,7 @@ def encode_transcript(gm: GeneratorMatrix, behavior: SourceBehavior, nodes) -> T
     if gm.N != behavior.cfg.N or gm.K != behavior.cfg.K or gm.ctx.p != behavior.cfg.p:
         raise BadDimensions("generator and behavior disagree on system shape")
     behavior.validate()
-    p = gm.ctx.p
-    values = []
-    for n in nodes:
-        g = gm.matrix.row(n)
-        s = 0
-        for k in range(gm.K):
-            s = (s + g[k] * behavior.rows[k][n]) % p
-        values.append(s)
-    return Transcript(nodes, tuple(values))
+    p, cols = gm.ctx.p, list(nodes)
+    sent = np.array(behavior.rows, dtype=gm.ctx.dtype)[:, cols]
+    values = (gm.matrix._a[cols].T * sent % p).sum(axis=0) % p
+    return Transcript(nodes, tuple(values.tolist()))

@@ -42,6 +42,7 @@ from oracles import (
 )
 
 P = 2**31 - 1
+P61 = 2**61 - 1
 CTX = field_new(P)
 
 
@@ -82,17 +83,17 @@ class TestEnumeratePartitions:
         assert first == ((7, 8, 9),)
 
 
-def _random_instance(seed, N=9, K=3, beta=1, v=2, t=None, adversarial=True):
+def _random_instance(seed, N=9, K=3, beta=1, v=2, t=None, adversarial=True, p=P):
     rng = random.Random(seed)
-    cfg = SystemConfig(N=N, K=K, beta=beta, v=v, p=P)
-    gm = draw_mds(CTX, "random", N, K, seed=rng.randrange(1 << 30))
+    cfg = SystemConfig(N=N, K=K, beta=beta, v=v, p=p)
+    gm = draw_mds(field_new(p), "random", N, K, seed=rng.randrange(1 << 30))
     if adversarial:
         adv = tuple(sorted(rng.sample(range(K), beta)))
         behavior = behavior_random_adversarial(
-            cfg, [rng.randrange(P) for _ in range(K)], adv, seed=rng.randrange(1 << 30)
+            cfg, [rng.randrange(p) for _ in range(K)], adv, seed=rng.randrange(1 << 30)
         )
     else:
-        behavior = behavior_honest(cfg, [rng.randrange(P) for _ in range(K)])
+        behavior = behavior_honest(cfg, [rng.randrange(p) for _ in range(K)])
     t = cfg.t_star if t is None else t
     nodes = tuple(sorted(rng.sample(range(N), t)))
     transcript = encode_transcript(gm, behavior, nodes)
@@ -154,6 +155,24 @@ class TestDecode:
         with pytest.raises(BudgetExceeded):
             decode(gm, nodes, tr, cfg, budget=10)
 
+    def test_budget_is_checked_before_the_partition_table(self, monkeypatch):
+        # (N = t = 30, K = 3, beta = 1, v = 3) has about 3.4e13 partitions,
+        # far too many to tabulate: the count alone must reject it.
+        def no_table(t, v):
+            raise AssertionError("the partition table was built")
+
+        monkeypatch.setattr(decoding, "_partition_labels", no_table)
+        rng = random.Random(30)
+        cfg = SystemConfig(N=30, K=3, beta=1, v=3, p=P)
+        rows = [[rng.randrange(1, P) for _ in range(3)] for _ in range(30)]
+        gm = GeneratorMatrix(FieldMatrix(CTX, rows), "random")
+        nodes = tuple(range(30))
+        tr = Transcript(nodes, tuple(rng.randrange(P) for _ in nodes))
+        want = 3 * sum(stirling2(30, j) for j in range(1, 4))
+        assert want == 102945566047326
+        with pytest.raises(BudgetExceeded, match=f"^{want} scenario solves"):
+            decode(gm, nodes, tr, cfg, budget=1)
+
     def test_unknown_mode_and_mismatched_config_rejected(self):
         cfg, gm, behavior, nodes, tr = _random_instance(7)
         with pytest.raises(BadParameter, match="unknown mode"):
@@ -193,6 +212,44 @@ class TestDecode:
         cfg, gm, behavior, nodes, tr = _random_instance(11)
         with pytest.raises(RuntimeError, match="does not satisfy"):
             decode(gm, nodes, tr, cfg, mode=mode)
+
+    @pytest.mark.parametrize("p", [P, P61], ids=["p2^31-1", "p2^61-1"])
+    @pytest.mark.parametrize("mode", ["fast", "strict"])
+    def test_encoding_check_rejects_a_wrong_block_value(self, mode, p, monkeypatch):
+        # The honest values stay right; the first presumed adversary's first
+        # block value, which every partition uses, is shifted.
+        def corrupted(Gsub, yv, memb, batch, p):
+            out = read_flagged(Gsub, yv, memb, batch, p)
+            bad = out.particular.copy()
+            bad[:, h] = (bad[:, h] + 1) % p
+            return dataclasses.replace(out, particular=bad)
+
+        cfg, gm, behavior, nodes, tr = _random_instance(11, p=p)
+        h = cfg.K - cfg.beta
+        read_flagged = decoding._read_flagged
+        monkeypatch.setattr(decoding, "_read_flagged", corrupted)
+        with pytest.raises(RuntimeError, match="does not satisfy"):
+            decode(gm, nodes, tr, cfg, mode=mode)
+
+    @pytest.mark.parametrize("p", [P, P61], ids=["p2^31-1", "p2^61-1"])
+    def test_encoding_check_rejects_a_wrong_alternate(self, p, monkeypatch):
+        # At t = K some feasible scenario leaves an honest coordinate unpinned,
+        # and its witness steps the particular solution along a nullspace
+        # vector.  Doubling that vector's honest part moves it off the
+        # nullspace, since the honest code columns are independent.
+        def corrupted(red, s):
+            basis = nullspace(red, s)
+            basis[:, :h] = basis[:, :h] * 2 % p
+            return basis
+
+        cfg, gm, behavior, nodes, tr = _random_instance(11, t=3, p=p)
+        h = cfg.K - cfg.beta
+        res = decode(gm, nodes, tr, cfg, mode="strict")
+        assert any(k in a.unpinned for k, (a, _) in res.witnesses.items())
+        nullspace = fieldmod._Reduced.nullspace
+        monkeypatch.setattr(fieldmod._Reduced, "nullspace", corrupted)
+        with pytest.raises(RuntimeError, match="does not satisfy"):
+            decode(gm, nodes, tr, cfg, mode="strict")
 
     @pytest.mark.parametrize("mode", ["fast", "strict"])
     def test_projection_guard_rejects_a_wrong_nullspace(self, mode, monkeypatch):
@@ -240,9 +297,6 @@ class TestDecode:
                     if want[k] is None and k not in sol.unpinned:
                         want[k] = val
             assert decode(gm, nodes, tr, cfg, mode="fast").estimates == tuple(want)
-
-
-P61 = 2**61 - 1
 
 
 def _code_rows(kind, N, K, p, seed):
@@ -473,8 +527,13 @@ class TestNestedSweep:
             Ly = ((L * y) % p).sum(axis=1) % p
             for A_hat in itertools.combinations(range(K), beta):
                 LX = [np.matmul((L * G[:, k]) % p, memb) % p for k in A_hat]
-                flat = decoding._scenario_stack(
-                    np.empty((len(L), 0), dtype=dtype), LX, Ly, np.arange(n_parts**beta)
+                # Scenario q's systems [L X'_{q_0} | ... | L X'_{q_beta-1} | L y],
+                # its partitions q_j the digits of q in base n_parts.
+                grid = np.indices((n_parts,) * beta).reshape(beta, -1)
+                flat = np.concatenate(
+                    [LX[j][grid[j]] for j in range(beta)]
+                    + [np.broadcast_to(Ly[:, None], (len(grid[0]), len(L), 1))],
+                    axis=2,
                 )
                 want = decoding.batch_feasible(flat, p, beta * w)
                 side_by_side = [x.transpose(1, 0, 2).reshape(len(L), n_parts * w) for x in LX]
@@ -662,7 +721,7 @@ def _count_reads(monkeypatch, cfg):
 class TestRebuilds:
     # Projected systems decide feasibility; only the scenarios decode records
     # are read, off one honest elimination per presumed-adversary set, and
-    # rebuilt in full for the residual check.  Fast mode reads at most the
+    # their solutions encoded for the check.  Fast mode reads at most the
     # first flagged scenario of each set.
     CASES = [
         pytest.param("converse", (12, 6, 1, 2), id="converse-12-6-1-2"),
@@ -694,18 +753,19 @@ class TestRebuilds:
     @pytest.mark.parametrize("kind, cell", CASES)
     def test_strict_builds_each_flagged_system_once(self, kind, cell, monkeypatch):
         cfg, gm, nodes, tr = self._instance(kind, cell)
-        built = []  # systems in each full-system build
+        checked = []  # (A_hat, scenario index) of each vector encoded
 
-        def counting(D, X, yv, combos):
-            if D.shape[1]:  # projected systems carry no honest columns
-                built.append(len(combos))
-            return scenario_stack(D, X, yv, combos)
+        def counting(Gsub, yv, labels, A_hat, Hs, combos, vecs, p):
+            assert len(combos) == len(vecs)
+            checked.extend((A_hat, q) for q in combos.tolist())
+            return check_encodes(Gsub, yv, labels, A_hat, Hs, combos, vecs, p)
 
-        scenario_stack = decoding._scenario_stack
-        monkeypatch.setattr(decoding, "_scenario_stack", counting)
+        check_encodes = decoding._check_encodes
+        monkeypatch.setattr(decoding, "_check_encodes", counting)
         res = decode(gm, nodes, tr, cfg, mode="strict")
-        assert 0 not in built
-        assert sum(built) == res.feasible_count == len(res.feasible)
+        alternates = sum(k in a.unpinned for k, (a, _) in res.witnesses.items())
+        assert len(checked) == res.feasible_count + alternates
+        assert len(set(checked)) == res.feasible_count == len(res.feasible)
 
 
 class TestStrictRecording:
@@ -768,20 +828,20 @@ class TestStrictRecording:
                 built.append(1)
                 super().__init__(*args)
 
-        def counting_check(stack, vecs, p):
-            checked.append(len(stack))
-            return check_residuals(stack, vecs, p)
+        def counting_check(Gsub, yv, labels, A_hat, Hs, combos, vecs, p):
+            checked.append(len(vecs))
+            return check_encodes(Gsub, yv, labels, A_hat, Hs, combos, vecs, p)
 
-        check_residuals = decoding._check_residuals
+        check_encodes = decoding._check_encodes
         monkeypatch.setattr(decoding, "ScenarioSolution", Counting)
-        monkeypatch.setattr(decoding, "_check_residuals", counting_check)
+        monkeypatch.setattr(decoding, "_check_encodes", counting_check)
         reads, full_width = _count_reads(monkeypatch, cfg)
         res = decode(gm, nodes, tr, cfg, mode="strict")
         assert res.witnesses
         assert len(built) <= 2 * len(res.witnesses) < res.feasible_count
         # Each flagged scenario is read exactly once, no full-width stack is
         # decided, and each read chunk (one set's piece of a batch) has its
-        # solutions and witness alternates residual-checked at once.
+        # solutions and witness alternates encoded and checked at once.
         pieces = [piece for batch in reads for piece in batch]
         read = [(A_hat, q) for A_hat, combos in pieces for q in combos]
         assert len(read) == len(set(read)) == res.feasible_count

@@ -162,6 +162,20 @@ class TestEncodeTranscript:
             want = (g[n, 0] * lead + g[n, 1] * x2 + g[n, 2] * x3) % P
             assert tr.values[n] == want
 
+    @pytest.mark.parametrize("p", [P, 2**61 - 1], ids=["p2^31-1", "p2^61-1"])
+    def test_matches_the_per_node_loop(self, p):
+        # Against sum_k G[n,k] * rows[k][n] on Python ints, on unordered and
+        # empty node subsets; p = 2^61-1 encodes on object arrays.
+        cfg = SystemConfig(N=7, K=4, beta=2, v=3, p=p)
+        gm = gen_random_linear(FieldContext(p), 7, 4, seed=3)
+        rng = random.Random(p)
+        msgs = [rng.randrange(p) for _ in range(4)]
+        b = behavior_random_adversarial(cfg, msgs, {1, 3}, seed=4)
+        G = gm.matrix.to_rows()
+        for nodes in ((6, 0, 3, 2), tuple(range(7)), ()):
+            want = tuple(sum(G[n][k] * b.rows[k][n] for k in range(4)) % p for n in nodes)
+            assert encode_transcript(gm, b, nodes).values == want
+
     def test_node_out_of_range(self):
         gm = gen_random_linear(CTX, 5, 3, seed=1)
         cfg = SystemConfig(N=5, K=3, beta=1, v=2, p=P)
