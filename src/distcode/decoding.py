@@ -34,9 +34,11 @@ elimination per decode), the scenario is feasible iff ``[L X'_q | L y]`` is
 consistent.  ``L X'`` is computed once per source and ``L y`` once, so each
 projected system has ``t - rank G_T`` rows and beta*(v-1) unknowns.
 
-The projected systems of one presumed-adversary set are decided by a nested
-sweep that fixes one presumed adversary's partition per level.  A level-j
-stack holds, for every prefix of j partition choices, the remaining columns
+The projected systems are decided by a nested sweep that fixes one presumed
+adversary's partition per level.  Its level-0 stack holds the roots of
+consecutive presumed-adversary sets, as many as fit in ``_CHUNK`` columns (at
+least one), so one pass sweeps them all.  A level-j stack holds, for every
+prefix of j partition choices, the remaining columns
 ``[L X'_{a_{j+1}} of every partition | ... | L X'_{a_beta} of every partition
 | L y]`` with the prefix's columns eliminated.  Gauss-Jordan elimination of
 one adversary's v-1 columns leaves every non-pivot row zero over them, and
@@ -45,9 +47,10 @@ equation can always be satisfied.  Zeroing the pivot rows and dropping the
 eliminated columns therefore keeps consistency, for every choice of the
 later partitions at once: they only select columns, which the row operations
 of the elimination act on alike.  The last level decides each scenario on
-v-1 columns.  For v=2 the last two levels are decided together by one
-pivot on ``L y`` per parent of the next-to-last level (the root when
-beta=2), and no child is built (:func:`_pivot_flags`).  After ``L y`` is
+v-1 columns.  For v=2 the last two levels are decided together: one kernel
+call pivots on ``L y`` in every parent of the next-to-last level (every
+root when beta=2), one batched inverse scales the columns of them all, and
+no child is built (:func:`_pivot_flags`).  After ``L y`` is
 eliminated, with pivot row r, a scenario ``[c_a | c_b | L y]`` is
 consistent iff ``L y`` is zero, ``c_a`` or ``c_b`` is nonzero on row r and
 zero off it, or the parts of ``c_a`` and ``c_b`` off row r are nonzero
@@ -64,10 +67,10 @@ eliminated once, in one kernel call for all sets of a batch of at most
 scenario's small system over its beta*v block columns; one
 :func:`~distcode.field.batch_feasible` call and one batched read solve all of
 them, and the honest values are back-substituted from D's pivot rows, whose
-inverses are taken once per set.  Pivot columns, particular solutions, pinned
-sets and nullspace bases depend only on each system's solution set and column
-order, so they equal those of reducing the full system ``[D | X_q | y]``,
-which is never built.  If a small system is infeasible the projection was
+inverses are taken by one batched inverse for every set of the batch.  Pivot
+columns, particular solutions, pinned sets and nullspace bases depend only on
+each system's solution set and column order, so they equal those of reducing
+the full system ``[D | X_q | y]``, which is never built.  If a small system is infeasible the projection was
 wrong and ``decode`` raises ``RuntimeError``.  Every recorded solution, and in
 strict mode every witness alternate, is also encoded and compared with the
 transcript (:func:`_check_encodes`).
@@ -157,15 +160,18 @@ def enumerate_partitions(items, v: int):
 def _partition_labels(t: int, v: int) -> np.ndarray:
     """The partitions of t positions into at most v blocks as read-only
     restricted-growth labels, one row per partition in
-    :func:`enumerate_partitions` order: entry i is position i's block."""
-    rows = []
-    for part in enumerate_partitions(range(t), v):
-        row = [0] * t
-        for b, block in enumerate(part):
-            for i in block:
-                row[i] = b
-        rows.append(row)
-    labels = np.array(rows, dtype=np.int64)
+    :func:`enumerate_partitions` order: entry i is position i's block.
+
+    The table grows one position at a time: a row with u blocks used gets
+    children labelled ``0 .. min(u, v-1)``, in label order."""
+    labels = np.zeros((1, 1), dtype=np.int64)
+    used = np.ones(1, dtype=np.int64)
+    for _ in range(t - 1):
+        counts = np.minimum(used, v - 1) + 1
+        parent = np.repeat(np.arange(len(labels)), counts)
+        child = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        labels = np.column_stack([labels[parent], child])
+        used = np.maximum(used[parent], child + 1)
     labels.setflags(write=False)
     return labels
 
@@ -290,25 +296,25 @@ class DecodeResult:
         return doc
 
 
-def _pivot_flags(parents: np.ndarray, m: int, q_step: int, p: int):
+def _pivot_flags(parents: np.ndarray, m: int, p: int):
     """Yield the feasibility flags of the systems ``[c_q | L y]`` (m = 1) or
     ``[c_a | c_b | L y]`` (m = 2) below parents ``(S, rows, m*n + 1)`` laid
-    out as ``[c_0 .. c_{m*n-1} | L y]``, in scenario order: for each slice of
-    at most ``q_step`` first indices q or a, the flags of the whole group,
-    with b split into slices of at most ``_CHUNK``.
+    out as ``[c_0 .. c_{m*n-1} | L y]``, in scenario order, at most
+    ``_CHUNK`` at a time: for m = 2, whole parents at a time, or part of one
+    parent's pairs.
 
-    ``L y`` is eliminated once per parent.  If it is zero every system is
-    feasible.  Otherwise it is left nonzero only on its pivot row r; write
-    ``c'`` for a reduced column with row r zeroed and ``c[r]`` for its entry
-    on row r.  ``[c_q | L y]`` is consistent iff ``c_q`` is *pure*:
-    ``c'_q = 0`` and ``c_q[r] != 0``.  ``[c_a | c_b | L y]`` is consistent
-    iff ``c_a`` or ``c_b`` is pure, or ``c'_a`` and ``c'_b`` are nonzero
-    multiples of one vector while ``c[r]`` is not the same multiple: after
-    each column is scaled so that its first nonzero off-r entry is 1 (one
-    batched inverse per group), iff the scaled ``c'`` agree and the scaled
-    ``c[r]`` differ.  That comparison alone also settles two columns that
-    are both zero off r: they stay unscaled and differ on r only if one of
-    them is pure.
+    ``L y`` is eliminated in one kernel call for every parent.  If it is zero
+    every system is feasible.  Otherwise it is left nonzero only on its pivot
+    row r; write ``c'`` for a reduced column with row r zeroed and ``c[r]``
+    for its entry on row r.  ``[c_q | L y]`` is consistent iff ``c_q`` is
+    *pure*: ``c'_q = 0`` and ``c_q[r] != 0``.  ``[c_a | c_b | L y]`` is
+    consistent iff ``c_a`` or ``c_b`` is pure, or ``c'_a`` and ``c'_b`` are
+    nonzero multiples of one vector while ``c[r]`` is not the same multiple:
+    after each column is scaled so that its first nonzero off-r entry is 1
+    (one batched inverse for all parents), iff the scaled ``c'`` agree and the
+    scaled ``c[r]`` differ.  That comparison alone also settles two columns
+    that are both zero off r: they stay unscaled and differ on r only if one
+    of them is pure.
     """
     S, rows, width = parents.shape
     n = (width - 1) // m
@@ -324,21 +330,26 @@ def _pivot_flags(parents: np.ndarray, m: int, q_step: int, p: int):
     has = nz.any(axis=1)
     pure = ~pivot.any(axis=1)[:, None] | ((on != 0) & ~has)
     if m == 1:
-        for q0 in range(0, n, q_step):
-            yield pure[:, q0 : q0 + q_step].reshape(-1)
+        flags = pure.reshape(-1)
+        for i in range(0, len(flags), _CHUNK):
+            yield flags[i : i + _CHUNK]
         return
     s, c = np.nonzero(has)
     inv = np.ones(has.shape, dtype=stack.dtype)
-    inv[s, c] = _batch_inverse(off[s, nz[s, :, c].argmax(axis=1), c].tolist(), p)
+    inv[s, c] = _batch_inverse(off[s, nz[s, :, c].argmax(axis=1), c], p)
     off = off * inv[:, None, :] % p
     on = on * inv % p
-    for a0 in range(0, n, q_step):
-        a = slice(a0, a0 + q_step)
-        for b0 in range(n, 2 * n, _CHUNK):
-            b = slice(b0, b0 + _CHUNK)
-            same = (off[:, :, a, None] == off[:, :, None, b]).all(axis=1)
-            join = same & (on[:, a, None] != on[:, None, b])
-            yield (pure[:, a, None] | pure[:, None, b] | join).reshape(-1)
+    step = max(1, _CHUNK // n)
+    per, a_step = max(1, step // n), min(step, n)
+    for s0 in range(0, S, per):
+        g = slice(s0, s0 + per)
+        for a0 in range(0, n, a_step):
+            a = slice(a0, min(a0 + a_step, n))  # a must not run into the b columns
+            for b0 in range(n, 2 * n, _CHUNK):
+                b = slice(b0, b0 + _CHUNK)
+                same = (off[g, :, a, None] == off[g, :, None, b]).all(axis=1)
+                join = same & (on[g, a, None] != on[g, None, b])
+                yield (pure[g, a, None] | pure[g, None, b] | join).reshape(-1)
 
 
 def _nested_flags(parents: np.ndarray, m: int, n_parts: int, w: int, p: int):
@@ -351,19 +362,19 @@ def _nested_flags(parents: np.ndarray, m: int, n_parts: int, w: int, p: int):
     docstring).  A child fixes the next adversary's partition.  Children are
     made in slices of at most ``_CHUNK`` last-level descendants, depth first:
     whole parents at a time, or part of one parent's children.  The last two
-    levels of a v=2 sweep (m <= 2, w = 1) build no child: :func:`_pivot_flags`
-    decides every descendant of a group of parents with one pivot on ``L y``
-    each, and its flags are sliced alike.
+    levels of a v=2 sweep (m <= 2, w = 1) build no child: all the parents go
+    to :func:`_pivot_flags`, which decides every descendant with one pivot on
+    ``L y`` for the whole stack and slices its flags alike.
     """
+    if m <= 2 and w == 1:
+        yield from _pivot_flags(parents, m, p)
+        return
     S, rows, width = parents.shape
     step = max(1, _CHUNK // n_parts ** (m - 1))
     per, q_step = max(1, step // n_parts), min(step, n_parts)
     kid_width = width - (n_parts - 1) * w
     for s0 in range(0, S, per):
         group = parents[s0 : s0 + per]
-        if m <= 2 and w == 1:
-            yield from _pivot_flags(group, m, q_step, p)
-            continue
         for q0 in range(0, n_parts, q_step):
             nq = min(q_step, n_parts - q0)
             kids = np.empty((len(group), nq, rows, kid_width), dtype=parents.dtype)
@@ -675,17 +686,27 @@ def decode(
     def flagged():
         # (A_hat, flagged scenario indices) in sweep order; fast mode keeps
         # only each set's first, which pins every coordinate a later one pins.
+        # The roots of consecutive sets are swept as one stack of at most
+        # _CHUNK columns (or one root), and each flags slice is split back
+        # into sets by scenario index.
         nonlocal feasible_count
-        for A_hat in itertools.combinations(range(K), beta):
-            root = np.concatenate([LX[k] for k in A_hat] + [Ly], axis=1)[None]
-            start, to_read = 0, True
-            for flags in _nested_flags(root, beta, n_parts, w, p):
+        sets = list(itertools.combinations(range(K), beta))
+        per_set = n_parts**beta
+        per_group = max(1, _CHUNK // (beta * n_parts * w + 1))
+        for g0 in range(0, len(sets), per_group):
+            group = sets[g0 : g0 + per_group]
+            roots = np.stack([np.concatenate([LX[k] for k in A] + [Ly], axis=1) for A in group])
+            start, to_read = 0, [True] * len(group)
+            for flags in _nested_flags(roots, beta, n_parts, w, p):
                 hits = start + np.flatnonzero(flags)
-                start += len(flags)
                 feasible_count += len(hits)
-                if to_read and len(hits):
-                    to_read = strict
-                    yield A_hat, hits if strict else hits[:1]
+                first = start // per_set
+                start += len(flags)
+                ends = np.arange(first + 1, -(-start // per_set)) * per_set
+                for j, part in enumerate(np.split(hits, np.searchsorted(hits, ends)), first):
+                    if to_read[j] and len(part):
+                        to_read[j] = strict
+                        yield group[j], (part if strict else part[:1]) - j * per_set
 
     for batch in _batches(flagged()):
         red = _read_flagged(Gsub, yv, memb, batch, p)

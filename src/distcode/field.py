@@ -8,7 +8,8 @@ does all elimination: :func:`rank`, :func:`batch_rank` and
 reduced stacks: consistency, one particular solution, the data for a
 nullspace basis and the set of *pinned* coordinates (coordinates that take
 the same value in every solution), normalizing every pivot of the stack
-with a single modular inverse.  :func:`solve` reads its stack of one
+with one batched inverse (:func:`_batch_inverse`: a numpy product tree over
+a Montgomery loop with one ``pow``).  :func:`solve` reads its stack of one
 through it.  The feasibility decoder reads the small block systems of
 flagged scenarios through it too, and the full systems it assembles from
 them through :func:`_read_normalized`.
@@ -208,21 +209,42 @@ class SolveOutcome:
     pinned_coordinates: frozenset[int] = field(default_factory=frozenset)
 
 
-def _batch_inverse(vals: list[int], p: int) -> list[int]:
-    """Inverses of nonzero residues with one ``pow`` (Montgomery's trick):
-    a forward pass keeps the running products, and a backward pass peels
-    each value off the inverse of their total."""
+def _batch_inverse(vals: np.ndarray, p: int) -> np.ndarray:
+    """Inverses of a 1-d array of nonzero residues, with one ``pow``.
+
+    While more than 32 values are left, a product tree multiplies them in
+    pairs (a 1 pads an odd level).  Montgomery's trick inverts the at most 32
+    values on top: a forward pass keeps the running products, and a backward
+    pass peels each value off the inverse of their total.  Walking back down,
+    each value's inverse is its pair's inverse times its partner.  ``vals``
+    is left unchanged.
+    """
+    levels = []
+    x = vals
+    while len(x) > 32:
+        if len(x) % 2:
+            x = np.concatenate([x, np.ones(1, dtype=x.dtype)])
+        levels.append(x)
+        x = x[0::2] * x[1::2] % p
+    xs = x.tolist()
     before = []
     acc = 1
-    for x in vals:
+    for val in xs:
         before.append(acc)
-        acc = acc * x % p
+        acc = acc * val % p
     inv = pow(acc, -1, p)
-    out = [0] * len(vals)
-    for i in range(len(vals) - 1, -1, -1):
-        out[i] = inv * before[i] % p
-        inv = inv * vals[i] % p
-    return out
+    top = [0] * len(xs)
+    for i in range(len(xs) - 1, -1, -1):
+        top[i] = inv * before[i] % p
+        inv = inv * xs[i] % p
+    inv = np.array(top, dtype=vals.dtype)
+    for x in reversed(levels):
+        inv = inv[: len(x) // 2]
+        up = np.empty_like(x)
+        up[0::2] = inv * x[1::2] % p
+        up[1::2] = inv * x[0::2] % p
+        inv = up
+    return inv[: len(vals)]
 
 
 @dataclass(frozen=True)
@@ -268,7 +290,7 @@ def _read_reduced(red: np.ndarray, nvars: int, p: int) -> _Reduced:
     pivotal = nz.any(axis=2)
     s, r = np.nonzero(pivotal)
     inv = np.ones(pivotal.shape, dtype=red.dtype)
-    inv[s, r] = _batch_inverse(red[s, r, nz[s, r].argmax(axis=1)].tolist(), p)
+    inv[s, r] = _batch_inverse(red[s, r, nz[s, r].argmax(axis=1)], p)
     return _read_normalized(red * inv[:, :, None] % p, nvars, p)
 
 

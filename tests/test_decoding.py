@@ -82,6 +82,22 @@ class TestEnumeratePartitions:
         first = next(iter(enumerate_partitions((7, 8, 9), 3)))
         assert first == ((7, 8, 9),)
 
+    @pytest.mark.parametrize("v", range(1, 5))
+    def test_label_table_matches_the_generator(self, v):
+        # The decoder's table grows level by level in numpy; row i must be the
+        # restricted-growth labels of the generator's i-th partition.
+        for t in range(1, 11):
+            want = []
+            for part in enumerate_partitions(range(t), v):
+                row = [0] * t
+                for b, block in enumerate(part):
+                    for i in block:
+                        row[i] = b
+                want.append(row)
+            got = decoding._partition_labels(t, v)
+            assert got.dtype == np.int64 and not got.flags.writeable
+            assert got.tolist() == want
+
 
 def _random_instance(seed, N=9, K=3, beta=1, v=2, t=None, adversarial=True, p=P):
     rng = random.Random(seed)
@@ -649,9 +665,9 @@ class TestNestedSweep:
 
     @pytest.mark.parametrize("mode", ["fast", "strict"])
     def test_threshold_decode_builds_no_child(self, mode, monkeypatch):
-        # (12,4,2,2) at t* = 8: one parity check, one pivot on each presumed-
-        # adversary set's 4 x 257 root (C(4,2) = 6 sets, 128 partitions each)
-        # and two eliminations to read the flagged scenarios.
+        # (12,4,2,2) at t* = 8: one parity check, one pivot on the stacked
+        # 4 x 257 roots of all C(4,2) = 6 presumed-adversary sets (128
+        # partitions each) and two eliminations to read the flagged scenarios.
         cfg, gm, behavior, nodes, tr = _random_instance(13, N=12, K=4, beta=2, v=2)
         shapes = []
 
@@ -664,17 +680,20 @@ class TestNestedSweep:
         monkeypatch.setattr(decoding, "_batch_eliminate", counting)
         res = decode(gm, nodes, tr, cfg, mode=mode)
         assert verify_against_truth(res, behavior).ok
-        assert len(shapes) == 9
-        assert shapes[1:7] == [(1, 4, 257)] * 6
+        assert len(shapes) == 4
+        assert shapes[1] == (6, 4, 257)
 
-    @pytest.mark.parametrize("chunk", [7, 3])
+    @pytest.mark.parametrize("chunk", [7, 3, 100])
     @pytest.mark.parametrize(
         "cell, t",
         [((7, 4, 2, 2), 5), ((6, 3, 2, 2), 3), ((7, 4, 3, 2), 4), ((6, 3, 1, 3), 5)],
     )
     def test_outputs_do_not_depend_on_the_chunk_size(self, cell, t, chunk, monkeypatch):
-        # Both chunk sizes are below the partition count, so slices split the
-        # children of one parent as well as the parents of a level.
+        # Chunks of 7 and 3 are below the partition count, so slices split the
+        # children of one parent as well as the parents of a level.  A chunk
+        # of 100 stacks several sets' roots in one sweep (3 of width 33 on
+        # (7,4,2,2) at t=5) and still splits their pair reads (6 first
+        # indices of 16 per slice), so flags slices straddle set boundaries.
         N, K, beta, v = cell
         outputs = []
         for size in (decoding._CHUNK, chunk):
@@ -694,6 +713,32 @@ class TestNestedSweep:
                     ))
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "cell, t, chunk, want",
+        [
+            # Roots of width 33: three sets per stack under a chunk of 100.
+            ((7, 4, 2, 2), 5, 100, [3, 3]),
+            # 88,574 partitions make roots wider than the chunk: one set per
+            # stack, so the sweep's memory does not grow with C(K, beta).
+            ((12, 3, 1, 3), 12, None, [1, 1, 1]),
+        ],
+    )
+    def test_roots_are_stacked_up_to_the_chunk_size(self, cell, t, chunk, want, monkeypatch):
+        N, K, beta, v = cell
+        if chunk:
+            monkeypatch.setattr(decoding, "_CHUNK", chunk)
+        cfg, gm, _, nodes, tr = _random_instance(7, N=N, K=K, beta=beta, v=v, t=t)
+        stacks = []
+
+        def recording(parents, m, n_parts, w, p):
+            stacks.append(len(parents))
+            return iter(())  # no flags: nothing is read
+
+        monkeypatch.setattr(decoding, "_nested_flags", recording)
+        res = decode(gm, nodes, tr, cfg)
+        assert stacks == want
+        assert res.feasible_count == 0
 
 
 def _count_reads(monkeypatch, cfg):

@@ -19,7 +19,13 @@ from distcode import (
     rank,
     solve,
 )
-from distcode.field import _batch_eliminate, _read_reduced, batch_feasible, batch_rank
+from distcode.field import (
+    _batch_eliminate,
+    _batch_inverse,
+    _read_reduced,
+    batch_feasible,
+    batch_rank,
+)
 
 from oracles import det_laplace, gauss_jordan, matvec, rank_naive, vandermonde_det
 
@@ -261,6 +267,22 @@ class TestBatchKernels:
         got = batch_feasible(aug, 101, 3)
         want = [gauss_jordan(rows, b, 101)[0] for rows, b in systems]
         assert list(got) == want
+
+    # Lengths around the 32-value top of the product tree, and odd levels.
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 65, 257, 1537])
+    @pytest.mark.parametrize(
+        "p, dtype", [(2**31 - 1, np.int64), (2**61 - 1, object), (5, np.int64)]
+    )
+    def test_batch_inverse_matches_pow(self, n, p, dtype):
+        # p = 5 repeats every residue many times; p = 2^61 - 1 runs on
+        # object arrays of Python integers.
+        rng = random.Random(f"{n}-{p}")
+        vals = np.array([rng.randrange(1, p) for _ in range(n)], dtype=dtype)
+        before = vals.copy()
+        got = _batch_inverse(vals, p)
+        assert got.shape == (n,)
+        assert got.tolist() == [pow(x, -1, p) for x in vals.tolist()]
+        assert vals.dtype == before.dtype and vals.tolist() == before.tolist()
 
     def test_nullspace_of_wide_matrix(self):
         A = FieldMatrix(CTX, [[1, 2, 3], [4, 5, 6]])
