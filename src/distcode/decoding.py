@@ -323,9 +323,9 @@ def _pivot_flags(parents: np.ndarray, m: int, p: int):
     stack[:, :rows, 0] = parents[:, :, -1]
     stack[:, :rows, 1:] = parents[:, :, :-1]
     pivot = _batch_eliminate(stack, p, 1)
-    cols = stack[:, :, 1:]
-    on = cols[np.arange(S), pivot.argmax(axis=1)]
-    off = np.where(pivot[:, :, None], 0, cols)
+    off = stack[:, :, 1:]
+    on = off[np.arange(S), pivot.argmax(axis=1)]
+    off[pivot] = 0
     nz = off != 0
     has = nz.any(axis=1)
     pure = ~pivot.any(axis=1)[:, None] | ((on != 0) & ~has)
@@ -337,7 +337,8 @@ def _pivot_flags(parents: np.ndarray, m: int, p: int):
     s, c = np.nonzero(has)
     inv = np.ones(has.shape, dtype=stack.dtype)
     inv[s, c] = _batch_inverse(off[s, nz[s, :, c].argmax(axis=1), c], p)
-    off = off * inv[:, None, :] % p
+    off *= inv[:, None, :]
+    off %= p
     on = on * inv % p
     step = max(1, _CHUNK // n)
     per, a_step = max(1, step // n), min(step, n)
