@@ -25,6 +25,7 @@ from .errors import BadDimensions, BadParameter, DuplicatePoints
 from .field import (
     FieldContext,
     FieldMatrix,
+    _as_ints,
     all_square_submatrices_nonsingular,
 )
 
@@ -115,10 +116,7 @@ def _json_ints(entries, what: str) -> tuple[int, ...]:
     (a float, a string, null, a list, a boolean) raises :class:`BadParameter`."""
     if not isinstance(entries, list):
         raise BadParameter(f"{what} must be a list of integers, got {entries!r}")
-    for x in entries:
-        if type(x) is not int:
-            raise BadParameter(f"{what} must hold only integers, got {x!r}")
-    return tuple(entries)
+    return _as_ints(entries, what)
 
 
 def _random_rows(ctx: FieldContext, rng: random.Random, count: int, K: int):

@@ -61,19 +61,20 @@ the root's single column per partition takes the first two tests alone.
 
 The flagged scenarios that are recorded are read off one honest elimination
 per presumed-adversary set (:func:`_read_flagged`).  Every scenario of a set
-shares the honest block ``D = G_T[:, Hs]``, so ``D`` is Gauss-Jordan
-eliminated once, in one kernel call for all sets of a batch of at most
-``_CHUNK`` scenarios.  The rows without an honest pivot then hold each
-scenario's small system over its beta*v block columns; one
-:func:`~distcode.field.batch_feasible` call and one batched read solve all of
-them, and the honest values are back-substituted from D's pivot rows, whose
-inverses are taken by one batched inverse for every set of the batch.  Pivot
-columns, particular solutions, pinned sets and nullspace bases depend only on
-each system's solution set and column order, so they equal those of reducing
-the full system ``[D | X_q | y]``, which is never built.  If a small system is infeasible the projection was
-wrong and ``decode`` raises ``RuntimeError``.  Every recorded solution, and in
-strict mode every witness alternate, is also encoded and compared with the
-transcript (:func:`_check_encodes`).
+shares the honest block ``D = G_T[:, Hs]``, so ``[D | diag(g_a) per presumed
+adversary a | y]`` is Gauss-Jordan eliminated over ``D`` once, in one kernel
+call for all sets of a batch of at most ``_CHUNK`` scenarios.  A scenario's
+block columns are block sums of its set's reduced ``diag(g_a)`` columns, so
+the same row operations reduce its full system ``[D | X_q | y]`` over ``D``.
+A second kernel call resumes the elimination at the block columns of every
+scenario of the batch.  It takes new pivots only in the rows without an
+honest pivot, and clears each new pivot column in the honest pivot rows as
+well, which back-substitutes them.  One batched read then gives each
+system's pivot columns, particular solution, pinned set and nullspace basis;
+they depend only on its solution set and column order.  If a system is
+inconsistent the projection was wrong and ``decode`` raises ``RuntimeError``.
+Every recorded solution, and in strict mode every witness alternate, is also
+encoded and compared with the transcript (:func:`_check_encodes`).
 
 Both modes carry each coordinate's first pinned value across chunks and
 presumed-adversary sets, and the estimates are read off it.  Strict mode keeps
@@ -113,9 +114,9 @@ from .errors import (
     TranscriptMismatch,
 )
 from .field import (
+    _as_ints,
     _batch_eliminate,
     _batch_inverse,
-    _read_normalized,
     _read_reduced,
     _Reduced,
     batch_feasible,
@@ -515,15 +516,16 @@ def _batches(pieces):
 def _read_flagged(Gsub, yv, memb, batch, p: int) -> _Reduced:
     """The solution sets of the full systems ``[D | X_q | y]`` of the
     ``(A_hat, scenario indices)`` pieces of ``batch``, in order, read off one
-    honest elimination per set (see the module docstring).  A full system,
-    never built, has the presumed-honest code columns ``D`` in source order,
-    then v block columns per presumed adversary a in ``A_hat`` order: column b
-    is ``g_a`` on block b of a's partition, zero elsewhere.  The eliminated
-    base is ``[D | diag(g_a) per a | y]``: a scenario's block columns are block
-    sums of its reduced ``diag(g_a)`` columns, so the base has no partition.
+    honest elimination per set (see the module docstring).  A full system
+    has the presumed-honest code columns ``D`` in source order, then v block
+    columns per presumed adversary a in ``A_hat`` order: column b is ``g_a``
+    on block b of a's partition, zero elsewhere.  Each set's base ``[D |
+    diag(g_a) per a | y]``, which has no partition, is eliminated over ``D``;
+    each scenario's system is assembled from its set's reduced base, and the
+    elimination resumes on its block columns.
 
     Raises:
-        RuntimeError: a small system, and so its full system, is infeasible.
+        RuntimeError: a full system is inconsistent.
     """
     t, K = Gsub.shape
     n_parts, _, v = memb.shape
@@ -538,39 +540,21 @@ def _read_flagged(Gsub, yv, memb, batch, p: int) -> _Reduced:
         base[:, diag, h + j * t + diag] = Gsub[:, A[:, j]].T
     base[:, :, -1] = yv
     _batch_eliminate(base, p, h)
-    honest = _read_reduced(base, h, p)  # D's pivot rows scaled to a leading 1
 
     sets = np.repeat(np.arange(n_sets), [len(combos) for _, combos in batch])
     combos = np.concatenate([combos for _, combos in batch])
     parts = _partition_indices(combos, n_parts, beta)
-    G = np.empty((len(sets), t, bv + 1), dtype=Gsub.dtype)
+    full = np.empty((len(sets), t, h + bv + 1), dtype=Gsub.dtype)
+    full[:, :, :h] = base[sets, :, :h]
     for j in range(beta):
-        diag_j = honest.norm[sets, :, h + j * t : h + (j + 1) * t]
-        G[:, :, j * v : (j + 1) * v] = diag_j @ memb[parts[:, j]] % p
-    G[:, :, -1] = honest.norm[sets, :, -1]
-    # Set the honest pivot rows aside; zeroed, they leave the small systems.
-    s, r = np.nonzero(honest.lead[sets] >= 0)
-    top = G[s, r]
-    G[s, r] = 0
-    if not batch_feasible(G, p, bv).all():
+        diag_j = base[sets, :, h + j * t : h + (j + 1) * t]
+        full[:, :, h + j * v : h + (j + 1) * v] = diag_j @ memb[parts[:, j]] % p
+    full[:, :, -1] = base[sets, :, -1]
+    _batch_eliminate(full, p, h + bv, start=h)
+    red = _read_reduced(full, h + bv, p)
+    if not red.consistent.all():
         raise RuntimeError("projected and full scenario systems disagree")
-    red = _read_reduced(G, bv, p)
-
-    # Row c of P is block column c's normalized pivot row (zero if c is free)
-    # with its particular value last; each term is reduced as it is added.
-    P = np.zeros((len(sets), bv, bv + 1), dtype=G.dtype)
-    ps, pr = np.nonzero(red.lead >= 0)
-    P[ps, red.lead[ps, pr], :bv] = red.norm[ps, pr, :bv]
-    P[:, :, bv] = red.particular
-    back = top
-    for c in range(bv):
-        back = (back - top[:, c, None] * P[s, c]) % p
-
-    norm = np.zeros((len(sets), t, h + bv + 1), dtype=G.dtype)
-    norm[:, :, h:] = red.norm
-    norm[s, r, :h] = honest.norm[sets[s], r, :h]
-    norm[s, r, h:] = back
-    return _read_normalized(norm, h + bv, p)
+    return red
 
 
 def _record_witnesses(chunk: _Chunk, red, row0, feasible, witnesses, pinned_first, p):
@@ -630,6 +614,7 @@ def decode(
             solves; exceeding it raises :class:`BudgetExceeded`.
 
     Raises:
+        BadParameter: a node index is not an integer.
         TranscriptMismatch: ``nodes`` disagrees with the transcript.
         NodeOutOfRange: the node set is empty, or its indices repeat or
             exceed N.
@@ -637,7 +622,7 @@ def decode(
     """
     if mode not in ("fast", "strict"):
         raise BadParameter(f"unknown mode {mode!r}")
-    nodes = tuple(int(n) for n in nodes)
+    nodes = _as_ints(nodes, "nodes")
     if nodes != tuple(transcript.node_set):
         raise TranscriptMismatch("decode node set differs from transcript node set")
     if len(transcript.values) != len(nodes):

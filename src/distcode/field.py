@@ -10,9 +10,9 @@ nullspace basis and the set of *pinned* coordinates (coordinates that take
 the same value in every solution), normalizing every pivot of the stack
 with one batched inverse (:func:`_batch_inverse`: a numpy product tree over
 a Montgomery loop with one ``pow``).  :func:`solve` reads its stack of one
-through it.  The feasibility decoder reads the small block systems of
-flagged scenarios through it too, and the full systems it assembles from
-them through :func:`_read_normalized`.
+through it, and the feasibility decoder reads its flagged scenarios through
+it, after resuming the kernel on systems already eliminated over their
+honest columns.
 
 Matrices are backed by numpy.  For moduli up to ``_INT64_SAFE_P`` the entries
 live in ``int64`` (entrywise products of reduced values cannot overflow);
@@ -48,6 +48,19 @@ _MR_BOUND = 3_317_044_064_679_887_385_961_981
 def _is_integer(x) -> bool:
     """Whether ``x`` is a Python or numpy integer; a bool is not one."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _as_ints(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of Python integers.  Anything that is not an
+    integer (a float, which ``int`` would truncate, a string, a bool) raises
+    :class:`BadParameter`.  One value of each distinct type is tested."""
+    values = tuple(values)
+    samples = dict(zip(map(type, values), values))
+    samples.pop(int, None)
+    for x in samples.values():
+        if not _is_integer(x):
+            raise BadParameter(f"{what} must hold only integers, got {x!r}")
+    return tuple(map(int, values)) if samples else values
 
 
 def is_prime(n: int) -> bool:
@@ -143,6 +156,7 @@ class FieldMatrix:
         a = np.array(entries, dtype=object)
         if a.ndim != 2 or a.size == 0:
             raise DimensionMismatch("entries must form a non-empty 2-D grid")
+        _as_ints(a.flat, "matrix entries")
         a = a % ctx.p
         self.ctx = ctx
         self._a = a.astype(ctx.dtype)
@@ -283,33 +297,24 @@ class _Reduced:
 def _read_reduced(red: np.ndarray, nvars: int, p: int) -> _Reduced:
     """Read the solution sets off a stack ``(B, rows, nvars+1)`` of systems
     ``[A | b]`` that :func:`_batch_eliminate` has reduced over their first
-    ``nvars`` columns.  One batched inversion normalizes every pivot row of
-    the stack; :func:`_read_normalized` reads the rest.
-    """
-    nz = red[:, :, :nvars] != 0
-    pivotal = nz.any(axis=2)
-    s, r = np.nonzero(pivotal)
-    inv = np.ones(pivotal.shape, dtype=red.dtype)
-    inv[s, r] = _batch_inverse(red[s, r, nz[s, r].argmax(axis=1)], p)
-    return _read_normalized(red * inv[:, :, None] % p, nvars, p)
-
-
-def _read_normalized(norm: np.ndarray, nvars: int, p: int) -> _Reduced:
-    """Read the solution sets off a reduced stack whose pivot rows already
-    have a leading 1.  Each pivot row's right-hand side is then its pivot
+    ``nvars`` columns.  One batched inversion scales every pivot row of the
+    stack to a leading 1; each pivot row's right-hand side is then its pivot
     coordinate's value in the particular solution.
     """
-    nz = norm[:, :, :nvars] != 0
+    nz = red[:, :, :nvars] != 0
     pivotal = nz.any(axis=2)
     lead = np.where(pivotal, nz.argmax(axis=2), -1)
     s, r = np.nonzero(pivotal)
     c = lead[s, r]
-    free = np.ones((len(norm), nvars), dtype=bool)
+    inv = np.ones(pivotal.shape, dtype=red.dtype)
+    inv[s, r] = _batch_inverse(red[s, r, c], p)
+    norm = red * inv[:, :, None] % p
+    free = np.ones((len(red), nvars), dtype=bool)
     free[s, c] = False
     pinned = np.zeros_like(free)
     pinned[s, c] = ~(nz[s, r] & free[s]).any(axis=1)
-    consistent = ~((norm[:, :, nvars] != 0) & ~pivotal).any(axis=1)
-    particular = np.zeros(free.shape, dtype=norm.dtype)
+    consistent = ~((red[:, :, nvars] != 0) & ~pivotal).any(axis=1)
+    particular = np.zeros(free.shape, dtype=red.dtype)
     particular[s, c] = norm[s, r, nvars]
     return _Reduced(p, consistent, particular, lead, free, pinned, norm)
 
@@ -328,13 +333,14 @@ def solve(A: FieldMatrix, b) -> SolveOutcome:
 
     Raises:
         DimensionMismatch: if ``len(b) != A.rows``.
+        BadParameter: an entry of ``b`` is not an integer.
     """
     if len(b) != A.rows:
         raise DimensionMismatch(f"b has length {len(b)}, expected {A.rows}")
     p = A.ctx.p
     aug = np.empty((1, A.rows, A.cols + 1), dtype=A._a.dtype)
     aug[0, :, : A.cols] = A._a
-    aug[0, :, A.cols] = [int(x) % p for x in b]
+    aug[0, :, A.cols] = [x % p for x in _as_ints(b, "b")]
     _batch_eliminate(aug, p, A.cols)
     red = _read_reduced(aug, A.cols, p)
     consistent = bool(red.consistent[0])
@@ -359,22 +365,26 @@ def rank(A: FieldMatrix) -> int:
 # scenario sweep.  Elimination is inverse-free: instead of normalizing
 # pivots, every other row is scaled by the pivot value, which preserves rank
 # and the solution set; _read_reduced normalizes when a solution is needed.
+# An elimination can be resumed at a later column: the update clears each new
+# pivot column in the earlier pivot rows as well, which back-substitutes them.
 # ---------------------------------------------------------------------------
 
 
-def _batch_eliminate(batch: np.ndarray, p: int, ncols: int) -> np.ndarray:
-    """Gauss-Jordan eliminate the first ``ncols`` columns of every matrix in
-    the stack, in place.  Returns the (B, rows) mask of pivot rows; its row
-    sums are the ranks restricted to those columns.
+def _batch_eliminate(batch: np.ndarray, p: int, ncols: int, start: int = 0) -> np.ndarray:
+    """Gauss-Jordan eliminate columns ``start .. ncols-1`` of every matrix in
+    a stack already eliminated over its first ``start`` columns, in place.
+    Returns the (B, rows) mask of pivot rows; its row sums are the ranks
+    restricted to the first ``ncols`` columns.
 
     Rows stay where they are.  A pivot row's leading nonzero sits in its
     pivot column, which is zero in every other row; every other row is zero
-    over the eliminated columns.
+    over the eliminated columns.  The rows nonzero over the first ``start``
+    columns keep their pivots, and each new pivot column is cleared in them
+    too.
     """
-    nbatch, nrows, _ = batch.shape
-    mats = np.arange(nbatch)
-    spare = np.ones((nbatch, nrows), dtype=bool)
-    for c in range(ncols):
+    mats = np.arange(len(batch))
+    spare = ~(batch[:, :, :start] != 0).any(axis=2)
+    for c in range(start, ncols):
         col = batch[:, :, c]
         nz = (col != 0) & spare
         has = nz.any(axis=1)

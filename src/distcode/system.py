@@ -26,7 +26,7 @@ from .errors import (
     NonPrimeModulus,
     TooManyAdversaries,
 )
-from .field import DEFAULT_PRIME, _is_integer, is_prime
+from .field import DEFAULT_PRIME, _as_ints, _is_integer, is_prime
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,10 @@ class SourceBehavior:
     adversary_set: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "adversary_set", frozenset(self.adversary_set))
-        object.__setattr__(
-            self, "rows", tuple(tuple(int(x) % self.cfg.p for x in r) for r in self.rows)
-        )
+        adversaries = _as_ints(self.adversary_set, "adversary_set")
+        object.__setattr__(self, "adversary_set", frozenset(adversaries))
+        rows = (_as_ints(r, "source rows") for r in self.rows)
+        object.__setattr__(self, "rows", tuple(tuple(x % self.cfg.p for x in r) for r in rows))
         self.validate()
 
     def validate(self) -> None:
@@ -137,6 +137,8 @@ class Transcript:
     values: tuple[int, ...]
 
     def __post_init__(self):
+        _as_ints(self.node_set, "node_set")
+        _as_ints(self.values, "values")
         if len(self.node_set) != len(self.values):
             raise BadDimensions("one value per node required")
         if len(set(self.node_set)) != len(self.node_set):
@@ -156,7 +158,7 @@ def behavior_honest(cfg: SystemConfig, messages) -> SourceBehavior:
     """All sources honest: source k sends ``messages[k]`` everywhere."""
     if len(messages) != cfg.K:
         raise BadDimensions(f"need {cfg.K} messages, got {len(messages)}")
-    rows = tuple((int(m) % cfg.p,) * cfg.N for m in messages)
+    rows = tuple((m,) * cfg.N for m in messages)
     return SourceBehavior(cfg, rows, frozenset())
 
 
@@ -184,7 +186,7 @@ def behavior_random_adversarial(
             values = [rng.randrange(cfg.p) for _ in range(cfg.v)]
             rows.append(tuple(values[rng.randrange(cfg.v)] for _ in range(cfg.N)))
         else:
-            rows.append((int(honest_messages[k]) % cfg.p,) * cfg.N)
+            rows.append((honest_messages[k],) * cfg.N)
     return SourceBehavior(cfg, tuple(rows), adversary_set)
 
 
@@ -192,9 +194,10 @@ def encode_transcript(gm: GeneratorMatrix, behavior: SourceBehavior, nodes) -> T
     """Encode: value at node n is sum_k G[n,k] * rows[k][n] over GF(p).
 
     Raises:
+        BadParameter: a node index is not an integer.
         NodeOutOfRange: a node index is repeated or outside [0, N).
     """
-    nodes = tuple(int(n) for n in nodes)
+    nodes = _as_ints(nodes, "nodes")
     if len(set(nodes)) != len(nodes) or any(not 0 <= n < gm.N for n in nodes):
         raise NodeOutOfRange(f"bad node subset {nodes} for N={gm.N}")
     if gm.N != behavior.cfg.N or gm.K != behavior.cfg.K or gm.ctx.p != behavior.cfg.p:

@@ -210,6 +210,14 @@ class TestDecode:
         with pytest.raises(TranscriptMismatch):
             decode(gm, nodes[::-1], tr, cfg)
 
+    @pytest.mark.parametrize("bad", [0.2, False])
+    def test_non_integer_node_rejected(self, bad):
+        # Every node is observed, so node 0, which ``bad`` would truncate
+        # to, is the first.
+        cfg, gm, behavior, nodes, tr = _random_instance(9, t=9)
+        with pytest.raises(BadParameter, match="nodes"):
+            decode(gm, (bad,) + tuple(nodes[1:]), tr, cfg)
+
     def test_empty_node_set(self):
         cfg, gm, behavior, nodes, tr = _random_instance(9)
         with pytest.raises(NodeOutOfRange):
@@ -345,11 +353,11 @@ class TestParityCheck:
 
 class TestFlaggedReader:
     # _read_flagged eliminates each presumed-adversary set's honest block D
-    # once and reads every scenario off a small stack.  Each system's
-    # particular solution, pinned set and nullspace basis must equal naive
-    # Gauss-Jordan's on its full system [D | X_q | y], including when D is
-    # rank-deficient (a zero or a repeated code column) and when the batch
-    # mixes several presumed-adversary sets.
+    # once and resumes the elimination on every scenario's block columns.
+    # Each system's particular solution, pinned set and nullspace basis must
+    # equal naive Gauss-Jordan's on its full system [D | X_q | y], including
+    # when D is rank-deficient (a zero or a repeated code column) and when
+    # the batch mixes several presumed-adversary sets.
     @staticmethod
     def _full_system(G, labels, A_hat, combo, v):
         K, n_parts = len(G[0]), len(labels)
@@ -360,7 +368,7 @@ class TestFlaggedReader:
                 mat[i] += [row[a] if labels[q][i] == b else 0 for b in range(v)]
         return mat
 
-    @pytest.mark.parametrize("p", [5, 101, P], ids=["p5", "p101", "p2^31-1"])
+    @pytest.mark.parametrize("p", [5, 101, P, P61], ids=["p5", "p101", "p2^31-1", "p2^61-1"])
     @pytest.mark.parametrize("beta, v", [(1, 2), (1, 3), (2, 2), (2, 3)])
     @pytest.mark.parametrize("kind", ["random", "repeated_column", "zero_column"])
     def test_matches_gauss_jordan(self, kind, beta, v, p):
@@ -401,9 +409,10 @@ class TestFlaggedReader:
                     batch.append((A_hat, np.array(kept)))
             mixed += len(batch) > 1
 
-            Gsub = np.array(G, dtype=np.int64)
-            yv = np.array(y, dtype=np.int64)
-            memb = (np.array(labels)[:, :, None] == np.arange(v)).astype(np.int64)
+            dtype = FieldContext(p).dtype
+            Gsub = np.array(G, dtype=dtype)
+            yv = np.array(y, dtype=dtype)
+            memb = (np.array(labels)[:, :, None] == np.arange(v)).astype(dtype)
             red = decoding._read_flagged(Gsub, yv, memb, batch, p)
             assert len(red.particular) == len(systems)
             for s, (_, particular, basis, pinned) in enumerate(systems):
@@ -667,13 +676,16 @@ class TestNestedSweep:
     def test_threshold_decode_builds_no_child(self, mode, monkeypatch):
         # (12,4,2,2) at t* = 8: one parity check, one pivot on the stacked
         # 4 x 257 roots of all C(4,2) = 6 presumed-adversary sets (128
-        # partitions each) and two eliminations to read the flagged scenarios.
+        # partitions each) and two eliminations to read the flagged scenarios:
+        # one over each set's K - beta = 2 honest columns, and one that
+        # resumes there on each scenario's block columns.
         cfg, gm, behavior, nodes, tr = _random_instance(13, N=12, K=4, beta=2, v=2)
-        shapes = []
+        shapes, starts = [], []
 
-        def counting(batch, p, ncols):
+        def counting(batch, p, ncols, start=0):
             shapes.append(batch.shape)
-            return eliminate(batch, p, ncols)
+            starts.append(start)
+            return eliminate(batch, p, ncols, start)
 
         eliminate = fieldmod._batch_eliminate
         monkeypatch.setattr(fieldmod, "_batch_eliminate", counting)
@@ -682,6 +694,7 @@ class TestNestedSweep:
         assert verify_against_truth(res, behavior).ok
         assert len(shapes) == 4
         assert shapes[1] == (6, 4, 257)
+        assert starts == [0, 0, 0, 2]
 
     @pytest.mark.parametrize("chunk", [7, 3, 100])
     @pytest.mark.parametrize(

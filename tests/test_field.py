@@ -118,6 +118,11 @@ class TestSolve:
         with pytest.raises(DimensionMismatch):
             solve(FieldMatrix(CTX, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), [1, 2])
 
+    @pytest.mark.parametrize("bad", [1.5, True])
+    def test_non_integer_rhs_rejected(self, bad):
+        with pytest.raises(BadParameter, match="b must"):
+            solve(FieldMatrix(CTX, [[1, 0], [0, 1]]), [bad, 2])
+
     @pytest.mark.parametrize("seed", range(8))
     def test_solution_properties(self, seed):
         rng = random.Random(seed)
@@ -224,6 +229,15 @@ class TestMatrixOps:
         with pytest.raises(DimensionMismatch):
             FieldMatrix(CTX, [[1, 2], [3]])
 
+    @pytest.mark.parametrize("bad", [1.5, True, "a", None])
+    def test_non_integer_entry_rejected(self, bad):
+        # A float would be truncated and a string would not reduce.
+        with pytest.raises(BadParameter, match="matrix entries"):
+            FieldMatrix(CTX, [[bad, 2]])
+
+    def test_numpy_integers_accepted(self):
+        assert FieldMatrix(CTX, [[np.int64(3), 2]])[0, 0] == 3
+
     def test_huge_python_ints_reduced(self):
         A = FieldMatrix(CTX, [[10**30, 1]])
         assert A[0, 0] == 10**30 % P
@@ -316,11 +330,16 @@ class TestBatchedReader:
              "rank_deficient_inconsistent", "zero", "zero_inconsistent")
 
     @staticmethod
-    def _read(systems, p):
+    def _read(systems, p, split=0):
+        # Eliminate over the first ``split`` columns, then resume from there.
         dtype = FieldContext(p).dtype
         stack = np.array([[row + [y] for row, y in zip(A, b)] for A, b in systems], dtype=dtype)
         nvars = len(systems[0][0][0])
-        _batch_eliminate(stack, p, nvars)
+        pivots = _batch_eliminate(stack, p, split)
+        before = stack.copy()
+        assert (_batch_eliminate(stack, p, split, start=split) == pivots).all()
+        assert (stack == before).all()
+        _batch_eliminate(stack, p, nvars, start=split)
         red = _read_reduced(stack, nvars, p)
         for s in range(len(systems)):
             consistent = bool(red.consistent[s])
@@ -347,3 +366,27 @@ class TestBatchedReader:
             got = list(self._read(systems, p))
             want = [gauss_jordan(A, b, p) for A, b in systems]
             assert got == want
+
+    @pytest.mark.parametrize("p", [5, 2**31 - 1, 2**61 - 1], ids=["p5", "p2^31-1", "p2^61-1"])
+    def test_resumed_elimination_matches_gauss_jordan(self, p):
+        # Every split of the elimination reads like one elimination, also
+        # with a zero or a repeated column; at the split itself, resuming
+        # changes nothing and returns the pivots found so far.
+        rng = random.Random(f"resume-{p}")
+        systems = []
+        for kind in self.KINDS:
+            for tweak in ("none", "zero_column", "repeated_column"):
+                A, _ = _mixed_system(kind, rng, p)
+                for row in A:
+                    if tweak == "zero_column":
+                        row[1] = 0
+                    elif tweak == "repeated_column":
+                        row[3] = row[0]
+                b = list(matvec(A, [rng.randrange(p) for _ in A[0]], p))
+                if kind.endswith("inconsistent"):
+                    b[-1] = (b[-1] + 1) % p
+                systems.append((A, b))
+        want = [gauss_jordan(A, b, p) for A, b in systems]
+        assert {w[0] for w in want} == {True, False}
+        for split in range(len(systems[0][0][0]) + 1):
+            assert list(self._read(systems, p, split)) == want

@@ -117,6 +117,19 @@ class TestBehaviors:
         with pytest.raises(ValueError):
             SourceBehavior(self.CFG, ((1, 1, 1, 1, 2), (2,) * 5, (3,) * 5), frozenset())
 
+    @pytest.mark.parametrize("bad", [1.7, True])
+    def test_non_integer_value_rejected(self, bad):
+        # A float would be truncated to the integer below it.
+        with pytest.raises(BadParameter, match="source rows"):
+            behavior_honest(self.CFG, [bad, 2, 3])
+        with pytest.raises(BadParameter, match="source rows"):
+            behavior_random_adversarial(self.CFG, [1, bad, 3], {0}, seed=0)
+        with pytest.raises(BadParameter, match="source rows"):
+            SourceBehavior(self.CFG, ((1,) * 5, (2,) * 4 + (bad,), (3,) * 5), frozenset({1}))
+        # A float index matches no source, so every source would count as honest.
+        with pytest.raises(BadParameter, match="adversary_set"):
+            SourceBehavior(self.CFG, ((1,) * 5, (2,) * 5, (3,) * 5), frozenset({bad}))
+
     def test_json_roundtrip(self):
         b = behavior_random_adversarial(self.CFG, [1, 2, 3], {2}, seed=9)
         back = SourceBehavior.from_json(self.CFG, b.to_json())
@@ -185,6 +198,14 @@ class TestEncodeTranscript:
         with pytest.raises(NodeOutOfRange):
             encode_transcript(gm, b, (1, 1))
 
+    @pytest.mark.parametrize("bad", [0.5, True])
+    def test_non_integer_node_rejected(self, bad):
+        # A float node would be truncated and encoded at the node below it.
+        gm = gen_random_linear(CTX, 5, 3, seed=1)
+        cfg = SystemConfig(N=5, K=3, beta=1, v=2, p=P)
+        with pytest.raises(BadParameter, match="nodes"):
+            encode_transcript(gm, behavior_honest(cfg, [1, 2, 3]), (bad, 2, 3))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_linearity_in_per_encoder_symbols(self, seed):
         # Encoding is linear in the full sent-symbol grid.  A cap of v = N
@@ -220,6 +241,14 @@ class TestTranscript:
             Transcript((0, 1), (5,))
         with pytest.raises(ValueError):
             Transcript((0, 0), (5, 6))
+
+    @pytest.mark.parametrize("bad", [1.5, True])
+    @pytest.mark.parametrize("field", ["node_set", "values"])
+    def test_non_integer_entry_rejected(self, field, bad):
+        args = {"node_set": [0, 1, 2, 3], "values": [2, 2, 3, 4]}
+        args[field][0] = bad
+        with pytest.raises(BadParameter, match=field):
+            Transcript(tuple(args["node_set"]), tuple(args["values"]))
 
     def test_json_roundtrip(self):
         tr = Transcript((2, 4, 6), (10, 20, 30))
