@@ -56,8 +56,14 @@ consistent iff ``L y`` is zero, ``c_a`` or ``c_b`` is nonzero on row r and
 zero off it, or the parts of ``c_a`` and ``c_b`` off row r are nonzero
 multiples of one vector while their entries on row r are not the same
 multiple.  Scaling every column so that its first nonzero entry off row r
-is 1 turns that last test into a comparison of scaled columns.  For beta=1
-the root's single column per partition takes the first two tests alone.
+is 1 turns that last test into a comparison of scaled columns, made only
+where a key match (equal columns have equal integer keys) or a pure column
+allows a hit.  At t* that is about t of a parent's n rows: the columns
+parallel to ``L e_m``, one per observed encoder m, match keys and never
+join.  For beta=1 the root's single column per partition takes the first
+two tests alone.  The sweep yields the ascending indices of the feasible
+scenarios, each yield within a span of ``_CHUNK`` scenarios, and ``decode``
+splits them by presumed-adversary set.
 
 The flagged scenarios that are recorded are read off one honest elimination
 per presumed-adversary set (:func:`_read_flagged`).  Every scenario of a set
@@ -126,6 +132,8 @@ from .system import SourceBehavior, SystemConfig, Transcript
 DEFAULT_BUDGET = 10**8
 
 _CHUNK = 1 << 14
+
+_KEY_MASK = (1 << 31) - 1  # a column key's bits (see _column_keys)
 
 
 def enumerate_partitions(items, v: int):
@@ -297,12 +305,21 @@ class DecodeResult:
         return doc
 
 
+def _column_keys(cols: np.ndarray) -> np.ndarray:
+    """Keys of the columns of ``cols`` (S, rows, n): the low 31 bits of
+    ``sum_i cols[:, i] * 2**(i % 16)``, as int64.  Equal columns get equal
+    keys, and unequal ones may too, so a key match is only a candidate.  The
+    sum is exact: on the int64 path entries are below 2**32, and fewer than
+    2**15 rows keep it below 2**62; on the object path it is Python ints."""
+    weights = 2 ** (np.arange(cols.shape[1]) % 16)
+    return ((weights @ cols) & _KEY_MASK).astype(np.int64, copy=False)
+
+
 def _pivot_flags(parents: np.ndarray, m: int, p: int):
-    """Yield the feasibility flags of the systems ``[c_q | L y]`` (m = 1) or
-    ``[c_a | c_b | L y]`` (m = 2) below parents ``(S, rows, m*n + 1)`` laid
-    out as ``[c_0 .. c_{m*n-1} | L y]``, in scenario order, at most
-    ``_CHUNK`` at a time: for m = 2, whole parents at a time, or part of one
-    parent's pairs.
+    """Yield the indices of the feasible systems ``[c_q | L y]`` (m = 1) or
+    ``[c_a | c_b | L y]`` (m = 2, scenario ``(s*n + a)*n + b``) below parents
+    ``(S, rows, m*n + 1)`` laid out as ``[c_0 .. c_{m*n-1} | L y]``: ascending
+    arrays, in scenario order, each within a span of ``_CHUNK`` scenarios.
 
     ``L y`` is eliminated in one kernel call for every parent.  If it is zero
     every system is feasible.  Otherwise it is left nonzero only on its pivot
@@ -312,10 +329,15 @@ def _pivot_flags(parents: np.ndarray, m: int, p: int):
     consistent iff ``c_a`` or ``c_b`` is pure, or ``c'_a`` and ``c'_b`` are
     nonzero multiples of one vector while ``c[r]`` is not the same multiple:
     after each column is scaled so that its first nonzero off-r entry is 1
-    (one batched inverse for all parents), iff the scaled ``c'`` agree and the
-    scaled ``c[r]`` differ.  That comparison alone also settles two columns
-    that are both zero off r: they stay unscaled and differ on r only if one
-    of them is pure.
+    (one batched inverse for all parents), iff the scaled ``c'`` are nonzero
+    and agree, and the scaled ``c[r]`` differ.
+
+    Scaled columns that agree off r have equal :func:`_column_keys`, so a
+    ``c_a`` whose key matches no b column of its parent (one sort for the
+    whole stack), or with ``c'_a = 0``, joins with none.  Only the rows a with
+    a pure ``c_a``, a key match, or a parent with a pure b column are read,
+    ``_CHUNK // n`` at a time across parents, and only the key-matched ones
+    take the exact test (:func:`_joins`), which also rejects colliding keys.
     """
     S, rows, width = parents.shape
     n = (width - 1) // m
@@ -331,48 +353,80 @@ def _pivot_flags(parents: np.ndarray, m: int, p: int):
     has = nz.any(axis=1)
     pure = ~pivot.any(axis=1)[:, None] | ((on != 0) & ~has)
     if m == 1:
-        flags = pure.reshape(-1)
-        for i in range(0, len(flags), _CHUNK):
-            yield flags[i : i + _CHUNK]
+        pure = pure.reshape(-1)
+        for i in range(0, len(pure), _CHUNK):
+            hits = i + np.flatnonzero(pure[i : i + _CHUNK])
+            if len(hits):
+                yield hits
         return
-    s, c = np.nonzero(has)
+    first = off[:, -1].copy()  # each column's first nonzero entry off r
+    for i in range(off.shape[1] - 2, -1, -1):
+        np.copyto(first, off[:, i], where=nz[:, i])
     inv = np.ones(has.shape, dtype=stack.dtype)
-    inv[s, c] = _batch_inverse(off[s, nz[s, :, c].argmax(axis=1), c], p)
+    inv[has] = _batch_inverse(first[has], p)
     off *= inv[:, None, :]
     off %= p
     on = on * inv % p
+    # Offset by parent, the keys of different parents never meet, so one
+    # sorted array serves every parent's b columns.
+    key = _column_keys(off) + np.arange(S)[:, None] * (_KEY_MASK + 1)
+    kb = np.sort(key[:, n:], axis=None)
+    at = np.minimum(np.searchsorted(kb, key[:, :n]), kb.size - 1)
+    matched = has[:, :n] & (kb[at] == key[:, :n])
+    pure_a, pure_b, off_b, on_b = pure[:, :n], pure[:, n:], off[:, :, n:], on[:, n:]
+    read = np.flatnonzero(pure_a | matched | pure_b.any(axis=1, keepdims=True))
+    # Row s*n + a: column a of parent s, scaled, off r and on r.
+    cols_a, on_a = off[:, :, :n].transpose(0, 2, 1).reshape(S * n, -1), on[:, :n].reshape(-1)
     step = max(1, _CHUNK // n)
-    per, a_step = max(1, step // n), min(step, n)
-    for s0 in range(0, S, per):
-        g = slice(s0, s0 + per)
-        for a0 in range(0, n, a_step):
-            a = slice(a0, min(a0 + a_step, n))  # a must not run into the b columns
-            for b0 in range(n, 2 * n, _CHUNK):
-                b = slice(b0, b0 + _CHUNK)
-                same = (off[g, :, a, None] == off[g, :, None, b]).all(axis=1)
-                join = same & (on[g, a, None] != on[g, None, b])
-                yield (pure[g, a, None] | pure[g, None, b] | join).reshape(-1)
+    for i in range(0, len(read), step):
+        r = read[i : i + step]  # rows s*n + a, each paired with every b
+        s = r // n
+        for b0 in range(0, n, _CHUNK):
+            b = slice(b0, b0 + _CHUNK)
+            block = pure_a.take(r)[:, None] | pure_b.take(s, axis=0)[:, b]
+            j = np.flatnonzero(matched.take(r))
+            block[j] |= _joins(cols_a, on_a, off_b[:, :, b], on_b[:, b], r[j], s[j])
+            hits = ((r * n + b0)[:, None] + np.arange(block.shape[1]))[block]
+            lo = 0
+            while lo < len(hits):
+                hi = np.searchsorted(hits, hits[lo] + _CHUNK)
+                yield hits[lo:hi]
+                lo = hi
+
+
+def _joins(cols_a, on_a, off_b, on_b, r, s) -> np.ndarray:
+    """Whether scaled column a of parent s (row ``r = s*n + a`` of ``cols_a``
+    and ``on_a``) joins each b column of that parent (``off_b[s]``,
+    ``on_b[s]``): equal off the pivot row, unequal on it."""
+    same = (cols_a.take(r, axis=0)[:, :, None] == off_b.take(s, axis=0)).all(axis=1)
+    return same & (on_a.take(r)[:, None] != on_b.take(s, axis=0))
 
 
 def _nested_flags(parents: np.ndarray, m: int, n_parts: int, w: int, p: int):
-    """Yield the feasibility flags of the projected systems below
-    ``parents``, in scenario order, at most ``_CHUNK`` at a time.
+    """Yield the indices of the feasible projected systems below
+    ``parents``: ascending arrays, in scenario order, each within a span of
+    ``_CHUNK`` scenarios.  Parent s's descendants are the scenarios ``s *
+    n_parts**m`` to ``(s+1) * n_parts**m - 1``, in the order of their
+    partition choices.
 
     ``parents`` (S, rows, m*n_parts*w + 1) holds, per prefix of partition
     choices, the w reduced columns of each of the n_parts partitions of each
     of the m presumed adversaries left, then ``L y`` (see the module
     docstring).  A child fixes the next adversary's partition.  Children are
     made in slices of at most ``_CHUNK`` last-level descendants, depth first:
-    whole parents at a time, or part of one parent's children.  The last two
-    levels of a v=2 sweep (m <= 2, w = 1) build no child: all the parents go
-    to :func:`_pivot_flags`, which decides every descendant with one pivot on
-    ``L y`` for the whole stack and slices its flags alike.
+    whole parents at a time, or part of one parent's children.  A slice's
+    descendants are one contiguous scenario range, so its hits are its own
+    indices offset by the range's start.  The last two levels of a v=2
+    sweep (m <= 2, w = 1) build no child: all the parents go to
+    :func:`_pivot_flags`, which decides every descendant with one pivot on
+    ``L y`` for the whole stack.
     """
     if m <= 2 and w == 1:
         yield from _pivot_flags(parents, m, p)
         return
     S, rows, width = parents.shape
-    step = max(1, _CHUNK // n_parts ** (m - 1))
+    below = n_parts ** (m - 1)
+    step = max(1, _CHUNK // below)
     per, q_step = max(1, step // n_parts), min(step, n_parts)
     kid_width = width - (n_parts - 1) * w
     for s0 in range(0, S, per):
@@ -384,11 +438,15 @@ def _nested_flags(parents: np.ndarray, m: int, n_parts: int, w: int, p: int):
             kids[..., :w] = own.transpose(0, 2, 1, 3)
             kids[..., w:] = group[:, None, :, n_parts * w :]
             kids = kids.reshape(len(group) * nq, rows, kid_width)
+            base = (s0 * n_parts + q0) * below
             if m == 1:
-                yield batch_feasible(kids, p, w)
+                hits = np.flatnonzero(batch_feasible(kids, p, w))
+                if len(hits):
+                    yield base + hits
             else:
                 kids[_batch_eliminate(kids, p, w)] = 0
-                yield from _nested_flags(kids[:, :, w:], m - 1, n_parts, w, p)
+                for hits in _nested_flags(kids[:, :, w:], m - 1, n_parts, w, p):
+                    yield base + hits
 
 
 def _parity_check(Gsub, p: int) -> np.ndarray:
@@ -673,8 +731,8 @@ def decode(
         # (A_hat, flagged scenario indices) in sweep order; fast mode keeps
         # only each set's first, which pins every coordinate a later one pins.
         # The roots of consecutive sets are swept as one stack of at most
-        # _CHUNK columns (or one root), and each flags slice is split back
-        # into sets by scenario index.
+        # _CHUNK columns (or one root), and the feasible indices the sweep
+        # yields are split back into sets by index.
         nonlocal feasible_count
         sets = list(itertools.combinations(range(K), beta))
         per_set = n_parts**beta
@@ -682,15 +740,13 @@ def decode(
         for g0 in range(0, len(sets), per_group):
             group = sets[g0 : g0 + per_group]
             roots = np.stack([np.concatenate([LX[k] for k in A] + [Ly], axis=1) for A in group])
-            start, to_read = 0, [True] * len(group)
-            for flags in _nested_flags(roots, beta, n_parts, w, p):
-                hits = start + np.flatnonzero(flags)
+            to_read = [True] * len(group)
+            for hits in _nested_flags(roots, beta, n_parts, w, p):
                 feasible_count += len(hits)
-                first = start // per_set
-                start += len(flags)
-                ends = np.arange(first + 1, -(-start // per_set)) * per_set
-                for j, part in enumerate(np.split(hits, np.searchsorted(hits, ends)), first):
-                    if to_read[j] and len(part):
+                of_set = hits // per_set
+                for part in np.split(hits, np.flatnonzero(np.diff(of_set)) + 1):
+                    j = int(part[0]) // per_set
+                    if to_read[j]:
                         to_read[j] = strict
                         yield group[j], (part if strict else part[:1]) - j * per_set
 

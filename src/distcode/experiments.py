@@ -92,8 +92,15 @@ class ExperimentSpec:
         for kind in self.kinds:
             if kind not in KINDS:
                 raise BadParameter(f"unknown code kind {kind!r}")
+        suites = ("achievability", "converse") if self.suite == "both" else (self.suite,)
         for cell in self.cells:
             SystemConfig(*cell, p=self.prime)  # validates the grid cell
+            for suite in suites:
+                for t in self.ts_for(cell, suite):
+                    if not 1 <= t <= cell[0]:
+                        raise BadParameter(
+                            f"cell {tuple(cell)}: {suite} t={t} is outside [1, N={cell[0]}]"
+                        )
 
     def ts_for(self, cell, suite: str) -> tuple[int, ...]:
         N, K, beta, v = cell

@@ -132,6 +132,9 @@ class TestBadInput:
             "spec_cells_empty",
             "spec_kinds_empty",
             "spec_t_values_empty",
+            "spec_t_absolute_above_n",
+            "spec_t_relative_below_one",
+            "spec_t_absolute_zero",
             "spec_a_list",
             "code_a_string",
             "code_p_a_float",
@@ -149,6 +152,13 @@ class TestBadInput:
             "spec_kinds_empty": {"cells": [[9, 3, 1, 2]], "trials": 1, "kinds": []},
             "spec_t_values_empty": {"cells": [[9, 3, 1, 2]], "trials": 1,
                                     "t_mode": "relative", "t_values": []},
+            # Each t lies outside [1, N]: no trial can observe that many encoders.
+            "spec_t_absolute_above_n": {"cells": [[7, 3, 1, 2]], "trials": 1,
+                                        "t_mode": "absolute", "t_values": [99]},
+            "spec_t_relative_below_one": {"cells": [[7, 3, 1, 2]], "trials": 1,
+                                          "t_mode": "relative", "t_values": [-10]},
+            "spec_t_absolute_zero": {"cells": [[7, 3, 1, 2]], "trials": 1,
+                                     "t_mode": "absolute", "t_values": [0]},
             "spec_a_list": [1],
         }
         if case in specs:

@@ -503,10 +503,24 @@ def _planted_transcript(rows, nodes, K, beta, v, p, rng):
     return [sum(rows[n][k] * sent[k][i] for k in range(K)) % p for i, n in enumerate(nodes)]
 
 
+def _swept(pieces, total):
+    """The feasible scenario indices a sweep yields, once each yield is
+    checked: a nonempty ascending array within a span of ``_CHUNK``
+    scenarios, in scenario order after the one before, inside ``[0, total)``.
+    A sweep with no feasible scenario yields nothing."""
+    pieces = list(pieces)
+    for piece in pieces:
+        assert len(piece) and piece[-1] - piece[0] < decoding._CHUNK
+    hits = np.concatenate([np.empty(0, dtype=np.int64)] + pieces)
+    assert (np.diff(hits) > 0).all()  # ascending and unique across yields
+    assert not len(hits) or (hits[0] >= 0 and hits[-1] < total)
+    return hits.tolist()
+
+
 class TestNestedSweep:
     # The nested sweep eliminates one presumed adversary per level; it must
-    # flag exactly the scenarios whose flat projected system [L X'_q | L y]
-    # is consistent, in scenario order.
+    # yield exactly the indices of the scenarios whose flat projected system
+    # [L X'_q | L y] is consistent, in scenario order.
     FLAT_CELLS = [
         ((6, 3, 1, 2), 5),
         ((6, 3, 1, 3), 6),
@@ -563,23 +577,23 @@ class TestNestedSweep:
                 want = decoding.batch_feasible(flat, p, beta * w)
                 side_by_side = [x.transpose(1, 0, 2).reshape(len(L), n_parts * w) for x in LX]
                 root = np.concatenate(side_by_side + [Ly[:, None]], axis=1)[None]
-                got = list(decoding._nested_flags(root, beta, n_parts, w, p))
-                assert np.concatenate(got).tolist() == want.tolist()
+                got = _swept(decoding._nested_flags(root, beta, n_parts, w, p), len(want))
+                assert got == np.flatnonzero(want).tolist()
 
     # The last level of a v = 2 sweep pivots on L y once per parent and
-    # reads each child's flag off the reduced columns; every flag must be
-    # the consistency of the child's own system [c_q | L y].
+    # reads each child's feasibility off the reduced columns; the children
+    # yielded must be those whose own system [c_q | L y] is consistent.
     @staticmethod
     def _assert_pivot_read(parents, p):
         S, rows, width = parents.shape
         n = width - 1
-        got = np.concatenate(list(decoding._nested_flags(parents, 1, n, 1, p)))
+        got = _swept(decoding._nested_flags(parents, 1, n, 1, p), S * n)
         want = [
             gauss_jordan(parents[s, :, q : q + 1].tolist(), parents[s, :, n].tolist(), p)[0]
             for s in range(S)
             for q in range(n)
         ]
-        assert got.tolist() == want
+        assert got == np.flatnonzero(want).tolist()
 
     @pytest.mark.parametrize("chunk", [None, 5])
     def test_pivot_read_on_every_gf3_pair(self, chunk, monkeypatch):
@@ -616,14 +630,13 @@ class TestNestedSweep:
 
     # The last two levels of a v = 2 sweep pivot on L y once per parent and
     # join the pairs of columns whose scaled parts off the pivot row agree;
-    # every flag must be the consistency of the pair's own system
-    # [c_a | c_b | L y], and no slice may hold more than _CHUNK pairs.
+    # the pairs yielded must be those whose own system [c_a | c_b | L y] is
+    # consistent, and no yield may span more than _CHUNK pairs.
     @staticmethod
     def _assert_pair_read(parents, p):
         S, rows, width = parents.shape
         n = (width - 1) // 2
-        pieces = list(decoding._nested_flags(parents, 2, n, 1, p))
-        assert max(map(len, pieces)) <= decoding._CHUNK
+        got = _swept(decoding._nested_flags(parents, 2, n, 1, p), S * n * n)
         mats = parents.tolist()
         want = [
             not rows  # no equation: every system is consistent
@@ -632,7 +645,7 @@ class TestNestedSweep:
             for a in range(n)
             for b in range(n)
         ]
-        assert np.concatenate(pieces).tolist() == want
+        assert got == np.flatnonzero(want).tolist()
         return want
 
     @pytest.mark.parametrize("chunk", [None, 5])
@@ -671,6 +684,86 @@ class TestNestedSweep:
         want = self._assert_pair_read(parents, p)
         if rows:
             assert True in want and False in want
+
+    @staticmethod
+    def _compared_rows(monkeypatch):
+        """Record ``(parents, joined)`` of each exact join test: the parent of
+        every row compared in full, and whether the row joins some b."""
+        calls = []
+
+        def recording(cols_a, on_a, off_b, on_b, r, s):
+            out = joins(cols_a, on_a, off_b, on_b, r, s)
+            calls.append((s.tolist(), out.any(axis=1).tolist()))
+            return out
+
+        joins = decoding._joins
+        monkeypatch.setattr(decoding, "_joins", recording)
+        return calls
+
+    @pytest.mark.parametrize("p", [3, 5, 101, P, P61])
+    def test_pair_read_rejects_key_matches_that_do_not_join(self, p, monkeypatch):
+        # L y = z*e_0, so the pivot row is 0.  Off it, the scaled columns
+        # (1, 0, 1) and (1, 2, 0) differ but their keys collide (1*2 + 1*8 =
+        # 1*2 + 2*4); lam*u and mu*u are parallel, so their keys match but
+        # their scaled entries on row 0 agree too.  Neither pair may join,
+        # and only the exact test can tell: both rows reach it.  (x, v) and
+        # (y, v) with x != y do join.
+        rng = random.Random(p)
+
+        def nonzero():
+            return 1 + rng.randrange(p - 1)
+
+        def scaled(col):
+            lam = nonzero()
+            return [lam * e % p for e in col]
+
+        x = rng.randrange(p)
+        y = (x + nonzero()) % p
+        u = [rng.randrange(p), 1, nonzero(), rng.randrange(p)]
+        v = [nonzero(), rng.randrange(p), nonzero()]
+        a_cols = [scaled([x, 1, 0, 1]), scaled(u), scaled([x] + v)]
+        b_cols = [scaled([y, 1, 2, 0]), scaled(u), scaled([y] + v)]
+        ly = [nonzero(), 0, 0, 0]
+        parents = np.array([a_cols + b_cols + [ly]], dtype=FieldContext(p).dtype).transpose(0, 2, 1)
+        collide = np.array([[[0, 0], [1, 1], [0, 2], [1, 0]]], dtype=parents.dtype)
+        keys = decoding._column_keys(collide)
+        assert keys[0, 0] == keys[0, 1]
+        calls = self._compared_rows(monkeypatch)
+        want = self._assert_pair_read(parents, p)
+        n = 3
+        assert [want[a * n + a] for a in range(n)] == [False, False, True]
+        assert [rows for rows, _ in calls] == [[0, 0, 0]]  # every a row compared
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 40, 200])
+    @pytest.mark.parametrize("m, w", [(2, 1), (3, 1), (2, 2)])
+    def test_yields_keep_the_index_contract(self, m, w, chunk, monkeypatch):
+        # Random parents over GF(5), with some L y zero: dense hits.  Chunks
+        # of 1, 3 and 7 split the b columns of a pair read (n = 12), 40 and
+        # 200 take part of a parent or several parents per slice.  Every
+        # chunk must yield the same indices, each yield within its span.
+        rng = np.random.default_rng(m * 10 + w)
+        S, rows, n, p = 4, 3, 12, 5
+        parents = rng.integers(0, p, size=(S, rows, m * n * w + 1), dtype=np.int64)
+        parents[::3, :, -1] = 0
+        want = _swept(decoding._nested_flags(parents, m, n, w, p), S * n**m)
+        monkeypatch.setattr(decoding, "_CHUNK", chunk)
+        assert _swept(decoding._nested_flags(parents, m, n, w, p), S * n**m) == want
+        assert 0 < len(want) < S * n**m
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_threshold_decode_compares_only_key_matched_rows(self, seed, monkeypatch):
+        # (12,4,2,2) at t* = 8: 6 parents of 128 x 128 pairs.  For every
+        # observed encoder m, one partition per adversary has a column
+        # parallel to L e_m, so every parent has key matches that do not
+        # join; they are compared in full, and no other rows are, apart from
+        # those that join.  That is about t rows per parent, not 128.
+        cfg, gm, behavior, nodes, tr = _random_instance(seed, N=12, K=4, beta=2, v=2)
+        calls = self._compared_rows(monkeypatch)
+        res = decode(gm, nodes, tr, cfg)
+        assert verify_against_truth(res, behavior).ok
+        compared = [(s, j) for ss, jj in calls for s, j in zip(ss, jj)]
+        assert {s for s, joined in compared if not joined} == set(range(6))
+        assert len(compared) <= 6 * (len(nodes) + 2)
 
     @pytest.mark.parametrize("mode", ["fast", "strict"])
     def test_threshold_decode_builds_no_child(self, mode, monkeypatch):

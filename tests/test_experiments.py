@@ -17,6 +17,7 @@ from distcode import (
     run_experiments,
 )
 from distcode import experiments
+from distcode.errors import BadParameter
 from distcode.experiments import CSV_COLUMNS
 
 SMALL_SPEC = ExperimentSpec(cells=((9, 3, 1, 2),), trials=6, seed=3)
@@ -55,6 +56,28 @@ class TestSpec:
     def test_invalid_cell_rejected(self):
         with pytest.raises(ValueError):
             ExperimentSpec(cells=((3, 3, 3, 2),))
+
+    @pytest.mark.parametrize(
+        "t_mode, t_values, suite, bad",
+        [
+            ("absolute", (99,), "both", 99),
+            ("absolute", (0,), "achievability", 0),
+            ("absolute", (7, 8), "converse", 8),
+            ("relative", (-10,), "both", -5),  # t* = 5 on (7,3,1,2)
+            ("relative", (3,), "achievability", 8),
+        ],
+    )
+    def test_t_outside_one_to_n_rejected(self, t_mode, t_values, suite, bad):
+        # Rejected when the spec is built, before random.sample or decode sees
+        # it, and before a converse cell could observe fewer than t encoders.
+        with pytest.raises(BadParameter, match=rf"\(7, 3, 1, 2\).* t={bad} "):
+            ExperimentSpec(cells=((7, 3, 1, 2),), t_mode=t_mode, t_values=t_values, suite=suite)
+
+    def test_t_from_one_to_n_accepted(self):
+        spec = ExperimentSpec(cells=((7, 3, 1, 2),), t_mode="absolute", t_values=(1, 7))
+        assert spec.ts_for((7, 3, 1, 2), "converse") == (1, 7)
+        with pytest.raises(BadParameter, match="t=8"):
+            dataclasses.replace(spec, t_values=(8,))
 
 
 class TestRuns:
