@@ -37,7 +37,7 @@ from .errors import (
     PreconditionViolated,
     SelectionImpossible,
 )
-from .field import FieldContext, FieldMatrix, batch_rank, rank, solve
+from .field import FieldMatrix, _batch_eliminate, _is_integer, batch_rank, rank, solve
 from .system import SourceBehavior, SystemConfig, encode_transcript
 
 log = logging.getLogger(__name__)
@@ -83,8 +83,8 @@ class DifferenceBasis:
 
 
 def diff_basis(v: int) -> DifferenceBasis:
-    if v < 1:
-        raise BadDimensions(f"need v >= 1, got v={v}")
+    if not _is_integer(v) or v < 1:
+        raise BadDimensions(f"need an integer v >= 1, got v={v!r}")
     pairs = tuple((i, i) for i in range(v)) + tuple((i, i + 1) for i in range(v - 1))
     return DifferenceBasis(v, pairs)
 
@@ -94,10 +94,22 @@ def diff_basis(v: int) -> DifferenceBasis:
 # ---------------------------------------------------------------------------
 
 
-def _rows_rank(ctx: FieldContext, E: np.ndarray, idxs) -> int:
-    if not idxs:
-        return 0
-    return rank(FieldMatrix._wrap(ctx, E[np.array(sorted(idxs))]))
+def _independent_rows(ctx, E: np.ndarray, rows) -> list[int]:
+    """The rows of ``rows``, in order, that raise the rank of the rows before
+    them: the pivot rows of one elimination of ``E[rows]``.
+
+    The kernel pivots on the first unpivoted row that is nonzero in the
+    column.  After columns ``0..c`` an unpivoted row is a multiple of its
+    original plus a combination of pivot rows, and zero over those columns,
+    so it is nonzero in column c+1 iff the original's entries ``0..c+1``
+    leave the span of the pivot rows' entries ``0..c+1``.  By induction on
+    c, the pivot rows after column c are the rows whose entries ``0..c``
+    raise the rank of the earlier rows' entries ``0..c``; after the last
+    column, that is the rank of whole rows."""
+    if not rows:
+        return []
+    pivots = _batch_eliminate(E[np.array(rows)][None].copy(), ctx.p, E.shape[1])
+    return [r for r, piv in zip(rows, pivots[0].tolist()) if piv]
 
 
 def _greedy_blocks(ctx, E: np.ndarray, h: int, beta: int, m: int):
@@ -107,13 +119,7 @@ def _greedy_blocks(ctx, E: np.ndarray, h: int, beta: int, m: int):
     remaining = list(range(E.shape[0]))
     groups: list[list[int]] = []
     for _ in range(m - 1):
-        window = remaining[: min(h + beta, len(remaining))]
-        picked: list[int] = []
-        for i in window:
-            if _rows_rank(ctx, E, picked + [i]) == len(picked) + 1:
-                picked.append(i)
-                if len(picked) == beta:
-                    break
+        picked = _independent_rows(ctx, E, remaining[: h + beta])
         if len(picked) < beta:
             return None
         groups.append(picked)
@@ -127,36 +133,33 @@ def _repair_leftover(ctx, E: np.ndarray, leftover, groups, beta: int):
     leftover block reaches rank beta.  One exchange suffices under the
     canonical preconditions; the loop covers degenerate shapes."""
     for _ in range(2 * beta):
-        rk = _rows_rank(ctx, E, leftover)
+        independent = _independent_rows(ctx, E, leftover)
+        rk = len(independent)
         if rk == beta:
             return leftover, groups, True
-        independent: list[int] = []
-        for i in leftover:
-            if _rows_rank(ctx, E, independent + [i]) == len(independent) + 1:
-                independent.append(i)
         # Exchange a dependent nonzero leftover row r_star with a row r_hat
         # of some group when both blocks gain: the group stays at rank beta
-        # and the leftover's rank grows.
-        exchanges = (
-            (gi, new_grp, new_left)
+        # and the leftover's rank grows.  Every candidate is ranked, and the
+        # first that gains is taken.
+        cands = [
+            (gi, [r for r in grp if r != r_hat] + [r_star],
+             [r for r in leftover if r != r_star] + [r_hat])
             for r_star in leftover
             if r_star not in independent and (E[r_star] != 0).any()
             for gi, grp in enumerate(groups)
             for r_hat in grp
-            for new_grp, new_left in [(
-                [r for r in grp if r != r_hat] + [r_star],
-                [r for r in leftover if r != r_star] + [r_hat],
-            )]
-            if _rows_rank(ctx, E, new_grp) == beta
-            and _rows_rank(ctx, E, new_left) > rk
-        )
-        found = next(exchanges, None)
-        if found is None:
+        ]
+        if not cands:
             return leftover, groups, False
-        gi, new_grp, new_left = found
+        grp_ok = batch_rank(E[np.array([c[1] for c in cands])], ctx.p) == beta
+        left_up = batch_rank(E[np.array([c[2] for c in cands])], ctx.p) > rk
+        gains = np.flatnonzero(grp_ok & left_up)
+        if not len(gains):
+            return leftover, groups, False
+        gi, new_grp, new_left = cands[gains[0]]
         groups = groups[:gi] + [sorted(new_grp)] + groups[gi + 1 :]
         leftover = sorted(new_left)
-    return leftover, groups, _rows_rank(ctx, E, leftover) == beta
+    return leftover, groups, len(_independent_rows(ctx, E, leftover)) == beta
 
 
 def _full_rank_blocks(ctx, E: np.ndarray, h: int, beta: int, m: int):
@@ -210,7 +213,7 @@ def partition_full_rank(E: FieldMatrix, h: int, beta: int, v: int):
     if blocks is None:
         raise RuntimeError("block extraction failed despite valid preconditions")
     for blk in blocks:
-        if _rows_rank(ctx, a, list(blk)) != beta:
+        if len(_independent_rows(ctx, a, list(blk))) != beta:
             raise RuntimeError("partition produced a rank-deficient block")
     return blocks
 

@@ -123,6 +123,7 @@ from .field import (
     _as_ints,
     _batch_eliminate,
     _batch_inverse,
+    _is_integer,
     _read_reduced,
     _Reduced,
     batch_feasible,
@@ -137,39 +138,26 @@ _KEY_MASK = (1 << 31) - 1  # a column key's bits (see _column_keys)
 
 
 def enumerate_partitions(items, v: int):
-    """Yield every partition of ``items`` into at most ``v`` unlabeled blocks.
-
-    Partitions appear exactly once, in restricted-growth-string order; blocks
-    are ordered by first occurrence and keep the input ordering internally.
-    The total count is sum_{j=1..v} S(n, j) (Stirling numbers, second kind).
-    """
+    """Yield every partition of ``items`` into at most ``v`` unlabeled blocks,
+    in the order of :func:`_partition_labels`.  Blocks are ordered by first
+    occurrence and keep the input ordering internally.  The total count is
+    sum_{j=1..v} S(n, j) (Stirling numbers, second kind)."""
     items = tuple(items)
-    n = len(items)
-    if n < 1:
+    if not items:
         raise BadParameter("cannot partition an empty set")
-    if v < 1:
-        raise BadDimensions(f"need v >= 1, got v={v}")
-    labels = [0] * n
-
-    def rec(i: int, used: int):
-        if i == n:
-            blocks = [[] for _ in range(used)]
-            for pos, lbl in enumerate(labels):
-                blocks[lbl].append(items[pos])
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for lbl in range(min(used + 1, v)):
-            labels[i] = lbl
-            yield from rec(i + 1, max(used, lbl + 1))
-
-    yield from rec(0, 0)
+    if not _is_integer(v) or v < 1:
+        raise BadDimensions(f"need an integer v >= 1, got v={v!r}")
+    for row in _partition_labels(len(items), min(v, len(items))):
+        yield _blocks(items, row)
 
 
 @functools.lru_cache(maxsize=32)
 def _partition_labels(t: int, v: int) -> np.ndarray:
-    """The partitions of t positions into at most v blocks as read-only
-    restricted-growth labels, one row per partition in
-    :func:`enumerate_partitions` order: entry i is position i's block.
+    """The partitions of t positions into at most v blocks, as read-only
+    restricted-growth strings, one row per partition: entry i is position i's
+    block, position 0 is in block 0, and position i is in a block at most one
+    above the largest label before it and below v.  Rows are in
+    lexicographic order; this is the order of every partition sweep.
 
     The table grows one position at a time: a row with u blocks used gets
     children labelled ``0 .. min(u, v-1)``, in label order."""
@@ -381,17 +369,15 @@ def _pivot_flags(parents: np.ndarray, m: int, p: int):
     for i in range(0, len(read), step):
         r = read[i : i + step]  # rows s*n + a, each paired with every b
         s = r // n
-        for b0 in range(0, n, _CHUNK):
-            b = slice(b0, b0 + _CHUNK)
-            block = pure_a.take(r)[:, None] | pure_b.take(s, axis=0)[:, b]
-            j = np.flatnonzero(matched.take(r))
-            block[j] |= _joins(cols_a, on_a, off_b[:, :, b], on_b[:, b], r[j], s[j])
-            hits = ((r * n + b0)[:, None] + np.arange(block.shape[1]))[block]
-            lo = 0
-            while lo < len(hits):
-                hi = np.searchsorted(hits, hits[lo] + _CHUNK)
-                yield hits[lo:hi]
-                lo = hi
+        block = pure_a.take(r)[:, None] | pure_b.take(s, axis=0)
+        j = np.flatnonzero(matched.take(r))
+        block[j] |= _joins(cols_a, on_a, off_b, on_b, r[j], s[j])
+        hits = ((r * n)[:, None] + np.arange(n))[block]
+        lo = 0
+        while lo < len(hits):
+            hi = np.searchsorted(hits, hits[lo] + _CHUNK)
+            yield hits[lo:hi]
+            lo = hi
 
 
 def _joins(cols_a, on_a, off_b, on_b, r, s) -> np.ndarray:

@@ -26,7 +26,7 @@ from .codes import KINDS, _json_ints, draw_mds, threshold
 from .decoding import DEFAULT_BUDGET, decode, verify_against_truth
 from .errors import BadParameter, BudgetExceeded, DistcodeError, IoFailure
 from .attacks import converse_attack, verify_attack
-from .field import DEFAULT_PRIME, field_new
+from .field import DEFAULT_PRIME, _is_integer, field_new
 from .system import SystemConfig, behavior_random_adversarial, encode_transcript
 
 CSV_COLUMNS = (
@@ -83,8 +83,9 @@ class ExperimentSpec:
             raise BadParameter(f"unknown t_mode {self.t_mode!r}")
         if self.suite not in ("achievability", "converse", "both"):
             raise BadParameter(f"unknown suite {self.suite!r}")
-        if self.trials < 1 or self.workers < 1:
-            raise BadParameter("trials and workers must be positive")
+        for name in ("trials", "workers", "budget"):
+            if not _is_integer(getattr(self, name)) or getattr(self, name) < 1:
+                raise BadParameter(f"{name} must be a positive integer")
         if not self.cells or not self.kinds:
             raise BadParameter("a spec needs at least one cell and one kind")
         if self.t_mode != "default" and not self.t_values:
@@ -94,6 +95,8 @@ class ExperimentSpec:
                 raise BadParameter(f"unknown code kind {kind!r}")
         suites = ("achievability", "converse") if self.suite == "both" else (self.suite,)
         for cell in self.cells:
+            if not isinstance(cell, (tuple, list)) or len(cell) != 4:
+                raise BadParameter(f"a cell is four integers (N, K, beta, v), got {cell!r}")
             SystemConfig(*cell, p=self.prime)  # validates the grid cell
             for suite in suites:
                 for t in self.ts_for(cell, suite):

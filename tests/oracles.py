@@ -98,6 +98,15 @@ def stirling2(n: int, k: int) -> int:
     return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
 
 
+def restricted_growth_strings(t: int, v: int):
+    """Every restricted-growth string of length t with at most v blocks, in
+    lexicographic order: each label is at most one above the largest label
+    before it (the first is 0) and below v.  Label i is at most i."""
+    for labels in itertools.product(*(range(min(i + 1, v)) for i in range(t))):
+        if all(x <= max(labels[:i], default=-1) + 1 for i, x in enumerate(labels)):
+            yield list(labels)
+
+
 def all_set_partitions(items):
     """Every set partition, built by inserting elements one at a time."""
     items = list(items)

@@ -5,8 +5,10 @@ import pytest
 
 from distcode import (
     AttackConstructionFailed,
+    BadDimensions,
     BadParameter,
     DimensionMismatch,
+    FieldContext,
     FieldMatrix,
     PreconditionViolated,
     SystemConfig,
@@ -22,8 +24,12 @@ from distcode import (
     verify_against_truth,
     verify_attack,
 )
-from distcode.attacks import _greedy_blocks
+from distcode import attacks
+from distcode import field as fieldmod
+from distcode.attacks import _greedy_blocks, _independent_rows
 import dataclasses
+
+from oracles import rank_naive
 
 P = 2**31 - 1
 CTX = field_new(P)
@@ -75,6 +81,11 @@ class TestDifferenceBasis:
             a = [rng.randrange(P) for _ in range(3)]
             b = [rng.randrange(P) for _ in range(3)]
             assert instantiate_difference(basis, (2, 0), a, b, P) == (a[2] - b[0]) % P
+
+    @pytest.mark.parametrize("v", [2.0, True, "2", None, 0])
+    def test_v_not_a_positive_integer_rejected(self, v):
+        with pytest.raises(BadDimensions):
+            diff_basis(v)
 
     @pytest.mark.parametrize("v", range(1, 7))
     def test_all_pairs_all_v(self, v):
@@ -150,6 +161,64 @@ class TestPartitionFullRank:
         assert err.value.property_index == 3
 
 
+class TestIndependentRows:
+    @staticmethod
+    def _greedy(rows, idxs, p):
+        """Each row of ``idxs`` that raises the rank of the ones picked so far."""
+        picked = []
+        for i in idxs:
+            if rank_naive([rows[j] for j in picked + [i]], p) == len(picked) + 1:
+                picked.append(i)
+        return picked
+
+    @pytest.mark.parametrize("p", [5, P, 2**61 - 1])
+    @pytest.mark.parametrize("shape", ["random", "deficient", "zero_rows", "repeated_rows"])
+    def test_matches_a_greedy_rank_loop(self, p, shape):
+        rng = random.Random(f"{p} {shape}")
+        ctx = FieldContext(p)
+        for _ in range(25):
+            n, cols = rng.randrange(1, 9), rng.randrange(1, 5)
+            if shape == "deficient":  # combinations of fewer than cols rows
+                span = [[rng.randrange(p) for _ in range(cols)] for _ in range(cols - 1)]
+                rows = [
+                    [sum(rng.randrange(p) * b[c] for b in span) % p for c in range(cols)]
+                    for _ in range(n)
+                ]
+            else:
+                rows = [[rng.randrange(p) for _ in range(cols)] for _ in range(n)]
+            if shape == "zero_rows":
+                for i in rng.sample(range(n), rng.randrange(n + 1)):
+                    rows[i] = [0] * cols
+            if shape == "repeated_rows":
+                rows = [rows[rng.randrange(n)] for _ in range(n)]
+            idxs = rng.sample(range(n), rng.randrange(n + 1))
+            if shape == "repeated_rows" and idxs:
+                idxs.insert(rng.randrange(len(idxs) + 1), rng.choice(idxs))
+            E = np.array(rows, dtype=ctx.dtype).reshape(n, cols)
+            assert _independent_rows(ctx, E, idxs) == self._greedy(rows, idxs, p)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_attack_makes_one_elimination_per_group(self, seed, monkeypatch):
+        # (12,4,2,2): t*-1 = 7 rows in m = 3 groups.  One elimination per
+        # window picks each of the two groups of 2, one finds the leftover's
+        # rank (2, so no exchange), and one solves for the nullspace.
+        cfg = SystemConfig(N=12, K=4, beta=2, v=2, p=P)
+        gm = draw_mds(CTX, "random", 12, 4, seed=seed)
+        calls = []
+
+        def counting(batch, p, ncols, start=0):
+            calls.append(batch.shape)
+            return eliminate(batch, p, ncols, start)
+
+        eliminate = fieldmod._batch_eliminate
+        monkeypatch.setattr(fieldmod, "_batch_eliminate", counting)
+        monkeypatch.setattr(attacks, "_batch_eliminate", counting)
+        atk = converse_attack(gm, cfg, seed=seed)
+        assert tuple(map(len, atk.groups)) == (3, 2, 2)
+        assert calls[:3] == [(1, 4, 2), (1, 4, 2), (1, 3, 2)]
+        assert len(calls) == 4
+
+
 def engineered_repair_input(seed, h, beta, v):
     """Input whose greedy leftover is rank deficient, forcing the exchange.
 
@@ -160,7 +229,7 @@ def engineered_repair_input(seed, h, beta, v):
     rng = random.Random(seed)
     t = h + 2 * beta * v - beta - 1
     tail = h + beta - 1
-    while True:
+    for _ in range(100):  # a greedy pass that never leaves the tail must fail, not hang
         rows = [[rng.randrange(1, P) for _ in range(beta)] for _ in range(t - tail)]
         direction = [rng.randrange(1, P) for _ in range(beta)]
         for _ in range(tail):
@@ -175,6 +244,7 @@ def engineered_repair_input(seed, h, beta, v):
         if sorted(leftover) != list(range(t - tail, t)):
             continue  # greedy must leave exactly the parallel tail
         return E
+    raise AssertionError(f"no engineered repair input for seed {seed}")
 
 
 class TestExchangeRepair:

@@ -117,6 +117,8 @@ class TestBadInput:
             "points_not_integers",
             "sweep_trials_zero",
             "sweep_workers_zero",
+            "sweep_budget_negative",
+            "spec_cell_of_three",
             "value_a_string",
             "value_null",
             "value_a_list",
@@ -160,6 +162,7 @@ class TestBadInput:
             "spec_t_absolute_zero": {"cells": [[7, 3, 1, 2]], "trials": 1,
                                      "t_mode": "absolute", "t_values": [0]},
             "spec_a_list": [1],
+            "spec_cell_of_three": {"cells": [[5, 3, 1]], "trials": 1},
         }
         if case in specs:
             (tmp_path / "spec.json").write_text(json.dumps(specs[case]))
@@ -176,12 +179,17 @@ class TestBadInput:
                                       "--out", str(tmp_path / "r.csv")],
                 "sweep_workers_zero": ["sweep", "--workers", "0",
                                        "--out", str(tmp_path / "r.csv")],
+                "sweep_budget_negative": ["sweep", "--budget", "-5", "--trials", "1",
+                                          "--out", str(tmp_path / "r.csv")],
             }.get(case) or self._decode_argv(tmp_path, case)
         capsys.readouterr()
         rc = run_cli(*argv)
         err = capsys.readouterr().err
         assert rc == 1
         assert len(err.splitlines()) == 1 and err.startswith("error:")
+        named = {"sweep_budget_negative": "budget", "spec_cell_of_three": "four integers"}
+        assert named.get(case, "") in err
+        assert not (tmp_path / "r.csv").exists()
 
     @staticmethod
     def _decode_argv(tmp_path, case):

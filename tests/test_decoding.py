@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from distcode import (
+    BadDimensions,
     BadParameter,
     BudgetExceeded,
     FieldContext,
@@ -36,6 +37,7 @@ from oracles import (
     labeled_feasible_projections,
     matvec,
     rank_naive,
+    restricted_growth_strings,
     stirling2,
     strict_record,
     strict_result_projections,
@@ -83,20 +85,28 @@ class TestEnumeratePartitions:
         assert first == ((7, 8, 9),)
 
     @pytest.mark.parametrize("v", range(1, 5))
-    def test_label_table_matches_the_generator(self, v):
-        # The decoder's table grows level by level in numpy; row i must be the
-        # restricted-growth labels of the generator's i-th partition.
+    def test_label_table_matches_the_oracle(self, v):
+        # The decoder's table grows level by level in numpy; its rows must be
+        # the restricted-growth strings with at most v blocks, in
+        # lexicographic order.
         for t in range(1, 11):
-            want = []
-            for part in enumerate_partitions(range(t), v):
-                row = [0] * t
-                for b, block in enumerate(part):
-                    for i in block:
-                        row[i] = b
-                want.append(row)
             got = decoding._partition_labels(t, v)
             assert got.dtype == np.int64 and not got.flags.writeable
-            assert got.tolist() == want
+            assert got.tolist() == list(restricted_growth_strings(t, v))
+
+    def test_partitions_follow_the_label_table(self):
+        items = (3, 1, 4, 5, 9)
+        want = [
+            tuple(tuple(x for x, b in zip(items, row) if b == k) for k in range(max(row) + 1))
+            for row in restricted_growth_strings(len(items), 3)
+        ]
+        assert list(enumerate_partitions(items, 3)) == want
+        assert list(enumerate_partitions(items, 10**30)) == list(enumerate_partitions(items, 5))
+
+    @pytest.mark.parametrize("v", [2.0, True, "2", None, 0])
+    def test_v_not_a_positive_integer_rejected(self, v):
+        with pytest.raises(BadDimensions):
+            next(enumerate_partitions((1, 2, 3), v))
 
 
 def _random_instance(seed, N=9, K=3, beta=1, v=2, t=None, adversarial=True, p=P):
@@ -738,7 +748,7 @@ class TestNestedSweep:
     @pytest.mark.parametrize("m, w", [(2, 1), (3, 1), (2, 2)])
     def test_yields_keep_the_index_contract(self, m, w, chunk, monkeypatch):
         # Random parents over GF(5), with some L y zero: dense hits.  Chunks
-        # of 1, 3 and 7 split the b columns of a pair read (n = 12), 40 and
+        # of 1, 3 and 7 split the hits of one pair-read row (n = 12), 40 and
         # 200 take part of a parent or several parents per slice.  Every
         # chunk must yield the same indices, each yield within its span.
         rng = np.random.default_rng(m * 10 + w)

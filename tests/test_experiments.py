@@ -57,6 +57,19 @@ class TestSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(cells=((3, 3, 3, 2),))
 
+    @pytest.mark.parametrize("cell", [(5, 3, 1), (9, 3, 1, 2, 1), 5, "9312"])
+    def test_cell_not_four_integers_rejected(self, cell):
+        with pytest.raises(BadParameter, match="four integers"):
+            ExperimentSpec(cells=(cell,))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("budget", 0), ("budget", -5), ("budget", 2.5), ("trials", 2.5), ("workers", True)],
+    )
+    def test_count_not_a_positive_integer_rejected(self, field, value):
+        with pytest.raises(BadParameter, match=field):
+            ExperimentSpec(cells=((9, 3, 1, 2),), **{field: value})
+
     @pytest.mark.parametrize(
         "t_mode, t_values, suite, bad",
         [
