@@ -77,6 +77,20 @@ def _transcripts():
             for label, setup in (("setup1", atk.setup1), ("setup2", atk.setup2)):
                 tr = encode_transcript(gm, setup, nodes)
                 yield f"attack {N},{K},{beta},{v} {label} drop={drop}", cfg, gm, nodes, tr
+    # beta = 2, v = 3 on an MDS code of each kind, with a random adversary,
+    # at t = 4 and 5 (t* = 6 leaves about 40k feasible solutions to hash).
+    cfg = SystemConfig(6, 3, 2, 3)
+    ctx = field_new(cfg.p)
+    for kind in KINDS:
+        gm = draw_mds(ctx, kind, 6, 3, seed=623)
+        for t in (4, 5):
+            rng = random.Random(f"mds6,3,2,3,{kind},{t}")
+            msgs = [rng.randrange(cfg.p) for _ in range(3)]
+            adv = sorted(rng.sample(range(3), 2))
+            nodes = tuple(sorted(rng.sample(range(6), t)))
+            behavior = behavior_random_adversarial(cfg, msgs, adv, rng.randrange(1 << 30))
+            tr = encode_transcript(gm, behavior, nodes)
+            yield f"mds 6,3,2,3 {kind} t={t} adv", cfg, gm, nodes, tr
     # Random, repeated-column and zero-column codes over small fields at every
     # t from K-1 to N, so some honest blocks are rank-deficient; a random
     # adversary's transcript and a shifted (non-codeword) one.
