@@ -79,26 +79,46 @@ well, which back-substitutes them.  One batched read then gives each
 system's pivot columns, particular solution, pinned set and nullspace basis;
 they depend only on its solution set and column order.  If a system is
 inconsistent the projection was wrong and ``decode`` raises ``RuntimeError``.
-Every recorded solution, and in strict mode every witness alternate, is also
+Every solution read, and in strict mode every witness alternate, is also
 encoded and compared with the transcript (:func:`_check_encodes`).
 
-Both modes carry each coordinate's first pinned value across chunks and
-presumed-adversary sets, and the estimates are read off it.  Strict mode keeps
-each read chunk's arrays (scenario indices, particular solutions, pinned
-masks) rather than one object per feasible scenario, finds each coordinate's
-first witness event with whole-chunk array operations, and builds
-:class:`ScenarioSolution` objects eagerly only for the witness pairs; the
-feasible solutions are built when ``DecodeResult.feasible`` is first read.
+Both modes read each presumed-adversary set's first flagged scenario, and
+the estimates are each coordinate's first pinned value among them, because
+the first flagged scenario of a set pins every coordinate that a later
+scenario of the set pins.  Were some b unpinned there, ``g_b`` would be a
+combination of the other honest columns and the adversaries' block columns.
+Merging two blocks of one adversary whose coefficients differ keeps the
+column space, so the coarser scenario is feasible and comes earlier in
+restricted-growth order.  Hence each adversary's coefficients are equal,
+``g_b`` lies in the span of the other honest columns and the adversaries'
+code columns, and no scenario of the set pins b.
 
-Fast mode reads one scenario per presumed-adversary set, the first flagged
-one, because it pins every coordinate that a later scenario of
-the set pins.  Were some b unpinned there, ``g_b`` would be a combination of
-the other honest columns and the adversaries' block columns.  Merging two
-blocks of one adversary whose coefficients differ keeps the column space, so
-the coarser scenario is feasible and comes earlier in restricted-growth
-order.  Hence each adversary's coefficients are equal, ``g_b`` lies in the
-span of the other honest columns and the adversaries' code columns, and no
-scenario of the set pins b.
+Strict mode reads one more scenario per coordinate k, its first witness
+event: the first feasible scenario that presumes k honest and leaves k
+unpinned or pins it to a value other than its first pinned value ``x_k``.
+The witness pairs are built from these reads.  The other flagged scenarios
+are kept as ``(A_hat, scenario indices)`` pieces, and read, encode-checked
+and built into :class:`ScenarioSolution` objects when
+``DecodeResult.feasible`` is first read.
+
+The events are found without reading.  Let ``L_k`` be a basis of the left
+nullspace of ``G_T`` without column k, and q a feasible scenario that
+presumes k honest, with M its full system ``[D | X_q]`` without ``g_k``.
+As above, M spans what ``[G_T without g_k | X'_q]`` spans, so a vector z
+lies in that span iff ``L_k z`` lies in the span of ``L_k X'_q``: write ``z
+- X'_q c`` for the part that ``L_k`` annihilates.  k is unpinned iff
+``g_k`` lies in the span of M, which is S2(q): ``L_k g_k`` is in the span
+of ``L_k X'_q``.  Some solution gives k the value x iff ``y - x g_k`` lies
+in the span of M, which for x = ``x_k`` is S1(q): ``L_k (y - x_k g_k)`` is
+in the span of ``L_k X'_q``.  A pinned k takes one value, so q is k's event
+iff S2(q) or not S1(q).  Both are consistency tests of the projected form,
+with ``L_k`` for L and another right-hand side, and one sweep decides them
+for every coordinate and set.  ``L_k`` is L plus at most one row, read off
+the same elimination (:func:`_parity_check`).  A set needs no sweep for k
+when its only flagged scenario is its first, which is read, or when it
+comes after the set of k's earliest event among the read scenarios.  A k
+that is never pinned has its event at the first read scenario that
+presumes it honest.
 """
 
 from __future__ import annotations
@@ -258,9 +278,10 @@ class DecodeResult:
     ``estimates[k]`` is ``None`` while no feasible scenario pinned source k.
     ``guaranteed`` says whether the transcript covers at least t* encoders,
     the only case in which the theorem vouches for the honest estimates.
-    Strict mode additionally carries every feasible solution, built when
-    ``feasible`` is first read, and one witness pair per coordinate on which
-    feasible solutions disagree; the properties
+    Strict mode additionally carries every feasible solution, read,
+    encode-checked and built when ``feasible`` is first read (a wrong one
+    raises ``RuntimeError`` then), and one witness pair per coordinate on
+    which feasible solutions disagree; the properties
     ``ambiguous_coordinates`` (those coordinates) and ``ambiguity`` (the
     witness for the smallest one) are read off ``witnesses``.
     """
@@ -435,39 +456,59 @@ def _nested_flags(parents: np.ndarray, m: int, n_parts: int, w: int, p: int):
                     yield base + hits
 
 
-def _parity_check(Gsub, p: int) -> np.ndarray:
-    """A basis ``L`` of the left nullspace of ``Gsub``, the code's parity
-    check on the observed encoders: ``L z = 0`` iff ``z`` lies in the column
-    space of ``Gsub``.
+def _parity_check(Gsub, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(L, ell)``: a basis ``L`` of the left nullspace of ``Gsub`` (t, K),
+    the code's parity check on the observed encoders (``L z = 0`` iff ``z``
+    lies in the column space of ``Gsub``), and a (K, t) array whose row k
+    extends ``L`` to a basis of the left nullspace of ``Gsub`` without
+    column k, or is zero where ``L`` already is one.
 
     One elimination of ``[Gsub | I]`` over its first K columns leaves each
     row without a pivot zero over ``Gsub``, so its last t columns hold a
     vector of ``L``.  Such a row carries a nonzero multiple of its own unit
     vector and none of another non-pivot row's, so the rows are independent
     and span the left nullspace even when ``Gsub`` is rank-deficient.
+
+    Write a pivot row as ``[R_i | E_i]``, so ``R_i = E_i Gsub``.  If ``R_i``
+    is zero off its pivot column k, ``E_i`` annihilates every column but
+    ``g_k`` and not ``g_k``: then ``g_k`` is not a combination of the other
+    columns, dropping it raises the nullity by one, and ``E_i`` is row k.
+    Otherwise ``g_k`` is such a combination and ``L`` is already a basis: a
+    column without a pivot is a combination of the pivot columns before
+    it, and a column j != k on which ``R_i`` is nonzero has no pivot and
+    uses ``g_k`` with a nonzero coefficient.
     """
     t, K = Gsub.shape
     stack = np.empty((1, t, K + t), dtype=Gsub.dtype)
     stack[0, :, :K] = Gsub
     stack[0, :, K:] = np.eye(t, dtype=Gsub.dtype)
-    pivotal = _batch_eliminate(stack, p, K)
-    return stack[0, ~pivotal[0], K:]
+    pivotal = _batch_eliminate(stack, p, K)[0]
+    nz, E = stack[0, :, :K] != 0, stack[0, :, K:]
+    alone = pivotal & (nz.sum(axis=1) == 1)
+    ell = np.zeros((K, t), dtype=Gsub.dtype)
+    ell[nz[alone].argmax(axis=1)] = E[alone]
+    return E[~pivotal], ell
 
 
-def _check_encodes(Gsub, yv, labels, A_hat, Hs, combos, vecs, p: int) -> None:
-    """Raise unless each ``vecs[i]`` (values of the honest sources ``Hs``, then
-    v block values per presumed adversary) encodes to ``yv`` in scenario
-    ``combos[i]``: encoder n receives each honest value and, from presumed
-    adversary j, the value of its block ``labels[q_j, n]``.  Each product is
-    reduced before the sum, so int64 cannot wrap."""
-    h = len(Hs)
-    v = (vecs.shape[1] - h) // len(A_hat)
-    parts = _partition_indices(combos, len(labels), len(A_hat))
-    acc = (vecs[:, None, :h] * Gsub[:, Hs] % p).sum(axis=2)
-    for j, a in enumerate(A_hat):
+def _check_encodes(Gsub, yv, labels, A, combos, vecs, p: int) -> None:
+    """Raise unless each ``vecs[i]`` (values of the presumed-honest sources
+    in source order, then v block values per presumed adversary ``A[i, j]``)
+    encodes to ``yv`` in scenario ``combos[i]``: encoder n receives each
+    honest value and, from presumed adversary j, the value of its block
+    ``labels[q_j, n]``.  Each product is reduced before the sum, so int64
+    cannot wrap."""
+    S, beta = A.shape
+    K = Gsub.shape[1]
+    h, v = K - beta, (vecs.shape[1] - K + beta) // beta
+    honest = np.ones((S, K), dtype=bool)
+    honest[np.arange(S)[:, None], A] = False
+    H = np.nonzero(honest)[1].reshape(S, h)
+    parts = _partition_indices(combos, len(labels), beta)
+    acc = (vecs[:, :h, None] * Gsub.T[H] % p).sum(axis=1)
+    for j in range(beta):
         blocks = vecs[:, h + j * v : h + (j + 1) * v]
         sent = np.take_along_axis(blocks, labels[parts[:, j]], axis=1)
-        acc += sent * Gsub[:, a] % p
+        acc += sent * Gsub.T[A[:, j]] % p
     if (acc % p != yv).any():
         raise RuntimeError("a recorded solution does not satisfy its scenario system")
 
@@ -489,18 +530,16 @@ class _Chunk:
 class _FeasibleSolutions(Sequence):
     """The solutions of every feasible scenario, in sweep order.
 
-    Strict decoding keeps only each read chunk's arrays; the
-    :class:`ScenarioSolution` objects are built on the first read.
+    Strict decoding keeps only the flagged ``(A_hat, scenario indices)``
+    pieces.  The first access that needs a solution reads their systems,
+    checks that each solution encodes to the transcript, and builds the
+    :class:`ScenarioSolution` objects; the length needs no read.
     """
 
-    def __init__(self, nodes, labels: np.ndarray, v: int):
+    def __init__(self, nodes, labels: np.ndarray, v: int, pieces, read):
         self._nodes, self._labels, self._v = nodes, labels, v
-        self._chunks: list[_Chunk] = []
-        self._count = 0
-
-    def append(self, chunk: _Chunk) -> None:
-        self._chunks.append(chunk)
-        self._count += len(chunk.combos)
+        self._pieces, self._read = pieces, read
+        self._count = sum(len(combos) for _, combos in pieces)
 
     def solution(self, chunk: _Chunk, row: int, vec=None) -> ScenarioSolution:
         """Row ``row`` of ``chunk`` as a solution, with ``vec`` (default: the
@@ -524,7 +563,7 @@ class _FeasibleSolutions(Sequence):
     def _solutions(self) -> tuple[ScenarioSolution, ...]:
         return tuple(
             self.solution(chunk, row)
-            for chunk in self._chunks
+            for chunk, _, _ in self._read(self._pieces)
             for row in range(len(chunk.combos))
         )
 
@@ -601,41 +640,45 @@ def _read_flagged(Gsub, yv, memb, batch, p: int) -> _Reduced:
     return red
 
 
-def _record_witnesses(chunk: _Chunk, red, row0, feasible, witnesses, pinned_first, p):
-    """Record the witness of each honest coordinate of ``chunk`` whose first
-    witness event lies in it, and return the ``(row, alternate)`` pairs of
-    the witnesses that step along a nullspace vector.  ``red`` holds the
-    chunk's systems from its row ``row0`` on.
+def _read_chunks(Gsub, yv, labels, v: int, p: int, pieces):
+    """Read the systems of the ``(A_hat, scenario indices)`` pieces, in order
+    and in :func:`_batches`, check that each particular solution encodes to
+    ``yv``, and yield ``(chunk, red, row)`` per piece: its :class:`_Chunk`,
+    and the reduced batch ``red`` in which its systems start at ``row``."""
+    memb = (labels[:, :, None] == np.arange(v)).astype(Gsub.dtype)
+    K = Gsub.shape[1]
+    for batch in _batches(pieces):
+        red = _read_flagged(Gsub, yv, memb, batch, p)
+        sizes = [len(combos) for _, combos in batch]
+        A = np.repeat([A_hat for A_hat, _ in batch], sizes, axis=0)
+        combos = np.concatenate([combos for _, combos in batch])
+        _check_encodes(Gsub, yv, labels, A, combos, red.particular, p)
+        row0 = 0
+        for A_hat, combos in batch:
+            Hs = [k for k in range(K) if k not in A_hat]
+            rows = slice(row0, row0 + len(combos))
+            yield _Chunk(A_hat, Hs, combos, red.particular[rows], red.pinned[rows, : len(Hs)]), red, row0
+            row0 += len(combos)
 
-    A coordinate's event is the first feasible scenario that leaves it
-    unpinned or pins it to a value other than its first pinned value;
-    ``pinned_first`` carries that value and where it was pinned across
-    chunks and presumed-adversary sets, and already holds ``chunk``'s own.
-    Witnesses are inserted in sweep order, then by coordinate.
-    """
-    Hs, pins = chunk.Hs, chunk.pinned
-    vals = chunk.particular[:, : len(Hs)]
-    ref = np.array([pinned_first.get(k, (0,))[0] for k in Hs], dtype=vals.dtype)
-    # A row is a coordinate's event if it leaves it unpinned or pins another value.
-    events = ~pins | (vals != ref)
-    at = events.argmax(axis=0)
-    found = sorted(
-        (int(at[i]), i) for i in np.flatnonzero(events.any(axis=0)).tolist()
-        if Hs[i] not in witnesses
-    )
-    alts = []
-    for row, i in found:
-        sol = feasible.solution(chunk, row)
-        if pins[row, i]:
-            _, where, r0 = pinned_first[Hs[i]]
-            witnesses[Hs[i]] = (feasible.solution(where, r0), sol)
-        else:
-            x = chunk.particular[row].tolist()
-            bvec = next(bv for bv in red.nullspace(row0 + row).tolist() if bv[i] != 0)
-            alt = [(a + b) % p for a, b in zip(x, bvec)]
-            alts.append((row, alt))
-            witnesses[Hs[i]] = (sol, feasible.solution(chunk, row, alt))
-    return alts
+
+def _sweep(cols, rhs, roots: np.ndarray, beta: int, n_parts: int, w: int, p: int):
+    """Yield the ascending indices of the feasible scenarios below the
+    roots, root r's scenario q as ``r * n_parts**beta + q``, as
+    :func:`_nested_flags` yields them.  Row r of ``roots`` names root r's
+    blocks: ``cols[roots[r, j]]`` holds ``L X'_a`` of every partition for its
+    j-th presumed adversary a, and ``rhs[roots[r, beta]]`` is its right-hand
+    side (see the module docstring).  Consecutive roots are stacked up to
+    ``_CHUNK`` columns (at least one root), and each stack is swept in one
+    :func:`_nested_flags` pass."""
+    per_root = n_parts**beta
+    per_group = max(1, _CHUNK // (beta * n_parts * w + 1))
+    for g0 in range(0, len(roots), per_group):
+        group = roots[g0 : g0 + per_group]
+        stack = np.concatenate(
+            [cols[group[:, j]] for j in range(beta)] + [rhs[group[:, beta]]], axis=2
+        )
+        for hits in _nested_flags(stack, beta, n_parts, w, p):
+            yield hits + g0 * per_root
 
 
 def decode(
@@ -658,7 +701,8 @@ def decode(
             solves; exceeding it raises :class:`BudgetExceeded`.
 
     Raises:
-        BadParameter: a node index is not an integer.
+        BadParameter: a node index is not an integer, or ``budget`` is not
+            a positive integer.
         TranscriptMismatch: ``nodes`` disagrees with the transcript.
         NodeOutOfRange: the node set is empty, or its indices repeat or
             exceed N.
@@ -666,6 +710,8 @@ def decode(
     """
     if mode not in ("fast", "strict"):
         raise BadParameter(f"unknown mode {mode!r}")
+    if not _is_integer(budget) or budget < 1:
+        raise BadParameter(f"budget must be a positive integer, got {budget!r}")
     nodes = _as_ints(nodes, "nodes")
     if nodes != tuple(transcript.node_set):
         raise TranscriptMismatch("decode node set differs from transcript node set")
@@ -692,74 +738,116 @@ def decode(
 
     Gsub = gm.matrix._a[np.array(nodes)]
     yv = np.array([x % p for x in transcript.values], dtype=object).astype(ctx.dtype)
-
-    # Block membership of every partition, padded to v columns so scenario
-    # coefficient stacks have uniform width.  Padding columns are zero and
-    # only add free variables, which cannot affect consistency.
-    memb = (labels[:, :, None] == np.arange(v)).astype(ctx.dtype)
-
-    feasible_count = 0
-    feasible = _FeasibleSolutions(nodes, labels, v)
-    witnesses: dict[int, tuple[ScenarioSolution, ScenarioSolution]] = {}
-    pinned_first: dict[int, tuple[int, _Chunk, int]] = {}  # value, chunk, row
+    read = functools.partial(_read_chunks, Gsub, yv, labels, v, p)
 
     # The projected systems [L X'_q | L y] decide feasibility (see the module
-    # docstring).  LX[k] holds L X'_k of every partition side by side, column
-    # q*w + b for block b of partition q: block sums of the columns of
-    # L diag(g_k), each below t*p.
+    # docstring).  project(L, g_k, side_by_side) holds L X'_k of every
+    # partition side by side, column q*w + b for block b of partition q:
+    # block sums of the columns of L diag(g_k), each below t*p; partitions
+    # with fewer than w blocks get zero columns, which only add free
+    # variables.  project(L, z, one) is L z.  Leading axes broadcast.
     w = v - 1
-    L = _parity_check(Gsub, p)
-    side_by_side = memb[:, :, :w].transpose(1, 0, 2).reshape(t, n_parts * w)
-    LX = [(L * Gsub[:, k]) % p @ side_by_side % p for k in range(K)]
-    Ly = ((L * yv) % p).sum(axis=1, keepdims=True) % p
+    side_by_side = (labels.T[:, :, None] == np.arange(w)).reshape(t, n_parts * w)
+    side_by_side, one = side_by_side.astype(ctx.dtype), np.ones((t, 1), dtype=ctx.dtype)
 
-    def flagged():
-        # (A_hat, flagged scenario indices) in sweep order; fast mode keeps
-        # only each set's first, which pins every coordinate a later one pins.
-        # The roots of consecutive sets are swept as one stack of at most
-        # _CHUNK columns (or one root), and the feasible indices the sweep
-        # yields are split back into sets by index.
-        nonlocal feasible_count
-        sets = list(itertools.combinations(range(K), beta))
-        per_set = n_parts**beta
-        per_group = max(1, _CHUNK // (beta * n_parts * w + 1))
-        for g0 in range(0, len(sets), per_group):
-            group = sets[g0 : g0 + per_group]
-            roots = np.stack([np.concatenate([LX[k] for k in A] + [Ly], axis=1) for A in group])
-            to_read = [True] * len(group)
-            for hits in _nested_flags(roots, beta, n_parts, w, p):
-                feasible_count += len(hits)
-                of_set = hits // per_set
-                for part in np.split(hits, np.flatnonzero(np.diff(of_set)) + 1):
-                    j = int(part[0]) // per_set
-                    if to_read[j]:
-                        to_read[j] = strict
-                        yield group[j], (part if strict else part[:1]) - j * per_set
+    def project(L, g, cols):
+        return (L * g[..., None, :]) % p @ cols % p
 
-    for batch in _batches(flagged()):
-        red = _read_flagged(Gsub, yv, memb, batch, p)
-        row0 = 0
-        for A_hat, combos in batch:
-            Hs = [k for k in range(K) if k not in A_hat]
-            rows = slice(row0, row0 + len(combos))
-            pins = red.pinned[rows, : len(Hs)]
-            chunk = _Chunk(A_hat, Hs, combos, red.particular[rows], pins)
-            first = pins.argmax(axis=0)
-            for i in np.flatnonzero(pins.any(axis=0)).tolist():
-                value = int(chunk.particular[first[i], i])
-                pinned_first.setdefault(Hs[i], (value, chunk, int(first[i])))
-            checked, vecs = combos, chunk.particular
-            if strict:
-                feasible.append(chunk)
-                alts = _record_witnesses(
-                    chunk, red, row0, feasible, witnesses, pinned_first, p
-                )
-                if alts:
-                    alt_rows, alt_vecs = zip(*alts)
-                    checked = np.concatenate([combos, combos[list(alt_rows)]])
-                    vecs = np.concatenate([vecs, np.array(alt_vecs, dtype=vecs.dtype)])
-            _check_encodes(Gsub, yv, labels, A_hat, Hs, checked, vecs, p)
-            row0 += len(combos)
+    sets = list(itertools.combinations(range(K), beta))
+    L, ell = _parity_check(Gsub, p)
+    LX, Ly = project(L, Gsub.T, side_by_side), project(L, yv, one)
+    # Each set's flagged scenario indices, in pieces; fast mode keeps only
+    # the first, which pins every coordinate a later one pins.
+    per_set = n_parts**beta
+    flagged: list[list[np.ndarray]] = [[] for _ in sets]
+    feasible_count = 0
+    roots = np.array([A + (0,) for A in sets])
+    for hits in _sweep(LX, Ly[None], roots, beta, n_parts, w, p):
+        feasible_count += len(hits)
+        for part in np.split(hits, np.flatnonzero(np.diff(hits // per_set)) + 1):
+            i = int(part[0]) // per_set
+            if strict or not flagged[i]:
+                flagged[i].append((part if strict else part[:1]) - i * per_set)
+
+    # Read each set's first flagged scenario: the first pinned values.
+    firsts = [i for i in range(len(sets)) if flagged[i]]
+    first: dict[int, _Chunk] = {}
+    pinned_first: dict[int, tuple[int, _Chunk]] = {}  # value, chunk (row 0)
+    for i, (chunk, _, _) in zip(firsts, read([(sets[i], flagged[i][0][:1]) for i in firsts])):
+        first[i] = chunk
+        for j in np.flatnonzero(chunk.pinned[0]).tolist():
+            pinned_first.setdefault(chunk.Hs[j], (int(chunk.particular[0, j]), chunk))
+
+    witnesses: dict[int, tuple[ScenarioSolution, ScenarioSolution]] = {}
+    pieces = [(A, part) for A, parts in zip(sets, flagged) for part in parts] if strict else []
+    feasible = _FeasibleSolutions(nodes, labels, v, pieces, read)
+    if strict:
+        # k's witness event: the first feasible scenario that presumes k
+        # honest and leaves k unpinned or pins it to a value other than its
+        # first pinned value x_k, as (set index, scenario index).  Among the
+        # first flagged scenarios, which are read, it is found directly.  A
+        # later one q of an earlier set is k's event iff S2(q) or not S1(q),
+        # two consistency tests projected by L_k (see the module docstring),
+        # and one sweep decides them for every such set and coordinate.
+        events: dict[int, tuple[int, int]] = {}
+        for i, chunk in first.items():
+            for j, k in enumerate(chunk.Hs):
+                if k not in events and (
+                    not chunk.pinned[0, j] or chunk.particular[0, j] != pinned_first[k][0]
+                ):
+                    events[k] = (i, int(chunk.combos[0]))
+        todo = [
+            (k, i)
+            for k in sorted(pinned_first)
+            for i in range(events.get(k, (len(sets),))[0])
+            if k not in sets[i] and sum(map(len, flagged[i])) > 1
+        ]
+        if todo:
+            Lk = np.concatenate([np.broadcast_to(L, (K,) + L.shape), ell[:, None]], axis=1)
+            x = np.array([pinned_first.get(k, (0,))[0] for k in range(K)], dtype=ctx.dtype)
+            rhs = np.concatenate([
+                project(Lk, Gsub.T, one),  # S2 of k at k: L_k g_k
+                project(Lk, (yv - x[:, None] * Gsub.T % p) % p, one),  # S1 at K + k
+            ])
+            pairs = sorted({(k, a) for k, i in todo for a in sets[i]})
+            kk, aa = map(list, zip(*pairs))
+            col = {pair: c for c, pair in enumerate(pairs)}
+            roots = np.array(
+                [[col[k, a] for a in sets[i]] + [side * K + k] for side in (0, 1) for k, i in todo]
+            )
+            # Scenario q of root r as r * per_set + q: todo entry n has its
+            # S2 root at n and its S1 root at n + len(todo).
+            flat = {i: np.concatenate(flagged[i]) for _, i in todo}
+            F = np.concatenate([n * per_set + flat[i] for n, (_, i) in enumerate(todo)])
+            LXk = project(Lk[kk], Gsub[:, aa].T, side_by_side)
+            hits = np.concatenate(list(_sweep(LXk, rhs, roots, beta, n_parts, w, p)) + [F[:0]])
+            ev = F[np.isin(F, hits) | ~np.isin(F + len(todo) * per_set, hits)]
+            ns, lead = np.unique(ev // per_set, return_index=True)
+            # Last, and so kept, comes each k's first entry: its earliest set.
+            for n, q in reversed(list(zip(ns.tolist(), (ev[lead] % per_set).tolist()))):
+                events[todo[n][0]] = (todo[n][1], q)
+
+        # Read the event scenarios and build the witnesses in sweep order,
+        # then by coordinate.
+        at = sorted(set(events.values()))
+        found = dict(zip(at, read([(sets[i], np.array([q])) for i, q in at])))
+        alts = []  # (A_hat, scenario index, alternate)
+        for i, q, k in sorted((i, q, k) for k, (i, q) in events.items()):
+            chunk, red, s = found[i, q]
+            j = chunk.Hs.index(k)
+            sol = feasible.solution(chunk, 0)
+            if chunk.pinned[0, j]:
+                value, where = pinned_first[k]
+                if chunk.particular[0, j] == value:
+                    raise RuntimeError("projected and full scenario systems disagree")
+                witnesses[k] = (feasible.solution(where, 0), sol)
+            else:
+                bvec = next(b for b in red.nullspace(s) if b[j] != 0)
+                alts.append((chunk.A_hat, q, (chunk.particular[0] + bvec) % p))
+                witnesses[k] = (sol, feasible.solution(chunk, 0, alts[-1][2].tolist()))
+        if alts:
+            A, qs, vecs = map(np.array, zip(*alts))
+            _check_encodes(Gsub, yv, labels, A, qs, vecs, p)
 
     return DecodeResult(
         estimates=tuple(pinned_first.get(k, (None,))[0] for k in range(K)),

@@ -215,3 +215,53 @@ def strict_record(feasible, K: int, p: int):
             if seen_val != val:
                 first_member.setdefault(k, seen_sol)
     return estimates, list(first_member), first_member
+
+
+def witness_events(rows, nodes, y, K: int, beta: int, v: int, p: int):
+    """Each coordinate's first witness event, by rank tests on full systems.
+
+    ``rows`` are the code rows of the observed ``nodes`` and ``y`` their
+    values.  Scenarios run in sweep order: presumed-adversary sets in
+    combinations order, then one restricted-growth partition per presumed
+    adversary, the last fastest.  In a feasible scenario that presumes k
+    honest, let M be its full system ``[D | X_q]`` without column ``g_k``:
+    k is unpinned iff ``rank [M | g_k] = rank M``, and some solution gives k
+    the value x iff ``rank [M | y - x g_k] = rank M``.  k's event is the
+    first such scenario that leaves k unpinned or, once k has a first
+    pinned value, cannot give k that value.  Returns ``{k: (A_hat,
+    partitions)}`` in the order the events occur, then by coordinate.
+    """
+    labels = list(restricted_growth_strings(len(nodes), v))
+    blocks = [
+        tuple(tuple(n for n, b in zip(nodes, row) if b == c) for c in range(max(row) + 1))
+        for row in labels
+    ]
+    first, events, pos = {}, {}, 0
+    for A_hat in itertools.combinations(range(K), beta):
+        hs = [k for k in range(K) if k not in A_hat]
+        for choice in itertools.product(range(len(labels)), repeat=beta):
+            pos += 1
+            full = [
+                [row[k] for k in hs]
+                + [row[a] if labels[q][i] == c else 0 for a, q in zip(A_hat, choice) for c in range(v)]
+                for i, row in enumerate(rows)
+            ]
+            consistent, particular, _, _ = gauss_jordan(full, y, p)
+            if not consistent:
+                continue
+            for j, k in enumerate(hs):
+                if k in events:
+                    continue
+                M = [r[:j] + r[j + 1 :] for r in full]
+                base = rank_naive(M, p)
+                g = [row[k] for row in rows]
+                unpinned = rank_naive([m + [x] for m, x in zip(M, g)], p) == base
+                if k not in first and not unpinned:
+                    first[k] = particular[j]
+                    continue
+                if not unpinned:
+                    z = [(a - first[k] * b) % p for a, b in zip(y, g)]
+                    if rank_naive([m + [x] for m, x in zip(M, z)], p) == base:
+                        continue
+                events[k] = (pos, A_hat, tuple(blocks[q] for q in choice))
+    return {k: ev[1:] for k, ev in sorted(events.items(), key=lambda e: (e[1][0], e[0]))}

@@ -118,6 +118,7 @@ class TestBadInput:
             "sweep_trials_zero",
             "sweep_workers_zero",
             "sweep_budget_negative",
+            "decode_budget_zero",
             "spec_cell_of_three",
             "value_a_string",
             "value_null",
@@ -182,12 +183,15 @@ class TestBadInput:
                 "sweep_budget_negative": ["sweep", "--budget", "-5", "--trials", "1",
                                           "--out", str(tmp_path / "r.csv")],
             }.get(case) or self._decode_argv(tmp_path, case)
+        if case == "decode_budget_zero":
+            argv += ["--budget", "0"]
         capsys.readouterr()
         rc = run_cli(*argv)
         err = capsys.readouterr().err
         assert rc == 1
         assert len(err.splitlines()) == 1 and err.startswith("error:")
-        named = {"sweep_budget_negative": "budget", "spec_cell_of_three": "four integers"}
+        named = {"sweep_budget_negative": "budget", "decode_budget_zero": "budget",
+                 "spec_cell_of_three": "four integers"}
         assert named.get(case, "") in err
         assert not (tmp_path / "r.csv").exists()
 

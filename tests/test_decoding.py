@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -41,6 +42,7 @@ from oracles import (
     stirling2,
     strict_record,
     strict_result_projections,
+    witness_events,
 )
 
 P = 2**31 - 1
@@ -181,6 +183,14 @@ class TestDecode:
         with pytest.raises(BudgetExceeded):
             decode(gm, nodes, tr, cfg, budget=10)
 
+    @pytest.mark.parametrize(
+        "budget", ["x", None, True, 2.5, 0, -1], ids=["str", "none", "bool", "float", "0", "-1"]
+    )
+    def test_budget_not_a_positive_integer_rejected(self, budget):
+        cfg, gm, behavior, nodes, tr = _random_instance(7)
+        with pytest.raises(BadParameter, match="budget"):
+            decode(gm, nodes, tr, cfg, budget=budget)
+
     def test_budget_is_checked_before_the_partition_table(self, monkeypatch):
         # (N = t = 30, K = 3, beta = 1, v = 3) has about 3.4e13 partitions,
         # far too many to tabulate: the count alone must reject it.
@@ -290,7 +300,8 @@ class TestDecode:
         # A zero-row parity check makes every projected system consistent, so full
         # systems that are in fact infeasible get flagged.
         def no_rows(Gsub, p):
-            return np.zeros((0, Gsub.shape[0]), dtype=Gsub.dtype)
+            t, K = Gsub.shape
+            return np.zeros((0, t), dtype=Gsub.dtype), np.zeros((K, t), dtype=Gsub.dtype)
 
         monkeypatch.setattr(decoding, "_parity_check", no_rows)
         cfg, gm, behavior, nodes, tr = _random_instance(11)
@@ -354,11 +365,21 @@ class TestParityCheck:
         for t in range(1, N + 1):
             nodes = sorted(random.Random(t).sample(range(N), t))
             G = [rows[n] for n in nodes]
-            L = decoding._parity_check(FieldMatrix(ctx, G)._a, p).tolist()
+            L, ell = decoding._parity_check(FieldMatrix(ctx, G)._a, p)
+            L = L.tolist()
             for col in zip(*G):
                 assert not any(matvec(L, col, p))
             rank_L = rank_naive(L, p) if L else 0
             assert rank_L == t - rank_naive(G, p)
+            # [L; ell[k]] (or L, where ell[k] is zero) is a basis of the left
+            # nullspace of G without column k.
+            for k, row in enumerate(ell.tolist()):
+                Lk = L + [row] if any(row) else L
+                others = [[x for c, x in enumerate(r) if c != k] for r in G]
+                for col in zip(*others):
+                    assert not any(matvec(Lk, col, p))
+                rank_Lk = rank_naive(Lk, p) if Lk else 0
+                assert rank_Lk == len(Lk) == t - (rank_naive(others, p) if K > 1 else 0)
 
 
 class TestFlaggedReader:
@@ -566,7 +587,7 @@ class TestNestedSweep:
         nodes = sorted(rng.sample(range(N), t))
         dtype = FieldContext(p).dtype
         G = np.array([rows[n] for n in nodes], dtype=dtype)
-        L = decoding._parity_check(G, p)
+        L, _ = decoding._parity_check(G, p)
         labels = decoding._partition_labels(t, v)
         n_parts = len(labels)
         memb = (labels[:, :, None] == np.arange(w)).astype(dtype)
@@ -883,7 +904,9 @@ class TestRebuilds:
     # Projected systems decide feasibility; only the scenarios decode records
     # are read, off one honest elimination per presumed-adversary set, and
     # their solutions encoded for the check.  Fast mode reads at most the
-    # first flagged scenario of each set.
+    # first flagged scenario of each set; strict mode reads those and each
+    # coordinate's witness event, and every flagged scenario when its
+    # feasible solutions are first read.
     CASES = [
         pytest.param("converse", (12, 6, 1, 2), id="converse-12-6-1-2"),
         pytest.param("converse", (9, 3, 2, 2), id="converse-9-3-2-2"),
@@ -916,17 +939,32 @@ class TestRebuilds:
         cfg, gm, nodes, tr = self._instance(kind, cell)
         checked = []  # (A_hat, scenario index) of each vector encoded
 
-        def counting(Gsub, yv, labels, A_hat, Hs, combos, vecs, p):
-            assert len(combos) == len(vecs)
-            checked.extend((A_hat, q) for q in combos.tolist())
-            return check_encodes(Gsub, yv, labels, A_hat, Hs, combos, vecs, p)
+        def counting(Gsub, yv, labels, A, combos, vecs, p):
+            assert len(A) == len(combos) == len(vecs)
+            checked.extend(zip(map(tuple, A.tolist()), combos.tolist()))
+            return check_encodes(Gsub, yv, labels, A, combos, vecs, p)
 
         check_encodes = decoding._check_encodes
         monkeypatch.setattr(decoding, "_check_encodes", counting)
+        reads, _ = _count_reads(monkeypatch, cfg)
         res = decode(gm, nodes, tr, cfg, mode="strict")
+        # decode reads each set's first flagged scenario and each witness
+        # event, and encodes those and the witness alternates.
+        read = [(A_hat, q) for batch in reads for A_hat, combos in batch for q in combos]
         alternates = sum(k in a.unpinned for k, (a, _) in res.witnesses.items())
-        assert len(checked) == res.feasible_count + alternates
-        assert len(set(checked)) == res.feasible_count == len(res.feasible)
+        assert len(read) <= math.comb(cfg.K, cfg.beta) + cfg.K
+        assert len(checked) == len(read) + alternates
+        assert len(res.feasible) == res.feasible_count >= len(read)
+        # The first read of the solutions reads and encodes every flagged
+        # scenario exactly once more.
+        reads.clear()
+        checked.clear()
+        solutions = list(res.feasible)
+        read = [(A_hat, q) for batch in reads for A_hat, combos in batch for q in combos]
+        assert read == checked
+        assert len(set(read)) == len(read) == res.feasible_count == len(solutions)
+        n_reads = len(reads)
+        assert list(res.feasible) == solutions and len(reads) == n_reads
 
 
 class TestStrictRecording:
@@ -989,9 +1027,9 @@ class TestStrictRecording:
                 built.append(1)
                 super().__init__(*args)
 
-        def counting_check(Gsub, yv, labels, A_hat, Hs, combos, vecs, p):
+        def counting_check(Gsub, yv, labels, A, combos, vecs, p):
             checked.append(len(vecs))
-            return check_encodes(Gsub, yv, labels, A_hat, Hs, combos, vecs, p)
+            return check_encodes(Gsub, yv, labels, A, combos, vecs, p)
 
         check_encodes = decoding._check_encodes
         monkeypatch.setattr(decoding, "ScenarioSolution", Counting)
@@ -1000,22 +1038,117 @@ class TestStrictRecording:
         res = decode(gm, nodes, tr, cfg, mode="strict")
         assert res.witnesses
         assert len(built) <= 2 * len(res.witnesses) < res.feasible_count
-        # Each flagged scenario is read exactly once, no full-width stack is
-        # decided, and each read chunk (one set's piece of a batch) has its
-        # solutions and witness alternates encoded and checked at once.
-        pieces = [piece for batch in reads for piece in batch]
-        read = [(A_hat, q) for A_hat, combos in pieces for q in combos]
-        assert len(read) == len(set(read)) == res.feasible_count
-        assert not full_width and len(checked) == len(pieces)
+        # decode reads at most each set's first flagged scenario and each
+        # coordinate's witness event, decides no full-width stack, and
+        # encodes each read batch's solutions in one check and the witness
+        # alternates in one more.
+        read = [(A_hat, q) for batch in reads for A_hat, combos in batch for q in combos]
+        assert len(read) <= math.comb(cfg.K, cfg.beta) + cfg.K < res.feasible_count
         alternates = sum(k in a.unpinned for k, (a, _) in res.witnesses.items())
         assert (alternates > 0) == (drop > 0)
-        assert sum(checked) == res.feasible_count + alternates
-        before = len(built)
+        assert not full_width and len(checked) == len(reads) + (alternates > 0)
+        assert sum(checked) == len(read) + alternates
+        before, n_reads, n_checked = len(built), len(reads), len(checked)
         assert len(res.feasible) == res.feasible_count
-        assert len(built) == before  # a length builds nothing
+        assert (len(built), len(reads)) == (before, n_reads)  # a length reads nothing
+        # The first read reads and encodes every flagged scenario once, one
+        # check per read batch, and builds its solutions.
         solutions = list(res.feasible)
-        assert len(solutions) == res.feasible_count == len(built) - before
+        read = [(A_hat, q) for batch in reads[n_reads:] for A_hat, combos in batch for q in combos]
+        assert len(read) == len(set(read)) == res.feasible_count == len(solutions)
+        assert len(checked) - n_checked == len(reads) - n_reads
+        assert sum(checked[n_checked:]) == res.feasible_count
+        n_reads = len(reads)
+        assert len(solutions) == len(built) - before
         assert list(res.feasible) == solutions and len(built) == before + len(solutions)
+        assert len(reads) == n_reads  # a second read reads nothing
+
+    def test_a_wrong_unread_solution_raises_on_first_read(self, monkeypatch):
+        # A wrong solution in a scenario decode does not read passes decode,
+        # and the first read of the feasible solutions raises.
+        cfg = SystemConfig(N=12, K=6, beta=1, v=2, p=P)
+        gm = draw_mds(CTX, "random", 12, 6, seed=1)
+        atk = converse_attack(gm, cfg, seed=1)
+        tr = encode_transcript(gm, atk.setup1, atk.node_set)
+        in_decode, corrupt = set(), []
+
+        def corrupted(Gsub, yv, memb, batch, p):
+            out = read_flagged(Gsub, yv, memb, batch, p)
+            keys = [(A_hat, q) for A_hat, combos in batch for q in combos.tolist()]
+            if not corrupt:
+                in_decode.update(keys)
+                return out
+            unread = [s for s, key in enumerate(keys) if key not in in_decode]
+            bad = out.particular.copy()
+            bad[unread, 0] = (bad[unread, 0] + 1) % p
+            return dataclasses.replace(out, particular=bad)
+
+        read_flagged = decoding._read_flagged
+        monkeypatch.setattr(decoding, "_read_flagged", corrupted)
+        decode(gm, atk.node_set, tr, cfg, mode="strict")  # records what decode reads
+        corrupt.append(True)
+        res = decode(gm, atk.node_set, tr, cfg, mode="strict")
+        assert res.witnesses and len(in_decode) < res.feasible_count
+        with pytest.raises(RuntimeError, match="does not satisfy"):
+            list(res.feasible)
+
+
+@functools.cache
+def _event_case(cell, kind, p, t, shifted):
+    """A transcript of a random adversary on a code of ``kind``, or that
+    transcript shifted off the code, and its oracle witness events."""
+    N, K, beta, v = cell
+    rng = random.Random(f"{cell}{kind}{p}{t}")
+    rows = _code_rows(kind, N, K, p, seed=rng.randrange(1 << 30))
+    cfg = SystemConfig(N=N, K=K, beta=beta, v=v, p=p)
+    gm = GeneratorMatrix(FieldMatrix(FieldContext(p), rows), "random")
+    nodes = tuple(sorted(rng.sample(range(N), t)))
+    adv = sorted(rng.sample(range(K), beta))
+    behavior = behavior_random_adversarial(
+        cfg, [rng.randrange(p) for _ in range(K)], adv, seed=rng.randrange(1 << 30)
+    )
+    values = encode_transcript(gm, behavior, nodes).values
+    if shifted:
+        values = tuple((x + i) % p for i, x in enumerate(values))
+    want = witness_events([rows[n] for n in nodes], nodes, values, K, beta, v, p)
+    return cfg, gm, nodes, Transcript(nodes, values), want
+
+
+class TestWitnessEvents:
+    # Strict decode finds each coordinate's first witness event from the
+    # read first flagged scenarios and two sweeps projected by L_k (S2: k is
+    # unpinned; S1: k can take its first pinned value).  The event and the
+    # witness order must match rank tests on the full systems.  At p = 3
+    # and 5, zero and repeated code columns make L_k rank-deficient, and
+    # small t leaves it without rows; p = 2^61-1 runs on object arrays.
+    @pytest.mark.parametrize("chunk", [None, 1, 3, 7])
+    @pytest.mark.parametrize(
+        "kind, p",
+        [("zero_column", 3), ("repeated_column", 3), ("zero_column", 5),
+         ("repeated_column", 5), ("mds", P61)],
+    )
+    @pytest.mark.parametrize("cell", [(6, 3, 1, 2), (5, 3, 1, 3), (5, 3, 2, 2)])
+    def test_events_match_rank_tests_on_full_systems(self, cell, kind, p, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(decoding, "_CHUNK", chunk)
+        N, K = cell[:2]
+        swept = 0
+        for t in range(K - 1, N + 1):
+            for shifted in (False, True):
+                cfg, gm, nodes, tr, want = _event_case(cell, kind, p, t, shifted)
+                res = decode(gm, nodes, tr, cfg, mode="strict")
+                got = {}
+                for k, (a, b) in res.witnesses.items():
+                    event = a if k in a.unpinned else b
+                    got[k] = (event.scenario.adversaries, event.scenario.partitions)
+                assert list(got.items()) == list(want.items())
+                # Count the events after the first feasible scenario of their
+                # set, which only the projected sweeps find.
+                firsts = {}
+                for sol in res.feasible:
+                    firsts.setdefault(sol.scenario.adversaries, sol.scenario.partitions)
+                swept += sum(firsts[A_hat] != parts for A_hat, parts in got.values())
+        assert swept > 0
 
 
 class TestFirstFeasiblePinsMost:
