@@ -4,12 +4,15 @@ Field elements are canonical Python integers in ``[0, p)``.  A
 :class:`FieldContext` fixes the modulus; :class:`FieldMatrix` stores a dense
 matrix of reduced entries.  One batched, inverse-free Gauss-Jordan kernel
 does all elimination: :func:`rank`, :func:`batch_rank` and
-:func:`batch_feasible` count its pivots.  One batched reader reads whole
-reduced stacks: consistency, one particular solution, the data for a
-nullspace basis and the set of *pinned* coordinates (coordinates that take
-the same value in every solution), normalizing every pivot of the stack
-with one batched inverse (:func:`_batch_inverse`: a numpy product tree over
-a Montgomery loop with one ``pow``).  :func:`solve` reads its stack of one
+:func:`batch_feasible` count its pivots.  The exhaustive MDS check
+(:func:`all_square_submatrices_nonsingular`) eliminates nothing: it builds
+every K-row determinant from shared smaller minors, one column per step.
+One batched reader reads whole reduced stacks: consistency, one particular
+solution, the data for a nullspace basis and the set of *pinned*
+coordinates (coordinates that take the same value in every solution),
+normalizing every pivot of the stack with one batched inverse
+(:func:`_batch_inverse`: a numpy product tree over a Montgomery loop with
+one ``pow``).  :func:`solve` reads its stack of one
 through it, and the feasibility decoder reads its flagged scenarios through
 it, after resuming the kernel on systems already eliminated over their
 honest columns.
@@ -22,7 +25,8 @@ for unbounded precision.
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -361,11 +365,11 @@ def rank(A: FieldMatrix) -> int:
 # The elimination kernel.
 #
 # It operates on a stack of matrices at once (shape (B, m, n)) and is the one
-# elimination behind rank, solve, exhaustive MDS checks and the decoder's
-# scenario sweep.  Elimination is inverse-free: instead of normalizing
-# pivots, every other row is scaled by the pivot value, which preserves rank
-# and the solution set; _read_reduced normalizes when a solution is needed.
-# An elimination can be resumed at a later column: the update clears each new
+# elimination behind rank, solve, batch_rank, batch_feasible and the
+# decoder's scenario sweep.  Elimination is inverse-free: instead of
+# normalizing pivots, every other row is scaled by the pivot value, which
+# preserves rank and the solution set; _read_reduced normalizes when a
+# solution is needed.  An elimination can be resumed at a later column: the update clears each new
 # pivot column in the earlier pivot rows as well, which back-substitutes them.
 # ---------------------------------------------------------------------------
 
@@ -421,8 +425,59 @@ def batch_feasible(aug: np.ndarray, p: int, nvars: int) -> np.ndarray:
     return ~((aug[:, :, nvars] != 0) & ~pivotal).any(axis=1)
 
 
+@functools.lru_cache(maxsize=8)
+def _minor_tables(N: int, K: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Index tables for the minor recursion, one ``(rows, drop)`` pair per
+    level j = 0..K-1; they depend only on ``(N, K)``.
+
+    ``rows`` (C(N,j+1), j+1) lists the (j+1)-row subsets of ``range(N)`` in
+    colex order, each sorted, so a subset's position is its colex rank
+    ``Sum_i C(s_i, i+1)``.  ``drop[i, r]`` is the colex rank of subset i
+    without its r-th row: that subset's position in the level below.  The
+    arrays are read-only, since every caller shares them.
+    """
+    binom = np.array([[math.comb(n, k) for k in range(K + 1)] for n in range(N)], dtype=np.intp)
+    rows = np.zeros((1, 0), dtype=np.intp)
+    levels = []
+    for j in range(K):
+        # The (j+1)-subsets whose largest row is m are the j-subsets of
+        # range(m), which are the first C(m, j) in colex order, extended by m.
+        counts = binom[:, j]
+        first = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.column_stack([rows[first], np.repeat(np.arange(N), counts)])
+        # Dropping s_r keeps the place i of each row before it and moves
+        # each row after it down to place i-1.
+        kept = binom[rows, np.arange(1, j + 2)]
+        moved = binom[rows, np.arange(j + 1)]
+        drop = np.cumsum(kept, axis=1) - kept
+        drop += np.cumsum(moved[:, ::-1], axis=1)[:, ::-1] - moved
+        rows.setflags(write=False)
+        drop.setflags(write=False)
+        levels.append((rows, drop))
+    return tuple(levels)
+
+
 def all_square_submatrices_nonsingular(A: FieldMatrix) -> bool:
-    """True iff every ``A.cols``-row selection of ``A`` has full rank, checked
-    as one batched elimination.  Desk-scale helper behind the MDS verifier."""
-    combos = np.array(list(itertools.combinations(range(A.rows), A.cols)))
-    return bool((batch_rank(A._a[combos], A.ctx.p) == A.cols).all())
+    """True iff every ``A.cols``-row selection of ``A`` is nonsingular.
+
+    No elimination: step j expands along column j, so the minor of rows
+    s_0 < ... < s_j on columns 0..j is the sum over r of
+    ``(-1)^(r+j) * A[s_r, j] * (minor of the other j rows on 0..j-1)``.
+    The last step's minors are the determinants.  All steps together cost
+    Sum_j C(rows, j) * j multiply-adds.  Products of reduced entries stay
+    below (p-1)^2 and a step sums at most ``cols`` reduced terms, so int64
+    stacks cannot wrap; object stacks (p above ``_INT64_SAFE_P``) run the
+    same steps.  Desk-scale helper behind the MDS verifier.
+
+    Raises:
+        DimensionMismatch: ``A`` has fewer rows than columns.
+    """
+    if A.rows < A.cols:
+        raise DimensionMismatch(f"need at least as many rows as columns, got {A.rows}x{A.cols}")
+    p = A.ctx.p
+    minors = np.ones(1, dtype=A._a.dtype)
+    for j, (rows, drop) in enumerate(_minor_tables(A.rows, A.cols)):
+        terms = A._a[rows, j] * minors[drop] % p
+        # Row position r carries the sign (-1)^(r+j).
+        minors = (terms[:, j % 2 :: 2].sum(axis=1) - terms[:, 1 - j % 2 :: 2].sum(axis=1)) % p
+    return bool((minors != 0).all())

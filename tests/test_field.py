@@ -22,7 +22,9 @@ from distcode import (
 from distcode.field import (
     _batch_eliminate,
     _batch_inverse,
+    _minor_tables,
     _read_reduced,
+    all_square_submatrices_nonsingular,
     batch_feasible,
     batch_rank,
 )
@@ -222,6 +224,81 @@ class TestSubmatrixNonsingular:
         for flat, nonsingular in zip(flats, got):
             rows = [list(flat[0:3]), list(flat[3:6]), list(flat[6:9])]
             assert nonsingular == (det_laplace(rows, 101) != 0)
+
+    @staticmethod
+    def oracle(rows, p):
+        # Every K-row subset has a nonzero cofactor-expansion determinant.
+        K = len(rows[0])
+        return all(
+            det_laplace([rows[i] for i in combo], p) != 0
+            for combo in itertools.combinations(range(len(rows)), K)
+        )
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_determinant_oracle_on_every_shape(self, p):
+        # Every (N, K) with N <= 6, N = K and K = 1 included; over these
+        # small fields most draws are not MDS.
+        rng = random.Random(p)
+        verdicts = []
+        for N in range(1, 7):
+            for K in range(1, N + 1):
+                for _ in range(8):
+                    rows = [[rng.randrange(p) for _ in range(K)] for _ in range(N)]
+                    want = self.oracle(rows, p)
+                    A = FieldMatrix(FieldContext(p), rows)
+                    assert all_square_submatrices_nonsingular(A) == want, rows
+                    verdicts.append(want)
+        assert 0 < sum(verdicts) < len(verdicts) / 2
+
+    @pytest.mark.parametrize(
+        "rows,want",
+        [
+            ([[0]], False),
+            ([[5]], True),
+            ([[1], [2], [3]], True),
+            ([[1], [0], [3]], False),
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], True),
+            ([[1, 2, 3], [2, 4, 6], [0, 0, 1]], False),
+            ([[1, 2], [0, 0], [3, 4]], False),
+            ([[1, 2], [3, 4], [0, 0], [5, 6]], False),
+        ],
+    )
+    def test_edge_shapes(self, rows, want):
+        # N = K, K = 1 and an all-zero row, over GF(7).
+        assert self.oracle(rows, 7) == want
+        assert all_square_submatrices_nonsingular(FieldMatrix(FieldContext(7), rows)) == want
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_object_path_matches_oracle(self, seed):
+        # Past the int64-safe bound the minors are object arrays of Python
+        # ints; odd seeds plant a singular 3-row subset.
+        p = 2**61 - 1
+        rng = random.Random(seed)
+        rows = [[rng.randrange(p) for _ in range(3)] for _ in range(6)]
+        if seed % 2:
+            c = rng.randrange(1, p)
+            rows[4] = [(x + c * y) % p for x, y in zip(rows[1], rows[3])]
+        A = FieldMatrix(FieldContext(p), rows)
+        assert A._a.dtype == object
+        assert self.oracle(rows, p) == (seed % 2 == 0)
+        assert all_square_submatrices_nonsingular(A) == (seed % 2 == 0)
+
+    def test_verdicts_do_not_depend_on_the_table_cache(self):
+        # The same (N, K) on a cold and a warm cache, twice, with the cache
+        # cleared in between.
+        rng = random.Random(11)
+        for _ in range(2):
+            _minor_tables.cache_clear()
+            for _ in range(20):
+                rows = [[rng.randrange(3) for _ in range(3)] for _ in range(6)]
+                A = FieldMatrix(FieldContext(3), rows)
+                assert all_square_submatrices_nonsingular(A) == self.oracle(rows, 3)
+            assert _minor_tables.cache_info().misses == 1
+
+    def test_wide_matrix_rejected(self):
+        A = FieldMatrix(FieldContext(7), [[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(DimensionMismatch, match="2x3"):
+            all_square_submatrices_nonsingular(A)
 
 
 class TestMatrixOps:
