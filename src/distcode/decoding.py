@@ -62,25 +62,19 @@ allows a hit.  At t* that is about t of a parent's n rows: the columns
 parallel to ``L e_m``, one per observed encoder m, match keys and never
 join.  For beta=1 the root's single column per partition takes the first
 two tests alone.  The sweep yields the ascending indices of the feasible
-scenarios, each yield within a span of ``_CHUNK`` scenarios, and ``decode``
-splits them by presumed-adversary set.
+scenarios, set i's scenario q as ``i * n_parts**beta + q``, and ``decode``
+keeps them as one array of these sweep indices.
 
-The flagged scenarios that are recorded are read off one honest elimination
-per presumed-adversary set (:func:`_read_flagged`).  Every scenario of a set
-shares the honest block ``D = G_T[:, Hs]``, so ``[D | diag(g_a) per presumed
-adversary a | y]`` is Gauss-Jordan eliminated over ``D`` once, in one kernel
-call for all sets of a batch of at most ``_CHUNK`` scenarios.  A scenario's
-block columns are block sums of its set's reduced ``diag(g_a)`` columns, so
-the same row operations reduce its full system ``[D | X_q | y]`` over ``D``.
-A second kernel call resumes the elimination at the block columns of every
-scenario of the batch.  It takes new pivots only in the rows without an
-honest pivot, and clears each new pivot column in the honest pivot rows as
-well, which back-substitutes them.  One batched read then gives each
-system's pivot columns, particular solution, pinned set and nullspace basis;
-they depend only on its solution set and column order.  If a system is
-inconsistent the projection was wrong and ``decode`` raises ``RuntimeError``.
-Every solution read, and in strict mode every witness alternate, is also
-encoded and compared with the transcript (:func:`_check_encodes`).
+The flagged scenarios that are recorded are read off their full systems
+(:func:`_read_flagged`).  Each read builds the systems ``[D | X_q | y]``
+of its scenarios from ``G_T``, the label table and the presumed
+adversaries, and eliminates them all in one kernel call.  One batched read
+then gives each system's pivot columns, particular solution, pinned set
+and nullspace basis; they depend only on its solution set and column
+order.  If a system is inconsistent the projection was wrong and
+``decode`` raises ``RuntimeError``.  Every solution read, and in strict
+mode every witness alternate, is also encoded and compared with the
+transcript (:func:`_check_encodes`).
 
 Both modes read each presumed-adversary set's first flagged scenario, and
 the estimates are each coordinate's first pinned value among them, because
@@ -96,10 +90,10 @@ code columns, and no scenario of the set pins b.
 Strict mode reads one more scenario per coordinate k, its first witness
 event: the first feasible scenario that presumes k honest and leaves k
 unpinned or pins it to a value other than its first pinned value ``x_k``.
-The witness pairs are built from these reads.  The other flagged scenarios
-are kept as ``(A_hat, scenario indices)`` pieces, and read, encode-checked
-and built into :class:`ScenarioSolution` objects when
-``DecodeResult.feasible`` is first read.
+The witness pairs are built from these reads.  Every flagged scenario is
+kept as its sweep index, and all of them are read, encode-checked and
+built into :class:`ScenarioSolution` objects when ``DecodeResult.feasible``
+is first read.
 
 The events are found without reading.  Let ``L_k`` be a basis of the left
 nullspace of ``G_T`` without column k, and q a feasible scenario that
@@ -327,8 +321,8 @@ def _column_keys(cols: np.ndarray) -> np.ndarray:
 def _pivot_flags(parents: np.ndarray, m: int, p: int):
     """Yield the indices of the feasible systems ``[c_q | L y]`` (m = 1) or
     ``[c_a | c_b | L y]`` (m = 2, scenario ``(s*n + a)*n + b``) below parents
-    ``(S, rows, m*n + 1)`` laid out as ``[c_0 .. c_{m*n-1} | L y]``: ascending
-    arrays, in scenario order, each within a span of ``_CHUNK`` scenarios.
+    ``(S, rows, m*n + 1)`` laid out as ``[c_0 .. c_{m*n-1} | L y]``: nonempty
+    ascending arrays, in scenario order.
 
     ``L y`` is eliminated in one kernel call for every parent.  If it is zero
     every system is feasible.  Otherwise it is left nonzero only on its pivot
@@ -362,11 +356,9 @@ def _pivot_flags(parents: np.ndarray, m: int, p: int):
     has = nz.any(axis=1)
     pure = ~pivot.any(axis=1)[:, None] | ((on != 0) & ~has)
     if m == 1:
-        pure = pure.reshape(-1)
-        for i in range(0, len(pure), _CHUNK):
-            hits = i + np.flatnonzero(pure[i : i + _CHUNK])
-            if len(hits):
-                yield hits
+        hits = np.flatnonzero(pure)
+        if len(hits):
+            yield hits
         return
     first = off[:, -1].copy()  # each column's first nonzero entry off r
     for i in range(off.shape[1] - 2, -1, -1):
@@ -394,11 +386,8 @@ def _pivot_flags(parents: np.ndarray, m: int, p: int):
         j = np.flatnonzero(matched.take(r))
         block[j] |= _joins(cols_a, on_a, off_b, on_b, r[j], s[j])
         hits = ((r * n)[:, None] + np.arange(n))[block]
-        lo = 0
-        while lo < len(hits):
-            hi = np.searchsorted(hits, hits[lo] + _CHUNK)
-            yield hits[lo:hi]
-            lo = hi
+        if len(hits):
+            yield hits
 
 
 def _joins(cols_a, on_a, off_b, on_b, r, s) -> np.ndarray:
@@ -411,8 +400,8 @@ def _joins(cols_a, on_a, off_b, on_b, r, s) -> np.ndarray:
 
 def _nested_flags(parents: np.ndarray, m: int, n_parts: int, w: int, p: int):
     """Yield the indices of the feasible projected systems below
-    ``parents``: ascending arrays, in scenario order, each within a span of
-    ``_CHUNK`` scenarios.  Parent s's descendants are the scenarios ``s *
+    ``parents``: nonempty ascending arrays, in scenario order.  Parent s's
+    descendants are the scenarios ``s *
     n_parts**m`` to ``(s+1) * n_parts**m - 1``, in the order of their
     partition choices.
 
@@ -490,85 +479,111 @@ def _parity_check(Gsub, p: int) -> tuple[np.ndarray, np.ndarray]:
     return E[~pivotal], ell
 
 
-def _check_encodes(Gsub, yv, labels, A, combos, vecs, p: int) -> None:
-    """Raise unless each ``vecs[i]`` (values of the presumed-honest sources
-    in source order, then v block values per presumed adversary ``A[i, j]``)
-    encodes to ``yv`` in scenario ``combos[i]``: encoder n receives each
-    honest value and, from presumed adversary j, the value of its block
-    ``labels[q_j, n]``.  Each product is reduced before the sum, so int64
-    cannot wrap."""
-    S, beta = A.shape
-    K = Gsub.shape[1]
-    h, v = K - beta, (vecs.shape[1] - K + beta) // beta
-    honest = np.ones((S, K), dtype=bool)
-    honest[np.arange(S)[:, None], A] = False
-    H = np.nonzero(honest)[1].reshape(S, h)
-    parts = _partition_indices(combos, len(labels), beta)
-    acc = (vecs[:, :h, None] * Gsub.T[H] % p).sum(axis=1)
+def _read_flagged(
+    Gsub, yv, labels, sets, v: int, p: int, flagged
+) -> tuple[_Reduced, np.ndarray, np.ndarray]:
+    """Read the full systems ``[D | X_q | y]`` of the scenarios ``flagged``,
+    given by sweep index: scenario q of the presumed-adversary set
+    ``sets[i]`` is ``i * n_parts**beta + q``.  A full system has the
+    presumed-honest code columns ``D`` in source order, then v block columns
+    per presumed adversary a in set order: column b is ``g_a`` on block b of
+    a's partition, zero elsewhere.  The systems are built from ``Gsub``, the
+    label table and ``sets`` (C(K,beta), beta), and eliminated in one kernel
+    call, none for an empty read.
+
+    Returns:
+        ``(red, cols, parts)``: the :class:`_Reduced` systems, each system's
+        source order (its presumed-honest sources, then its presumed
+        adversaries) and its partition index per presumed adversary.
+
+    Raises:
+        RuntimeError: a full system is inconsistent.
+    """
+    t, K = Gsub.shape
+    beta = sets.shape[1]
+    h = K - beta
+    nvars = h + beta * v
+    i, q = np.divmod(flagged, len(labels) ** beta)
+    A = sets[i]
+    honest = np.ones((len(A), K), dtype=bool)
+    np.put_along_axis(honest, A, False, axis=1)
+    cols = np.concatenate([np.nonzero(honest)[1].reshape(len(A), h), A], axis=1)
+    parts = _partition_indices(q, len(labels), beta)
+    G = Gsub.T[cols]  # each system's code columns, as rows
+    full = np.empty((len(A), t, nvars + 1), dtype=Gsub.dtype)
+    full[:, :, :h] = G[:, :h].transpose(0, 2, 1)
+    for j in range(beta):
+        block = labels[parts[:, j]][:, :, None] == np.arange(v)
+        full[:, :, h + j * v : h + (j + 1) * v] = np.where(block, G[:, h + j, :, None], 0)
+    full[:, :, -1] = yv
+    if len(full):
+        _batch_eliminate(full, p, nvars)
+    red = _read_reduced(full, nvars, p)
+    if not red.consistent.all():
+        raise RuntimeError("projected and full scenario systems disagree")
+    return red, cols, parts
+
+
+def _check_encodes(Gsub, yv, labels, cols, parts, vecs, p: int) -> None:
+    """Raise unless each ``vecs[i]`` encodes to ``yv`` in its scenario, as
+    :func:`_read_flagged` returns it in ``cols`` and ``parts``: ``vecs[i]``
+    holds the values of the presumed-honest sources ``cols[i, :h]``, then v
+    block values per presumed adversary ``cols[i, h + j]``.  Encoder n
+    receives each honest value and, from presumed adversary j, the value of
+    its block ``labels[parts[i, j], n]``.  Each product is reduced before
+    the sum, so int64 cannot wrap."""
+    beta = parts.shape[1]
+    h = cols.shape[1] - beta
+    v = (vecs.shape[1] - h) // beta
+    G = Gsub.T[cols]
+    acc = (vecs[:, :h, None] * G[:, :h] % p).sum(axis=1)
     for j in range(beta):
         blocks = vecs[:, h + j * v : h + (j + 1) * v]
         sent = np.take_along_axis(blocks, labels[parts[:, j]], axis=1)
-        acc += sent * Gsub.T[A[:, j]] % p
+        acc += sent * G[:, h + j] % p
     if (acc % p != yv).any():
         raise RuntimeError("a recorded solution does not satisfy its scenario system")
-
-
-@dataclass
-class _Chunk:
-    """One read chunk of feasible scenarios of the presumed-adversary set
-    ``A_hat``: their scenario indices, particular solutions (honest columns
-    ``Hs`` first, then v block columns per presumed adversary) and the
-    pinned mask of the honest columns."""
-
-    A_hat: tuple[int, ...]
-    Hs: list[int]
-    combos: np.ndarray
-    particular: np.ndarray
-    pinned: np.ndarray
 
 
 class _FeasibleSolutions(Sequence):
     """The solutions of every feasible scenario, in sweep order.
 
-    Strict decoding keeps only the flagged ``(A_hat, scenario indices)``
-    pieces.  The first access that needs a solution reads their systems,
-    checks that each solution encodes to the transcript, and builds the
-    :class:`ScenarioSolution` objects; the length needs no read.
+    Strict decoding keeps only the flagged scenarios' sweep indices.  The
+    first access that needs a solution reads their systems with ``read``,
+    at most ``_CHUNK`` at a time, which also checks that each solution
+    encodes to the transcript, and builds the :class:`ScenarioSolution`
+    objects; the length needs no read.
     """
 
-    def __init__(self, nodes, labels: np.ndarray, v: int, pieces, read):
+    def __init__(self, nodes, labels: np.ndarray, v: int, flagged: np.ndarray, read):
         self._nodes, self._labels, self._v = nodes, labels, v
-        self._pieces, self._read = pieces, read
-        self._count = sum(len(combos) for _, combos in pieces)
+        self._flagged, self._read = flagged, read
 
-    def solution(self, chunk: _Chunk, row: int, vec=None) -> ScenarioSolution:
-        """Row ``row`` of ``chunk`` as a solution, with ``vec`` (default: the
-        particular solution) as its values."""
-        beta, h, v = len(chunk.A_hat), len(chunk.Hs), self._v
-        qs = _partition_indices(chunk.combos[row : row + 1], len(self._labels), beta)[0]
-        sel = [_blocks(self._nodes, self._labels[q].tolist()) for q in qs.tolist()]
-        vec = chunk.particular[row].tolist() if vec is None else vec
-        honest = {k: vec[i] for i, k in enumerate(chunk.Hs)}
+    def solution(self, out, row: int, vec=None) -> ScenarioSolution:
+        """Row ``row`` of the read ``out`` (see :func:`_read_flagged`) as a
+        solution, with ``vec`` (default: the particular solution) as its
+        values."""
+        red, cols, parts = out
+        beta, v = parts.shape[1], self._v
+        h = cols.shape[1] - beta
+        sel = [_blocks(self._nodes, self._labels[q].tolist()) for q in parts[row].tolist()]
+        vec = red.particular[row].tolist() if vec is None else vec
+        Hs, A_hat = cols[row, :h].tolist(), tuple(cols[row, h:].tolist())
         blocks = {
-            k: tuple(vec[h + j * v : h + j * v + len(sel[j])])
-            for j, k in enumerate(chunk.A_hat)
+            k: tuple(vec[h + j * v : h + j * v + len(sel[j])]) for j, k in enumerate(A_hat)
         }
-        unpinned = frozenset(
-            k for k, pin in zip(chunk.Hs, chunk.pinned[row].tolist()) if not pin
-        )
-        scenario = PresumedScenario(chunk.A_hat, tuple(sel))
-        return ScenarioSolution(scenario, honest, blocks, unpinned)
+        unpinned = frozenset(k for k, pin in zip(Hs, red.pinned[row].tolist()) if not pin)
+        scenario = PresumedScenario(A_hat, tuple(sel))
+        return ScenarioSolution(scenario, dict(zip(Hs, vec)), blocks, unpinned)
 
     @functools.cached_property
     def _solutions(self) -> tuple[ScenarioSolution, ...]:
-        return tuple(
-            self.solution(chunk, row)
-            for chunk, _, _ in self._read(self._pieces)
-            for row in range(len(chunk.combos))
-        )
+        flagged = self._flagged
+        reads = (self._read(flagged[i : i + _CHUNK]) for i in range(0, len(flagged), _CHUNK))
+        return tuple(self.solution(out, row) for out in reads for row in range(len(out[1])))
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._flagged)
 
     def __getitem__(self, i):
         return self._solutions[i]
@@ -580,85 +595,6 @@ class _FeasibleSolutions(Sequence):
 
     def __repr__(self) -> str:
         return repr(self._solutions)
-
-
-def _batches(pieces):
-    """Group ``(A_hat, scenario indices)`` pieces, in order, into batches of
-    at most ``_CHUNK`` scenarios; a larger piece makes a batch of its own."""
-    batch, size = [], 0
-    for piece in pieces:
-        if batch and size + len(piece[1]) > _CHUNK:
-            yield batch
-            batch, size = [], 0
-        batch.append(piece)
-        size += len(piece[1])
-    if batch:
-        yield batch
-
-
-def _read_flagged(Gsub, yv, memb, batch, p: int) -> _Reduced:
-    """The solution sets of the full systems ``[D | X_q | y]`` of the
-    ``(A_hat, scenario indices)`` pieces of ``batch``, in order, read off one
-    honest elimination per set (see the module docstring).  A full system
-    has the presumed-honest code columns ``D`` in source order, then v block
-    columns per presumed adversary a in ``A_hat`` order: column b is ``g_a``
-    on block b of a's partition, zero elsewhere.  Each set's base ``[D |
-    diag(g_a) per a | y]``, which has no partition, is eliminated over ``D``;
-    each scenario's system is assembled from its set's reduced base, and the
-    elimination resumes on its block columns.
-
-    Raises:
-        RuntimeError: a full system is inconsistent.
-    """
-    t, K = Gsub.shape
-    n_parts, _, v = memb.shape
-    A = np.array([A_hat for A_hat, _ in batch])
-    n_sets, beta = A.shape
-    h, bv = K - beta, beta * v
-    H = np.array([[k for k in range(K) if k not in A_hat] for A_hat in A.tolist()])
-    base = np.zeros((n_sets, t, h + beta * t + 1), dtype=Gsub.dtype)
-    base[:, :, :h] = Gsub[:, H].transpose(1, 0, 2)
-    diag = np.arange(t)
-    for j in range(beta):
-        base[:, diag, h + j * t + diag] = Gsub[:, A[:, j]].T
-    base[:, :, -1] = yv
-    _batch_eliminate(base, p, h)
-
-    sets = np.repeat(np.arange(n_sets), [len(combos) for _, combos in batch])
-    combos = np.concatenate([combos for _, combos in batch])
-    parts = _partition_indices(combos, n_parts, beta)
-    full = np.empty((len(sets), t, h + bv + 1), dtype=Gsub.dtype)
-    full[:, :, :h] = base[sets, :, :h]
-    for j in range(beta):
-        diag_j = base[sets, :, h + j * t : h + (j + 1) * t]
-        full[:, :, h + j * v : h + (j + 1) * v] = diag_j @ memb[parts[:, j]] % p
-    full[:, :, -1] = base[sets, :, -1]
-    _batch_eliminate(full, p, h + bv, start=h)
-    red = _read_reduced(full, h + bv, p)
-    if not red.consistent.all():
-        raise RuntimeError("projected and full scenario systems disagree")
-    return red
-
-
-def _read_chunks(Gsub, yv, labels, v: int, p: int, pieces):
-    """Read the systems of the ``(A_hat, scenario indices)`` pieces, in order
-    and in :func:`_batches`, check that each particular solution encodes to
-    ``yv``, and yield ``(chunk, red, row)`` per piece: its :class:`_Chunk`,
-    and the reduced batch ``red`` in which its systems start at ``row``."""
-    memb = (labels[:, :, None] == np.arange(v)).astype(Gsub.dtype)
-    K = Gsub.shape[1]
-    for batch in _batches(pieces):
-        red = _read_flagged(Gsub, yv, memb, batch, p)
-        sizes = [len(combos) for _, combos in batch]
-        A = np.repeat([A_hat for A_hat, _ in batch], sizes, axis=0)
-        combos = np.concatenate([combos for _, combos in batch])
-        _check_encodes(Gsub, yv, labels, A, combos, red.particular, p)
-        row0 = 0
-        for A_hat, combos in batch:
-            Hs = [k for k in range(K) if k not in A_hat]
-            rows = slice(row0, row0 + len(combos))
-            yield _Chunk(A_hat, Hs, combos, red.particular[rows], red.pinned[rows, : len(Hs)]), red, row0
-            row0 += len(combos)
 
 
 def _sweep(cols, rhs, roots: np.ndarray, beta: int, n_parts: int, w: int, p: int):
@@ -738,7 +674,13 @@ def decode(
 
     Gsub = gm.matrix._a[np.array(nodes)]
     yv = np.array([x % p for x in transcript.values], dtype=object).astype(ctx.dtype)
-    read = functools.partial(_read_chunks, Gsub, yv, labels, v, p)
+    sets = list(itertools.combinations(range(K), beta))
+    set_table = np.array(sets)
+
+    def read(flagged):  # every solution read is encoded and checked
+        red, cols, parts = out = _read_flagged(Gsub, yv, labels, set_table, v, p, flagged)
+        _check_encodes(Gsub, yv, labels, cols, parts, red.particular, p)
+        return out
 
     # The projected systems [L X'_q | L y] decide feasibility (see the module
     # docstring).  project(L, g_k, side_by_side) holds L X'_k of every
@@ -753,54 +695,55 @@ def decode(
     def project(L, g, cols):
         return (L * g[..., None, :]) % p @ cols % p
 
-    sets = list(itertools.combinations(range(K), beta))
     L, ell = _parity_check(Gsub, p)
     LX, Ly = project(L, Gsub.T, side_by_side), project(L, yv, one)
-    # Each set's flagged scenario indices, in pieces; fast mode keeps only
-    # the first, which pins every coordinate a later one pins.
+    # The flagged scenarios' sweep indices, set i's scenario q as i * per_set
+    # + q; fast mode keeps only each set's first, which pins every coordinate
+    # a later one pins.
     per_set = n_parts**beta
-    flagged: list[list[np.ndarray]] = [[] for _ in sets]
-    feasible_count = 0
+
+    def firsts_of(flagged):
+        return flagged[np.diff(flagged // per_set, prepend=-1) != 0]
+
+    kept, feasible_count = [], 0
     roots = np.array([A + (0,) for A in sets])
     for hits in _sweep(LX, Ly[None], roots, beta, n_parts, w, p):
         feasible_count += len(hits)
-        for part in np.split(hits, np.flatnonzero(np.diff(hits // per_set)) + 1):
-            i = int(part[0]) // per_set
-            if strict or not flagged[i]:
-                flagged[i].append((part if strict else part[:1]) - i * per_set)
+        kept.append(hits if strict else firsts_of(hits))
+    flagged = np.concatenate(kept + [np.empty(0, dtype=np.int64)])
+    firsts = firsts_of(flagged)
 
     # Read each set's first flagged scenario: the first pinned values.
-    firsts = [i for i in range(len(sets)) if flagged[i]]
-    first: dict[int, _Chunk] = {}
-    pinned_first: dict[int, tuple[int, _Chunk]] = {}  # value, chunk (row 0)
-    for i, (chunk, _, _) in zip(firsts, read([(sets[i], flagged[i][0][:1]) for i in firsts])):
-        first[i] = chunk
-        for j in np.flatnonzero(chunk.pinned[0]).tolist():
-            pinned_first.setdefault(chunk.Hs[j], (int(chunk.particular[0, j]), chunk))
+    h = K - beta
+    first = read(firsts)
+    red, cols, _ = first
+    pinned_first: dict[int, tuple[int, int]] = {}  # value, row of first
+    for s, j in zip(*np.nonzero(red.pinned[:, :h])):
+        pinned_first.setdefault(int(cols[s, j]), (int(red.particular[s, j]), int(s)))
 
     witnesses: dict[int, tuple[ScenarioSolution, ScenarioSolution]] = {}
-    pieces = [(A, part) for A, parts in zip(sets, flagged) for part in parts] if strict else []
-    feasible = _FeasibleSolutions(nodes, labels, v, pieces, read)
+    feasible = _FeasibleSolutions(nodes, labels, v, flagged if strict else flagged[:0], read)
     if strict:
-        # k's witness event: the first feasible scenario that presumes k
-        # honest and leaves k unpinned or pins it to a value other than its
-        # first pinned value x_k, as (set index, scenario index).  Among the
-        # first flagged scenarios, which are read, it is found directly.  A
-        # later one q of an earlier set is k's event iff S2(q) or not S1(q),
-        # two consistency tests projected by L_k (see the module docstring),
-        # and one sweep decides them for every such set and coordinate.
-        events: dict[int, tuple[int, int]] = {}
-        for i, chunk in first.items():
-            for j, k in enumerate(chunk.Hs):
+        # k's witness event: the sweep index of the first feasible scenario
+        # that presumes k honest and leaves k unpinned or pins it to a value
+        # other than its first pinned value x_k.  Among the first flagged
+        # scenarios, which are read, it is found directly.  A later one q of
+        # an earlier set is k's event iff S2(q) or not S1(q), two consistency
+        # tests projected by L_k (see the module docstring), and one sweep
+        # decides them for every such set and coordinate.
+        events: dict[int, int] = {}
+        for s, f in enumerate(firsts.tolist()):
+            for j, k in enumerate(cols[s, :h].tolist()):
                 if k not in events and (
-                    not chunk.pinned[0, j] or chunk.particular[0, j] != pinned_first[k][0]
+                    not red.pinned[s, j] or red.particular[s, j] != pinned_first[k][0]
                 ):
-                    events[k] = (i, int(chunk.combos[0]))
+                    events[k] = f
+        bounds = np.searchsorted(flagged, np.arange(len(sets) + 1) * per_set)
         todo = [
             (k, i)
             for k in sorted(pinned_first)
-            for i in range(events.get(k, (len(sets),))[0])
-            if k not in sets[i] and sum(map(len, flagged[i])) > 1
+            for i in range(events.get(k, len(sets) * per_set) // per_set)
+            if k not in sets[i] and bounds[i + 1] - bounds[i] > 1
         ]
         if todo:
             Lk = np.concatenate([np.broadcast_to(L, (K,) + L.shape), ell[:, None]], axis=1)
@@ -817,37 +760,40 @@ def decode(
             )
             # Scenario q of root r as r * per_set + q: todo entry n has its
             # S2 root at n and its S1 root at n + len(todo).
-            flat = {i: np.concatenate(flagged[i]) for _, i in todo}
-            F = np.concatenate([n * per_set + flat[i] for n, (_, i) in enumerate(todo)])
+            F = np.concatenate([
+                flagged[bounds[i] : bounds[i + 1]] + (n - i) * per_set
+                for n, (_, i) in enumerate(todo)
+            ])
             LXk = project(Lk[kk], Gsub[:, aa].T, side_by_side)
             hits = np.concatenate(list(_sweep(LXk, rhs, roots, beta, n_parts, w, p)) + [F[:0]])
             ev = F[np.isin(F, hits) | ~np.isin(F + len(todo) * per_set, hits)]
             ns, lead = np.unique(ev // per_set, return_index=True)
             # Last, and so kept, comes each k's first entry: its earliest set.
             for n, q in reversed(list(zip(ns.tolist(), (ev[lead] % per_set).tolist()))):
-                events[todo[n][0]] = (todo[n][1], q)
+                events[todo[n][0]] = todo[n][1] * per_set + q
 
         # Read the event scenarios and build the witnesses in sweep order,
         # then by coordinate.
-        at = sorted(set(events.values()))
-        found = dict(zip(at, read([(sets[i], np.array([q])) for i, q in at])))
-        alts = []  # (A_hat, scenario index, alternate)
-        for i, q, k in sorted((i, q, k) for k, (i, q) in events.items()):
-            chunk, red, s = found[i, q]
-            j = chunk.Hs.index(k)
-            sol = feasible.solution(chunk, 0)
-            if chunk.pinned[0, j]:
+        at = np.array(sorted(set(events.values())), dtype=np.int64)
+        found = read(at)
+        red, cols, parts = found
+        alts = []  # (row of found, alternate)
+        for f, k in sorted((f, k) for k, f in events.items()):
+            s = int(np.searchsorted(at, f))
+            j = cols[s].tolist().index(k)
+            sol = feasible.solution(found, s)
+            if red.pinned[s, j]:
                 value, where = pinned_first[k]
-                if chunk.particular[0, j] == value:
+                if red.particular[s, j] == value:
                     raise RuntimeError("projected and full scenario systems disagree")
-                witnesses[k] = (feasible.solution(where, 0), sol)
+                witnesses[k] = (feasible.solution(first, where), sol)
             else:
                 bvec = next(b for b in red.nullspace(s) if b[j] != 0)
-                alts.append((chunk.A_hat, q, (chunk.particular[0] + bvec) % p))
-                witnesses[k] = (sol, feasible.solution(chunk, 0, alts[-1][2].tolist()))
+                alts.append((s, (red.particular[s] + bvec) % p))
+                witnesses[k] = (sol, feasible.solution(found, s, alts[-1][1].tolist()))
         if alts:
-            A, qs, vecs = map(np.array, zip(*alts))
-            _check_encodes(Gsub, yv, labels, A, qs, vecs, p)
+            rows, vecs = map(list, zip(*alts))
+            _check_encodes(Gsub, yv, labels, cols[rows], parts[rows], np.array(vecs), p)
 
     return DecodeResult(
         estimates=tuple(pinned_first.get(k, (None,))[0] for k in range(K)),

@@ -13,9 +13,8 @@ coordinates (coordinates that take the same value in every solution),
 normalizing every pivot of the stack with one batched inverse
 (:func:`_batch_inverse`: a numpy product tree over a Montgomery loop with
 one ``pow``).  :func:`solve` reads its stack of one
-through it, and the feasibility decoder reads its flagged scenarios through
-it, after resuming the kernel on systems already eliminated over their
-honest columns.
+through it, and the feasibility decoder reads its flagged scenarios'
+systems through it.
 
 Matrices are backed by numpy.  For moduli up to ``_INT64_SAFE_P`` the entries
 live in ``int64`` (entrywise products of reduced values cannot overflow);
@@ -42,6 +41,10 @@ DEFAULT_PRIME = 2**31 - 1
 _INT64_SAFE_P = 3_037_000_499
 
 _LARGE_FIELD_FLOOR = 1 << 16
+
+# Most index-table entries (16 bytes each, 512 MB in all) that the exhaustive
+# MDS check builds; (22,11) needs 2.3e7 and (24,12) 1.0e8.
+_MINOR_TABLE_CAP = 1 << 25
 
 # Deterministic Miller-Rabin witness set, exact for n < _MR_BOUND (the
 # least strong pseudoprime to every base up to 41, about 3.3 * 10^24).
@@ -366,29 +369,25 @@ def rank(A: FieldMatrix) -> int:
 #
 # It operates on a stack of matrices at once (shape (B, m, n)) and is the one
 # elimination behind rank, solve, batch_rank, batch_feasible and the
-# decoder's scenario sweep.  Elimination is inverse-free: instead of
+# decoder's scenario sweep and reads.  Elimination is inverse-free: instead of
 # normalizing pivots, every other row is scaled by the pivot value, which
 # preserves rank and the solution set; _read_reduced normalizes when a
-# solution is needed.  An elimination can be resumed at a later column: the update clears each new
-# pivot column in the earlier pivot rows as well, which back-substitutes them.
+# solution is needed.
 # ---------------------------------------------------------------------------
 
 
-def _batch_eliminate(batch: np.ndarray, p: int, ncols: int, start: int = 0) -> np.ndarray:
-    """Gauss-Jordan eliminate columns ``start .. ncols-1`` of every matrix in
-    a stack already eliminated over its first ``start`` columns, in place.
-    Returns the (B, rows) mask of pivot rows; its row sums are the ranks
-    restricted to the first ``ncols`` columns.
+def _batch_eliminate(batch: np.ndarray, p: int, ncols: int) -> np.ndarray:
+    """Gauss-Jordan eliminate the first ``ncols`` columns of every matrix in
+    a stack, in place.  Returns the (B, rows) mask of pivot rows; its row
+    sums are the ranks restricted to the first ``ncols`` columns.
 
     Rows stay where they are.  A pivot row's leading nonzero sits in its
     pivot column, which is zero in every other row; every other row is zero
-    over the eliminated columns.  The rows nonzero over the first ``start``
-    columns keep their pivots, and each new pivot column is cleared in them
-    too.
+    over the eliminated columns.
     """
     mats = np.arange(len(batch))
-    spare = ~(batch[:, :, :start] != 0).any(axis=2)
-    for c in range(start, ncols):
+    spare = np.ones(batch.shape[:2], dtype=bool)
+    for c in range(ncols):
         col = batch[:, :, c]
         nz = (col != 0) & spare
         has = nz.any(axis=1)
@@ -471,9 +470,17 @@ def all_square_submatrices_nonsingular(A: FieldMatrix) -> bool:
 
     Raises:
         DimensionMismatch: ``A`` has fewer rows than columns.
+        BadParameter: the index tables would hold more than
+            ``_MINOR_TABLE_CAP`` entries, Sum_j C(rows, j) * j over j = 1..cols.
     """
     if A.rows < A.cols:
         raise DimensionMismatch(f"need at least as many rows as columns, got {A.rows}x{A.cols}")
+    entries = sum(math.comb(A.rows, j) * j for j in range(1, A.cols + 1))
+    if entries > _MINOR_TABLE_CAP:
+        raise BadParameter(
+            f"an MDS check of N={A.rows}, K={A.cols} needs {entries} index-table "
+            f"entries, more than the {_MINOR_TABLE_CAP} allowed"
+        )
     p = A.ctx.p
     minors = np.ones(1, dtype=A._a.dtype)
     for j, (rows, drop) in enumerate(_minor_tables(A.rows, A.cols)):

@@ -206,9 +206,9 @@ class TestIndependentRows:
         gm = draw_mds(CTX, "random", 12, 4, seed=seed)
         calls = []
 
-        def counting(batch, p, ncols, start=0):
+        def counting(batch, p, ncols):
             calls.append(batch.shape)
-            return eliminate(batch, p, ncols, start)
+            return eliminate(batch, p, ncols)
 
         eliminate = fieldmod._batch_eliminate
         monkeypatch.setattr(fieldmod, "_batch_eliminate", counting)

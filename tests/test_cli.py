@@ -142,6 +142,8 @@ class TestBadInput:
             "code_a_string",
             "code_p_a_float",
             "transcript_null",
+            "gen_code_n70_k35",
+            "gen_code_n40_k20",
         ],
     )
     def test_one_error_line_and_exit_code_1(self, tmp_path, capsys, case):
@@ -171,6 +173,11 @@ class TestBadInput:
                     "--out", str(tmp_path / "r.csv")]
         else:
             argv = {
+                # Too large for the exhaustive MDS check's index tables.
+                "gen_code_n70_k35": ["gen-code", "--kind", "random", "--n", "70",
+                                     "--k", "35", "--seed", "1"],
+                "gen_code_n40_k20": ["gen-code", "--kind", "random", "--n", "40",
+                                     "--k", "20", "--seed", "1"],
                 "points_not_integers": ["gen-code", "--kind", "reed_solomon", "--n", "3",
                                         "--k", "2", "--points", "a,b"],
                 # 798330580441 * 399165290221, a strong pseudoprime to bases 2..37
@@ -191,7 +198,8 @@ class TestBadInput:
         assert rc == 1
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         named = {"sweep_budget_negative": "budget", "decode_budget_zero": "budget",
-                 "spec_cell_of_three": "four integers"}
+                 "spec_cell_of_three": "four integers",
+                 "gen_code_n70_k35": "N=70, K=35", "gen_code_n40_k20": "N=40, K=20"}
         assert named.get(case, "") in err
         assert not (tmp_path / "r.csv").exists()
 

@@ -262,11 +262,11 @@ class TestDecode:
     def test_encoding_check_rejects_a_wrong_block_value(self, mode, p, monkeypatch):
         # The honest values stay right; the first presumed adversary's first
         # block value, which every partition uses, is shifted.
-        def corrupted(Gsub, yv, memb, batch, p):
-            out = read_flagged(Gsub, yv, memb, batch, p)
-            bad = out.particular.copy()
+        def corrupted(*args):
+            red, cols, parts = read_flagged(*args)
+            bad = red.particular.copy()
             bad[:, h] = (bad[:, h] + 1) % p
-            return dataclasses.replace(out, particular=bad)
+            return dataclasses.replace(red, particular=bad), cols, parts
 
         cfg, gm, behavior, nodes, tr = _random_instance(11, p=p)
         h = cfg.K - cfg.beta
@@ -383,12 +383,12 @@ class TestParityCheck:
 
 
 class TestFlaggedReader:
-    # _read_flagged eliminates each presumed-adversary set's honest block D
-    # once and resumes the elimination on every scenario's block columns.
+    # _read_flagged builds the full system [D | X_q | y] of each scenario it
+    # is given by sweep index and eliminates them all in one kernel call.
     # Each system's particular solution, pinned set and nullspace basis must
-    # equal naive Gauss-Jordan's on its full system [D | X_q | y], including
-    # when D is rank-deficient (a zero or a repeated code column) and when
-    # the batch mixes several presumed-adversary sets.
+    # equal naive Gauss-Jordan's on its full system, including when D is
+    # rank-deficient (a zero or a repeated code column) and when one read
+    # mixes several presumed-adversary sets.
     @staticmethod
     def _full_system(G, labels, A_hat, combo, v):
         K, n_parts = len(G[0]), len(labels)
@@ -413,7 +413,8 @@ class TestFlaggedReader:
             for row in G:
                 if kind != "random":
                     row[1] = row[0] if kind == "repeated_column" else 0
-            labels = decoding._partition_labels(t, v).tolist()
+            table = decoding._partition_labels(t, v)
+            labels = table.tolist()
             total = len(labels) ** beta
             sets = list(itertools.combinations(range(K), beta))
             # y is a codeword, which every scenario reaches, or solves one
@@ -422,40 +423,44 @@ class TestFlaggedReader:
             mat = G if trial % 2 else self._full_system(G, labels, *planted, v)
             y = matvec(mat, [rng.randrange(p) for _ in mat[0]], p)
 
-            batch, systems, infeasible = [], [], None
-            for A_hat in sets:
+            # Scenario combo of set i has sweep index i * total + combo.
+            flagged, systems, infeasible = [], [], None
+            for i, A_hat in enumerate(sets):
                 combos = rng.sample(range(total), min(total, 6))
                 if A_hat == planted[0] and planted[1] not in combos:
                     combos.append(planted[1])
-                kept = []
-                for combo in combos:
+                for combo in sorted(combos):
                     mat = self._full_system(G, labels, A_hat, combo, v)
                     want = gauss_jordan(mat, y, p)
                     if want[0]:
-                        kept.append(combo)
-                        systems.append(want)
+                        flagged.append(i * total + combo)
+                        systems.append((A_hat, combo, want))
                     else:
-                        infeasible = (A_hat, combo)
-                if kept:
-                    batch.append((A_hat, np.array(kept)))
-            mixed += len(batch) > 1
+                        infeasible = i * total + combo
+            mixed += len({A_hat for A_hat, _, _ in systems}) > 1
 
             dtype = FieldContext(p).dtype
             Gsub = np.array(G, dtype=dtype)
             yv = np.array(y, dtype=dtype)
-            memb = (np.array(labels)[:, :, None] == np.arange(v)).astype(dtype)
-            red = decoding._read_flagged(Gsub, yv, memb, batch, p)
-            assert len(red.particular) == len(systems)
-            for s, (_, particular, basis, pinned) in enumerate(systems):
+            read = functools.partial(
+                decoding._read_flagged, Gsub, yv, table, np.array(sets), v, p
+            )
+            red, cols, parts = read(np.array(flagged, dtype=np.int64))
+            assert len(red.particular) == len(cols) == len(parts) == len(systems)
+            for s, (A_hat, combo, want) in enumerate(systems):
+                _, particular, basis, pinned = want
+                honest = [k for k in range(K) if k not in A_hat]
+                digits = [combo // len(labels) ** (beta - 1 - j) % len(labels) for j in range(beta)]
+                assert cols[s].tolist() == honest + list(A_hat)
+                assert parts[s].tolist() == digits
                 assert tuple(red.particular[s].tolist()) == particular
                 assert frozenset(np.flatnonzero(red.pinned[s]).tolist()) == pinned
                 assert tuple(map(tuple, red.nullspace(s).tolist())) == basis
             honest_free += int(red.free[:, :h].any(axis=1).sum())
 
             if infeasible is not None:  # the projection guard
-                A_hat, combo = infeasible
                 with pytest.raises(RuntimeError, match="disagree"):
-                    decoding._read_flagged(Gsub, yv, memb, [(A_hat, np.array([combo]))], p)
+                    read(np.array([infeasible], dtype=np.int64))
         assert mixed
         if kind != "random":  # some honest block was rank-deficient
             assert honest_free > 0
@@ -536,12 +541,12 @@ def _planted_transcript(rows, nodes, K, beta, v, p, rng):
 
 def _swept(pieces, total):
     """The feasible scenario indices a sweep yields, once each yield is
-    checked: a nonempty ascending array within a span of ``_CHUNK``
-    scenarios, in scenario order after the one before, inside ``[0, total)``.
-    A sweep with no feasible scenario yields nothing."""
+    checked: a nonempty ascending array, in scenario order after the one
+    before, inside ``[0, total)``.  A sweep with no feasible scenario yields
+    nothing."""
     pieces = list(pieces)
     for piece in pieces:
-        assert len(piece) and piece[-1] - piece[0] < decoding._CHUNK
+        assert len(piece)
     hits = np.concatenate([np.empty(0, dtype=np.int64)] + pieces)
     assert (np.diff(hits) > 0).all()  # ascending and unique across yields
     assert not len(hits) or (hits[0] >= 0 and hits[-1] < total)
@@ -629,7 +634,7 @@ class TestNestedSweep:
     @pytest.mark.parametrize("chunk", [None, 5])
     def test_pivot_read_on_every_gf3_pair(self, chunk, monkeypatch):
         # One parent per L y in GF(3)^3, each holding all 27 columns: all
-        # 729 (column, L y) pairs.  A chunk of 5 splits each parent's children.
+        # 729 (column, L y) pairs.  The read does not depend on the chunk.
         if chunk:
             monkeypatch.setattr(decoding, "_CHUNK", chunk)
         vecs = np.array(list(itertools.product(range(3), repeat=3)), dtype=np.int64)
@@ -662,7 +667,7 @@ class TestNestedSweep:
     # The last two levels of a v = 2 sweep pivot on L y once per parent and
     # join the pairs of columns whose scaled parts off the pivot row agree;
     # the pairs yielded must be those whose own system [c_a | c_b | L y] is
-    # consistent, and no yield may span more than _CHUNK pairs.
+    # consistent.
     @staticmethod
     def _assert_pair_read(parents, p):
         S, rows, width = parents.shape
@@ -683,8 +688,8 @@ class TestNestedSweep:
     @pytest.mark.parametrize("p, dim", [(3, 3), (5, 2), (2, 4)])
     def test_pair_read_on_every_small_triple(self, p, dim, chunk, monkeypatch):
         # One parent per L y in GF(p)^dim, each holding every vector as c_a
-        # and as c_b: all (c_a, c_b, L y) triples.  A chunk of 5 splits each
-        # parent's pairs in the middle of a row of c_b's.
+        # and as c_b: all (c_a, c_b, L y) triples.  A chunk of 5 reads one
+        # row of c_a's at a time.
         if chunk:
             monkeypatch.setattr(decoding, "_CHUNK", chunk)
         vecs = np.array(list(itertools.product(range(p), repeat=dim)), dtype=np.int64)
@@ -771,7 +776,7 @@ class TestNestedSweep:
         # Random parents over GF(5), with some L y zero: dense hits.  Chunks
         # of 1, 3 and 7 split the hits of one pair-read row (n = 12), 40 and
         # 200 take part of a parent or several parents per slice.  Every
-        # chunk must yield the same indices, each yield within its span.
+        # chunk must yield the same indices.
         rng = np.random.default_rng(m * 10 + w)
         S, rows, n, p = 4, 3, 12, 5
         parents = rng.integers(0, p, size=(S, rows, m * n * w + 1), dtype=np.int64)
@@ -800,25 +805,25 @@ class TestNestedSweep:
     def test_threshold_decode_builds_no_child(self, mode, monkeypatch):
         # (12,4,2,2) at t* = 8: one parity check, one pivot on the stacked
         # 4 x 257 roots of all C(4,2) = 6 presumed-adversary sets (128
-        # partitions each) and two eliminations to read the flagged scenarios:
-        # one over each set's K - beta = 2 honest columns, and one that
-        # resumes there on each scenario's block columns.
+        # partitions each) and one elimination of the flagged scenarios' full
+        # systems, 8 x (2 honest + 2 x 2 block columns + y).  No witness
+        # event is read in strict mode, and an empty read makes no call.
         cfg, gm, behavior, nodes, tr = _random_instance(13, N=12, K=4, beta=2, v=2)
-        shapes, starts = [], []
+        shapes = []
 
-        def counting(batch, p, ncols, start=0):
+        def counting(batch, p, ncols):
             shapes.append(batch.shape)
-            starts.append(start)
-            return eliminate(batch, p, ncols, start)
+            return eliminate(batch, p, ncols)
 
         eliminate = fieldmod._batch_eliminate
         monkeypatch.setattr(fieldmod, "_batch_eliminate", counting)
         monkeypatch.setattr(decoding, "_batch_eliminate", counting)
         res = decode(gm, nodes, tr, cfg, mode=mode)
         assert verify_against_truth(res, behavior).ok
-        assert len(shapes) == 4
+        assert len(shapes) == 3
         assert shapes[1] == (6, 4, 257)
-        assert starts == [0, 0, 0, 2]
+        assert shapes[2][1:] == (8, 7)
+        assert not res.witnesses
 
     @pytest.mark.parametrize("chunk", [7, 3, 100])
     @pytest.mark.parametrize(
@@ -879,15 +884,15 @@ class TestNestedSweep:
 
 
 def _count_reads(monkeypatch, cfg):
-    """Record the ``(A_hat, scenario indices)`` pieces of each
-    ``_read_flagged`` call, and the systems of each full-width
-    ``batch_feasible`` call (one over all ``h + beta*v`` unknowns)."""
+    """Record the sweep indices of each ``_read_flagged`` call, and the
+    systems of each full-width ``batch_feasible`` call (one over all
+    ``h + beta*v`` unknowns)."""
     reads, full_width = [], []
     full_nvars = cfg.K - cfg.beta + cfg.beta * cfg.v
 
-    def reading(Gsub, yv, memb, batch, p):
-        reads.append([(A_hat, combos.tolist()) for A_hat, combos in batch])
-        return read_flagged(Gsub, yv, memb, batch, p)
+    def reading(*args):
+        reads.append(args[-1].tolist())
+        return read_flagged(*args)
 
     def deciding(aug, p, nvars):
         if nvars == full_nvars:
@@ -900,10 +905,24 @@ def _count_reads(monkeypatch, cfg):
     return reads, full_width
 
 
+def _checked_indices(cfg, t, cols, parts):
+    """The sweep indices of the scenarios whose columns ``cols`` and
+    partition indices ``parts`` an encoding check is given."""
+    sets = list(itertools.combinations(range(cfg.K), cfg.beta))
+    n_parts = decoding._partition_count(t, cfg.v)
+    out = []
+    for c, part in zip(cols.tolist(), parts.tolist()):
+        q = 0
+        for x in part:
+            q = q * n_parts + x
+        out.append(sets.index(tuple(c[cfg.K - cfg.beta :])) * n_parts**cfg.beta + q)
+    return out
+
+
 class TestRebuilds:
     # Projected systems decide feasibility; only the scenarios decode records
-    # are read, off one honest elimination per presumed-adversary set, and
-    # their solutions encoded for the check.  Fast mode reads at most the
+    # are read, by eliminating their full systems, and their solutions
+    # encoded for the check.  Fast mode reads at most the
     # first flagged scenario of each set; strict mode reads those and each
     # coordinate's witness event, and every flagged scenario when its
     # feasible solutions are first read.
@@ -927,9 +946,9 @@ class TestRebuilds:
         cfg, gm, nodes, tr = self._instance(kind, cell)
         reads, full_width = _count_reads(monkeypatch, cfg)
         res = decode(gm, nodes, tr, cfg, mode="fast")
-        pieces = [piece for batch in reads for piece in batch]
-        assert pieces and {len(combos) for _, combos in pieces} == {1}
-        sets = [A_hat for A_hat, _ in pieces]
+        per_set = decoding._partition_count(len(nodes), cfg.v) ** cfg.beta
+        assert len(reads) == 1 and reads[0]
+        sets = [f // per_set for f in reads[0]]
         assert len(set(sets)) == len(sets) <= math.comb(cfg.K, cfg.beta)
         assert not full_width
         assert res.feasible_count > 0
@@ -937,12 +956,12 @@ class TestRebuilds:
     @pytest.mark.parametrize("kind, cell", CASES)
     def test_strict_builds_each_flagged_system_once(self, kind, cell, monkeypatch):
         cfg, gm, nodes, tr = self._instance(kind, cell)
-        checked = []  # (A_hat, scenario index) of each vector encoded
+        checked = []  # the sweep index of each vector encoded
 
-        def counting(Gsub, yv, labels, A, combos, vecs, p):
-            assert len(A) == len(combos) == len(vecs)
-            checked.extend(zip(map(tuple, A.tolist()), combos.tolist()))
-            return check_encodes(Gsub, yv, labels, A, combos, vecs, p)
+        def counting(Gsub, yv, labels, cols, parts, vecs, p):
+            assert len(cols) == len(parts) == len(vecs)
+            checked.extend(_checked_indices(cfg, len(nodes), cols, parts))
+            return check_encodes(Gsub, yv, labels, cols, parts, vecs, p)
 
         check_encodes = decoding._check_encodes
         monkeypatch.setattr(decoding, "_check_encodes", counting)
@@ -950,7 +969,7 @@ class TestRebuilds:
         res = decode(gm, nodes, tr, cfg, mode="strict")
         # decode reads each set's first flagged scenario and each witness
         # event, and encodes those and the witness alternates.
-        read = [(A_hat, q) for batch in reads for A_hat, combos in batch for q in combos]
+        read = [f for flagged in reads for f in flagged]
         alternates = sum(k in a.unpinned for k, (a, _) in res.witnesses.items())
         assert len(read) <= math.comb(cfg.K, cfg.beta) + cfg.K
         assert len(checked) == len(read) + alternates
@@ -960,7 +979,7 @@ class TestRebuilds:
         reads.clear()
         checked.clear()
         solutions = list(res.feasible)
-        read = [(A_hat, q) for batch in reads for A_hat, combos in batch for q in combos]
+        read = [f for flagged in reads for f in flagged]
         assert read == checked
         assert len(set(read)) == len(read) == res.feasible_count == len(solutions)
         n_reads = len(reads)
@@ -968,11 +987,11 @@ class TestRebuilds:
 
 
 class TestStrictRecording:
-    # Strict decode records estimates and witnesses from whole read chunks
-    # at once and builds its feasible solutions only when they are read.
-    # oracles.strict_record replays the per-scenario loop over those
-    # solutions.  A chunk of 3 splits every presumed-adversary set's sweep,
-    # so first pinned values are carried across chunks as well as sets.
+    # Strict decode records estimates and witnesses from the scenarios it
+    # reads and builds its feasible solutions only when they are read, at
+    # most _CHUNK at a time.  oracles.strict_record replays the per-scenario
+    # loop over those solutions.  A chunk of 3 splits every
+    # presumed-adversary set's sweep and the reads of its solutions.
     @staticmethod
     def _instances(cell, t):
         N, K, beta, v = cell
@@ -1027,9 +1046,9 @@ class TestStrictRecording:
                 built.append(1)
                 super().__init__(*args)
 
-        def counting_check(Gsub, yv, labels, A, combos, vecs, p):
+        def counting_check(Gsub, yv, labels, cols, parts, vecs, p):
             checked.append(len(vecs))
-            return check_encodes(Gsub, yv, labels, A, combos, vecs, p)
+            return check_encodes(Gsub, yv, labels, cols, parts, vecs, p)
 
         check_encodes = decoding._check_encodes
         monkeypatch.setattr(decoding, "ScenarioSolution", Counting)
@@ -1040,9 +1059,9 @@ class TestStrictRecording:
         assert len(built) <= 2 * len(res.witnesses) < res.feasible_count
         # decode reads at most each set's first flagged scenario and each
         # coordinate's witness event, decides no full-width stack, and
-        # encodes each read batch's solutions in one check and the witness
+        # encodes each read's solutions in one check and the witness
         # alternates in one more.
-        read = [(A_hat, q) for batch in reads for A_hat, combos in batch for q in combos]
+        read = [f for flagged in reads for f in flagged]
         assert len(read) <= math.comb(cfg.K, cfg.beta) + cfg.K < res.feasible_count
         alternates = sum(k in a.unpinned for k, (a, _) in res.witnesses.items())
         assert (alternates > 0) == (drop > 0)
@@ -1052,9 +1071,9 @@ class TestStrictRecording:
         assert len(res.feasible) == res.feasible_count
         assert (len(built), len(reads)) == (before, n_reads)  # a length reads nothing
         # The first read reads and encodes every flagged scenario once, one
-        # check per read batch, and builds its solutions.
+        # check per read, and builds its solutions.
         solutions = list(res.feasible)
-        read = [(A_hat, q) for batch in reads[n_reads:] for A_hat, combos in batch for q in combos]
+        read = [f for flagged in reads[n_reads:] for f in flagged]
         assert len(read) == len(set(read)) == res.feasible_count == len(solutions)
         assert len(checked) - n_checked == len(reads) - n_reads
         assert sum(checked[n_checked:]) == res.feasible_count
@@ -1072,16 +1091,16 @@ class TestStrictRecording:
         tr = encode_transcript(gm, atk.setup1, atk.node_set)
         in_decode, corrupt = set(), []
 
-        def corrupted(Gsub, yv, memb, batch, p):
-            out = read_flagged(Gsub, yv, memb, batch, p)
-            keys = [(A_hat, q) for A_hat, combos in batch for q in combos.tolist()]
+        def corrupted(*args):
+            red, cols, parts = read_flagged(*args)
+            keys = args[-1].tolist()
             if not corrupt:
                 in_decode.update(keys)
-                return out
+                return red, cols, parts
             unread = [s for s, key in enumerate(keys) if key not in in_decode]
-            bad = out.particular.copy()
-            bad[unread, 0] = (bad[unread, 0] + 1) % p
-            return dataclasses.replace(out, particular=bad)
+            bad = red.particular.copy()
+            bad[unread, 0] = (bad[unread, 0] + 1) % P
+            return dataclasses.replace(red, particular=bad), cols, parts
 
         read_flagged = decoding._read_flagged
         monkeypatch.setattr(decoding, "_read_flagged", corrupted)

@@ -19,6 +19,7 @@ from distcode import (
     rank,
     solve,
 )
+from distcode import field as fieldmod
 from distcode.field import (
     _batch_eliminate,
     _batch_inverse,
@@ -295,6 +296,27 @@ class TestSubmatrixNonsingular:
                 assert all_square_submatrices_nonsingular(A) == self.oracle(rows, 3)
             assert _minor_tables.cache_info().misses == 1
 
+    @pytest.mark.parametrize(
+        "N, K, admitted",
+        [(70, 35, False), (40, 20, False), (24, 12, False), (22, 11, True), (20, 12, True)],
+    )
+    def test_oversized_code_rejected_before_any_table(self, N, K, admitted, monkeypatch):
+        # (70,35) overflows the tables' int64 binomials, (40,20) would need
+        # 176 TB and (24,12) 1.6 GB of tables: each is refused before a table
+        # is built.  (22,11) and (20,12) pass the check and reach the tables,
+        # which this test does not build.
+        def no_tables(N, K):
+            raise AssertionError("the minor tables were built")
+
+        monkeypatch.setattr(fieldmod, "_minor_tables", no_tables)
+        A = FieldMatrix(FieldContext(7), [[1] * K for _ in range(N)])
+        if admitted:
+            with pytest.raises(AssertionError, match="tables were built"):
+                all_square_submatrices_nonsingular(A)
+        else:
+            with pytest.raises(BadParameter, match=f"N={N}, K={K}"):
+                all_square_submatrices_nonsingular(A)
+
     def test_wide_matrix_rejected(self):
         A = FieldMatrix(FieldContext(7), [[1, 2, 3], [4, 5, 6]])
         with pytest.raises(DimensionMismatch, match="2x3"):
@@ -407,16 +429,11 @@ class TestBatchedReader:
              "rank_deficient_inconsistent", "zero", "zero_inconsistent")
 
     @staticmethod
-    def _read(systems, p, split=0):
-        # Eliminate over the first ``split`` columns, then resume from there.
+    def _read(systems, p):
         dtype = FieldContext(p).dtype
         stack = np.array([[row + [y] for row, y in zip(A, b)] for A, b in systems], dtype=dtype)
         nvars = len(systems[0][0][0])
-        pivots = _batch_eliminate(stack, p, split)
-        before = stack.copy()
-        assert (_batch_eliminate(stack, p, split, start=split) == pivots).all()
-        assert (stack == before).all()
-        _batch_eliminate(stack, p, nvars, start=split)
+        _batch_eliminate(stack, p, nvars)
         red = _read_reduced(stack, nvars, p)
         for s in range(len(systems)):
             consistent = bool(red.consistent[s])
@@ -445,10 +462,8 @@ class TestBatchedReader:
             assert got == want
 
     @pytest.mark.parametrize("p", [5, 2**31 - 1, 2**61 - 1], ids=["p5", "p2^31-1", "p2^61-1"])
-    def test_resumed_elimination_matches_gauss_jordan(self, p):
-        # Every split of the elimination reads like one elimination, also
-        # with a zero or a repeated column; at the split itself, resuming
-        # changes nothing and returns the pivots found so far.
+    def test_zero_and_repeated_columns_match_gauss_jordan(self, p):
+        # Every kind of system, also with a zero or a repeated column.
         rng = random.Random(f"resume-{p}")
         systems = []
         for kind in self.KINDS:
@@ -465,5 +480,4 @@ class TestBatchedReader:
                 systems.append((A, b))
         want = [gauss_jordan(A, b, p) for A, b in systems]
         assert {w[0] for w in want} == {True, False}
-        for split in range(len(systems[0][0][0]) + 1):
-            assert list(self._read(systems, p, split)) == want
+        assert list(self._read(systems, p)) == want
