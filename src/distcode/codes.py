@@ -167,7 +167,9 @@ def gen_reed_solomon(
 
     Raises:
         DuplicatePoints: supplied points collide.
-        BadDimensions: ``N >= K >= 1`` fails or N exceeds the field size.
+        BadDimensions: ``N >= K >= 1`` fails, N exceeds the field size, or
+            the number of points is not N.
+        BadParameter: a point is not an integer.
     """
     if not 1 <= K <= N:
         raise BadDimensions(f"need N >= K >= 1, got N={N}, K={K}")
@@ -176,7 +178,9 @@ def gen_reed_solomon(
     if points is None:
         rng = random.Random(seed)
         points = rng.sample(range(ctx.p), N)
-    points = tuple(int(x) % ctx.p for x in points)
+    points = tuple(x % ctx.p for x in _as_ints(points, "points"))
+    if len(points) != N:
+        raise BadDimensions(f"need one point per encoder, {N} in all, got {len(points)}")
     if len(set(points)) != len(points):
         raise DuplicatePoints(f"points {points} are not distinct")
     rows = [[pow(lam, k, ctx.p) for k in range(K)] for lam in points]
@@ -204,17 +208,21 @@ def draw_mds(
     """Generate a code of the requested kind and re-draw (seed+1, seed+2, ...)
     until it passes :func:`is_mds`.  Failure odds per draw are about
     C(N,K)/p for random and systematic codes; Vandermonde codes with
-    distinct points never fail.  The retry cap is never expected to bind."""
+    distinct points never fail.  The retry cap is never expected to bind.
+    ``points`` apply only to ``reed_solomon`` codes; with another kind they
+    raise :class:`BadParameter`."""
+    if kind not in KINDS:
+        raise BadParameter(f"unknown code kind {kind!r}")
+    if points is not None and kind != "reed_solomon":
+        raise BadParameter(f"points only apply to reed_solomon codes, not {kind!r}")
     for attempt in range(_MDS_DRAWS):
         s = seed + attempt
         if kind == "random":
             gm = gen_random_linear(ctx, N, K, s)
         elif kind == "systematic":
             gm = gen_systematic(ctx, N, K, s)
-        elif kind == "reed_solomon":
-            gm = gen_reed_solomon(ctx, N, K, points=points, seed=s)
         else:
-            raise BadParameter(f"unknown code kind {kind!r}")
+            gm = gen_reed_solomon(ctx, N, K, points=points, seed=s)
         if is_mds(gm):
             if attempt:
                 log.warning("MDS draw needed %d redraws (kind=%s)", attempt, kind)

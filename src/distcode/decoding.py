@@ -91,9 +91,8 @@ Strict mode reads one more scenario per coordinate k, its first witness
 event: the first feasible scenario that presumes k honest and leaves k
 unpinned or pins it to a value other than its first pinned value ``x_k``.
 The witness pairs are built from these reads.  Every flagged scenario is
-kept as its sweep index, and all of them are read, encode-checked and
-built into :class:`ScenarioSolution` objects when ``DecodeResult.feasible``
-is first read.
+kept as its sweep index; ``DecodeResult.feasible`` reads, encode-checks and
+builds them all into a tuple of :class:`ScenarioSolution` on first access.
 
 The events are found without reading.  Let ``L_k`` be a basis of the left
 nullspace of ``G_T`` without column k, and q a feasible scenario that
@@ -120,7 +119,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,7 +164,7 @@ def enumerate_partitions(items, v: int):
         yield _blocks(items, row)
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=1)  # callers sweep one (t, v) at a time
 def _partition_labels(t: int, v: int) -> np.ndarray:
     """The partitions of t positions into at most v blocks, as read-only
     restricted-growth strings, one row per partition: entry i is position i's
@@ -272,12 +271,14 @@ class DecodeResult:
     ``estimates[k]`` is ``None`` while no feasible scenario pinned source k.
     ``guaranteed`` says whether the transcript covers at least t* encoders,
     the only case in which the theorem vouches for the honest estimates.
-    Strict mode additionally carries every feasible solution, read,
-    encode-checked and built when ``feasible`` is first read (a wrong one
-    raises ``RuntimeError`` then), and one witness pair per coordinate on
+    Strict mode additionally carries one witness pair per coordinate on
     which feasible solutions disagree; the properties
     ``ambiguous_coordinates`` (those coordinates) and ``ambiguity`` (the
-    witness for the smallest one) are read off ``witnesses``.
+    witness for the smallest one) are read off ``witnesses``.  In strict
+    mode ``feasible`` is every feasible solution in sweep order, read,
+    encode-checked and built on first access (a wrong one raises
+    ``RuntimeError`` then); in fast mode it is empty.  ``repr``, ``==`` and
+    :meth:`to_json` read none of them.
     """
 
     estimates: tuple[int | None, ...]
@@ -286,8 +287,12 @@ class DecodeResult:
     witnesses: dict[int, tuple[ScenarioSolution, ScenarioSolution]] = field(
         default_factory=dict
     )
-    feasible: Sequence[ScenarioSolution] = ()
     scenarios_examined: int = 0
+    _read_feasible: Callable[[], tuple] = field(default=tuple, repr=False, compare=False)
+
+    @functools.cached_property
+    def feasible(self) -> tuple[ScenarioSolution, ...]:
+        return self._read_feasible()
 
     @property
     def ambiguous_coordinates(self) -> frozenset[int]:
@@ -545,56 +550,20 @@ def _check_encodes(Gsub, yv, labels, cols, parts, vecs, p: int) -> None:
         raise RuntimeError("a recorded solution does not satisfy its scenario system")
 
 
-class _FeasibleSolutions(Sequence):
-    """The solutions of every feasible scenario, in sweep order.
-
-    Strict decoding keeps only the flagged scenarios' sweep indices.  The
-    first access that needs a solution reads their systems with ``read``,
-    at most ``_CHUNK`` at a time, which also checks that each solution
-    encodes to the transcript, and builds the :class:`ScenarioSolution`
-    objects; the length needs no read.
-    """
-
-    def __init__(self, nodes, labels: np.ndarray, v: int, flagged: np.ndarray, read):
-        self._nodes, self._labels, self._v = nodes, labels, v
-        self._flagged, self._read = flagged, read
-
-    def solution(self, out, row: int, vec=None) -> ScenarioSolution:
-        """Row ``row`` of the read ``out`` (see :func:`_read_flagged`) as a
-        solution, with ``vec`` (default: the particular solution) as its
-        values."""
-        red, cols, parts = out
-        beta, v = parts.shape[1], self._v
-        h = cols.shape[1] - beta
-        sel = [_blocks(self._nodes, self._labels[q].tolist()) for q in parts[row].tolist()]
-        vec = red.particular[row].tolist() if vec is None else vec
-        Hs, A_hat = cols[row, :h].tolist(), tuple(cols[row, h:].tolist())
-        blocks = {
-            k: tuple(vec[h + j * v : h + j * v + len(sel[j])]) for j, k in enumerate(A_hat)
-        }
-        unpinned = frozenset(k for k, pin in zip(Hs, red.pinned[row].tolist()) if not pin)
-        scenario = PresumedScenario(A_hat, tuple(sel))
-        return ScenarioSolution(scenario, dict(zip(Hs, vec)), blocks, unpinned)
-
-    @functools.cached_property
-    def _solutions(self) -> tuple[ScenarioSolution, ...]:
-        flagged = self._flagged
-        reads = (self._read(flagged[i : i + _CHUNK]) for i in range(0, len(flagged), _CHUNK))
-        return tuple(self.solution(out, row) for out in reads for row in range(len(out[1])))
-
-    def __len__(self) -> int:
-        return len(self._flagged)
-
-    def __getitem__(self, i):
-        return self._solutions[i]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __repr__(self) -> str:
-        return repr(self._solutions)
+def _solution(nodes, labels, v: int, out, row: int, vec=None) -> ScenarioSolution:
+    """Row ``row`` of the read ``out`` (see :func:`_read_flagged`) as a
+    solution, with ``vec`` (default: the particular solution) as its
+    values."""
+    red, cols, parts = out
+    beta = parts.shape[1]
+    h = cols.shape[1] - beta
+    sel = [_blocks(nodes, labels[q].tolist()) for q in parts[row].tolist()]
+    vec = red.particular[row].tolist() if vec is None else vec
+    Hs, A_hat = cols[row, :h].tolist(), tuple(cols[row, h:].tolist())
+    blocks = {k: tuple(vec[h + j * v : h + j * v + len(sel[j])]) for j, k in enumerate(A_hat)}
+    unpinned = frozenset(k for k, pin in zip(Hs, red.pinned[row].tolist()) if not pin)
+    scenario = PresumedScenario(A_hat, tuple(sel))
+    return ScenarioSolution(scenario, dict(zip(Hs, vec)), blocks, unpinned)
 
 
 def _sweep(cols, rhs, roots: np.ndarray, beta: int, n_parts: int, w: int, p: int):
@@ -632,7 +601,8 @@ def decode(
         nodes: the observed encoder subset, matching ``transcript.node_set``.
         cfg: system parameters (supplies beta and v).
         mode: ``"fast"`` records first pinned values; ``"strict"`` also
-            collects all feasible solutions and ambiguity witnesses.
+            finds ambiguity witnesses and reads every feasible solution
+            when ``feasible`` is first accessed.
         budget: cap on C(K, beta) * (number of partitions)^beta scenario
             solves; exceeding it raises :class:`BudgetExceeded`.
 
@@ -682,6 +652,8 @@ def decode(
         _check_encodes(Gsub, yv, labels, cols, parts, red.particular, p)
         return out
 
+    solution = functools.partial(_solution, nodes, labels, v)
+
     # The projected systems [L X'_q | L y] decide feasibility (see the module
     # docstring).  project(L, g_k, side_by_side) holds L X'_k of every
     # partition side by side, column q*w + b for block b of partition q:
@@ -722,7 +694,6 @@ def decode(
         pinned_first.setdefault(int(cols[s, j]), (int(red.particular[s, j]), int(s)))
 
     witnesses: dict[int, tuple[ScenarioSolution, ScenarioSolution]] = {}
-    feasible = _FeasibleSolutions(nodes, labels, v, flagged if strict else flagged[:0], read)
     if strict:
         # k's witness event: the sweep index of the first feasible scenario
         # that presumes k honest and leaves k unpinned or pins it to a value
@@ -781,27 +752,31 @@ def decode(
         for f, k in sorted((f, k) for k, f in events.items()):
             s = int(np.searchsorted(at, f))
             j = cols[s].tolist().index(k)
-            sol = feasible.solution(found, s)
+            sol = solution(found, s)
             if red.pinned[s, j]:
                 value, where = pinned_first[k]
                 if red.particular[s, j] == value:
                     raise RuntimeError("projected and full scenario systems disagree")
-                witnesses[k] = (feasible.solution(first, where), sol)
+                witnesses[k] = (solution(first, where), sol)
             else:
                 bvec = next(b for b in red.nullspace(s) if b[j] != 0)
                 alts.append((s, (red.particular[s] + bvec) % p))
-                witnesses[k] = (sol, feasible.solution(found, s, alts[-1][1].tolist()))
+                witnesses[k] = (sol, solution(found, s, alts[-1][1].tolist()))
         if alts:
             rows, vecs = map(list, zip(*alts))
             _check_encodes(Gsub, yv, labels, cols[rows], parts[rows], np.array(vecs), p)
+
+    def read_feasible():  # every flagged scenario, _CHUNK at a time
+        reads = (read(flagged[i : i + _CHUNK]) for i in range(0, len(flagged), _CHUNK))
+        return tuple(solution(out, row) for out in reads for row in range(len(out[1])))
 
     return DecodeResult(
         estimates=tuple(pinned_first.get(k, (None,))[0] for k in range(K)),
         feasible_count=feasible_count,
         guaranteed=t >= cfg.t_star,
         witnesses=witnesses,
-        feasible=feasible,
         scenarios_examined=total,
+        _read_feasible=read_feasible if strict else tuple,
     )
 
 

@@ -20,7 +20,7 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .codes import KINDS, _json_ints, draw_mds, threshold
 from .decoding import DEFAULT_BUDGET, decode, verify_against_truth
@@ -123,6 +123,10 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentSpec":
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:  # a misspelled key would otherwise run with its default
+            raise BadParameter(f"unknown spec keys: {', '.join(map(repr, unknown))}")
+
         def one_int(key, default):
             return _json_ints([doc.get(key, default)], key)[0]
 

@@ -424,7 +424,9 @@ def batch_feasible(aug: np.ndarray, p: int, nvars: int) -> np.ndarray:
     return ~((aug[:, :, nvars] != 0) & ~pivotal).any(axis=1)
 
 
-@functools.lru_cache(maxsize=8)
+# Callers check one shape at a time, and a table set near _MINOR_TABLE_CAP
+# takes about 512 MB, so only the last one is kept.
+@functools.lru_cache(maxsize=1)
 def _minor_tables(N: int, K: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Index tables for the minor recursion, one ``(rows, drop)`` pair per
     level j = 0..K-1; they depend only on ``(N, K)``.

@@ -144,6 +144,9 @@ class TestBadInput:
             "transcript_null",
             "gen_code_n70_k35",
             "gen_code_n40_k20",
+            "points_too_few",
+            "points_for_random",
+            "spec_key_misspelled",
         ],
     )
     def test_one_error_line_and_exit_code_1(self, tmp_path, capsys, case):
@@ -166,6 +169,7 @@ class TestBadInput:
                                      "t_mode": "absolute", "t_values": [0]},
             "spec_a_list": [1],
             "spec_cell_of_three": {"cells": [[5, 3, 1]], "trials": 1},
+            "spec_key_misspelled": {"cells": [[7, 3, 1, 2]], "trails": 3},
         }
         if case in specs:
             (tmp_path / "spec.json").write_text(json.dumps(specs[case]))
@@ -180,6 +184,10 @@ class TestBadInput:
                                      "--k", "20", "--seed", "1"],
                 "points_not_integers": ["gen-code", "--kind", "reed_solomon", "--n", "3",
                                         "--k", "2", "--points", "a,b"],
+                "points_too_few": ["gen-code", "--kind", "reed_solomon", "--n", "5",
+                                   "--k", "2", "--points", "1,2,3"],
+                "points_for_random": ["gen-code", "--kind", "random", "--n", "3",
+                                      "--k", "2", "--points", "1,2,3"],
                 # 798330580441 * 399165290221, a strong pseudoprime to bases 2..37
                 "prime_a_pseudoprime": ["gen-code", "--kind", "random", "--n", "3",
                                         "--k", "2", "--prime", "318665857834031151167461"],
@@ -199,7 +207,9 @@ class TestBadInput:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         named = {"sweep_budget_negative": "budget", "decode_budget_zero": "budget",
                  "spec_cell_of_three": "four integers",
-                 "gen_code_n70_k35": "N=70, K=35", "gen_code_n40_k20": "N=40, K=20"}
+                 "gen_code_n70_k35": "N=70, K=35", "gen_code_n40_k20": "N=40, K=20",
+                 "points_too_few": "5 in all, got 3", "points_for_random": "reed_solomon",
+                 "spec_key_misspelled": "'trails'"}
         assert named.get(case, "") in err
         assert not (tmp_path / "r.csv").exists()
 

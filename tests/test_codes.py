@@ -1,19 +1,27 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from distcode import (
     BadDimensions,
+    BadParameter,
     DistcodeError,
     DuplicatePoints,
+    ExperimentSpec,
     FieldContext,
     FieldMatrix,
     GeneratorMatrix,
     SelectionImpossible,
+    SourceBehavior,
+    TooManyAdversaries,
     behavior_honest,
+    behavior_random_adversarial,
     converse_attack,
+    diff_basis,
     draw_mds,
+    emit_results,
     encode_transcript,
     enumerate_partitions,
     field_new,
@@ -91,6 +99,21 @@ class TestReedSolomon:
     def test_duplicate_points_rejected(self):
         with pytest.raises(DuplicatePoints):
             gen_reed_solomon(CTX, 3, 2, points=(1, 1, 3))
+
+    @pytest.mark.parametrize(
+        "kind, points, error, message",
+        [
+            # 1.5 would truncate to 1 and make a valid code.
+            ("reed_solomon", (1.5, 2, 3), BadParameter, "points must hold only integers"),
+            ("reed_solomon", (1, 2), BadDimensions, "3 in all, got 2"),
+            ("reed_solomon", (1, 2, 3, 4), BadDimensions, "3 in all, got 4"),
+            ("random", (1, 2, 3), BadParameter, "only apply to reed_solomon codes, not 'random'"),
+            ("systematic", (1, 2, 3), BadParameter, "only apply to reed_solomon codes"),
+        ],
+    )
+    def test_points_are_checked(self, kind, points, error, message):
+        with pytest.raises(error, match=message):
+            draw_mds(CTX, kind, 3, 2, seed=1, points=points)
 
     def test_default_points_distinct_and_seeded(self):
         a = gen_reed_solomon(CTX, 6, 3, seed=5)
@@ -270,6 +293,83 @@ def test_library_checks_raise_distcode_errors(call):
     with pytest.raises(DistcodeError) as info:
         call()
     assert isinstance(info.value, ValueError)
+
+
+F7 = FieldContext(7)
+CFG = SystemConfig(N=4, K=2, beta=1, v=2, p=7)
+ROWS = ((1, 1, 1, 1), (2, 2, 2, 2))
+
+
+def _code(rows, kind="random", points=None):
+    return GeneratorMatrix(FieldMatrix(F7, [list(r) for r in rows]), kind, points)
+
+
+def _from_json(**changes):
+    return GeneratorMatrix.from_json({**_code([[1, 0], [0, 1], [1, 1]]).to_json(), **changes})
+
+
+def _behavior(rows=ROWS, adversaries=()):
+    return SourceBehavior(CFG, rows, frozenset(adversaries))
+
+
+# One row per check that no other test reaches: the call and the error it
+# raises, type and message.
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: _from_json(N=1, rows=[[1, 2]]), BadDimensions, "need N >= K >= 1, got N=1, K=2"),
+        (lambda: _from_json(N=4), BadDimensions, "declared N/K disagree with the row grid"),
+        (lambda: _code([[1, 1], [0, 1], [3, 4]], "systematic"), BadParameter,
+         "systematic rows must form the identity pattern"),
+        (lambda: _code([[1, 1], [1, 2], [1, 3]], "reed_solomon"), BadDimensions,
+         "reed_solomon codes need one point per row"),
+        (lambda: _code([[1, 1], [1, 1], [1, 3]], "reed_solomon", (1, 1, 3)), DuplicatePoints,
+         "evaluation points must be distinct"),
+        (lambda: _code([[1, 1], [1, 2], [1, 3]], "random", (1, 2, 3)), BadParameter,
+         "rs_points only apply to reed_solomon codes"),
+        (lambda: _code([[1, 1], [1, 2], [1, 3]], "bogus"), BadParameter,
+         "unknown code kind 'bogus'"),
+        (lambda: draw_mds(F7, "bogus", 3, 2, seed=1, points=(1, 2, 3)), BadParameter,
+         "unknown code kind 'bogus'"),
+        (lambda: gen_reed_solomon(F7, 8, 2, seed=1), BadDimensions,
+         "cannot pick 8 distinct points in GF(7)"),
+        (lambda: _behavior(adversaries=(0, 1)), TooManyAdversaries,
+         "2 adversaries exceed beta=1"),
+        (lambda: _behavior(adversaries=(2,)), BadParameter,
+         "adversary indices must lie in [0, K)"),
+        (lambda: _behavior(ROWS + ((3, 3, 3, 3),)), BadDimensions, "need 2 source rows, got 3"),
+        (lambda: _behavior(((1, 1, 1), (2, 2, 2, 2))), BadDimensions,
+         "source 0 row has length 3, need 4"),
+        (lambda: _behavior(adversaries=(0,)).honest_message(0), BadParameter,
+         "source 0 is adversarial"),
+        (lambda: behavior_honest(CFG, [1]), BadDimensions, "need 2 messages, got 1"),
+        (lambda: behavior_random_adversarial(CFG, [1, 2, 3], (0,), seed=1), BadDimensions,
+         "need 2 messages, got 3"),
+        (lambda: encode_transcript(_code([[1, 1], [1, 2], [1, 3]]), _behavior(), (0, 1)),
+         BadDimensions, "generator and behavior disagree on system shape"),
+        (lambda: diff_basis(2).coefficients(2, 0), BadParameter,
+         "indices must lie in [0, 2)"),
+        (lambda: list(iter_converse_selections(_code([[1, 0], [0, 1], [1, 1]]), 2, 2)),
+         BadDimensions, "need 1 <= beta < K, got beta=2, K=2"),
+        (lambda: ExperimentSpec(cells=((7, 3, 1, 2),), t_mode="bogus"), BadParameter,
+         "unknown t_mode 'bogus'"),
+        (lambda: ExperimentSpec(cells=((7, 3, 1, 2),), suite="bogus"), BadParameter,
+         "unknown suite 'bogus'"),
+        (lambda: emit_results([], "xml", "unused.xml"), BadParameter, "unknown format 'xml'"),
+    ],
+    ids=[
+        "json-n-below-k", "json-declared-n", "systematic-not-identity", "rs-without-points",
+        "rs-duplicate-points", "rs-points-on-random", "unknown-kind", "draw-unknown-kind",
+        "rs-n-above-p",
+        "too-many-adversaries", "adversary-out-of-range", "row-count", "row-length",
+        "honest-message-of-adversary", "honest-message-count", "random-message-count",
+        "encode-shape-mismatch", "coefficients-out-of-range", "converse-beta-not-below-k",
+        "unknown-t-mode", "unknown-suite", "unknown-format",
+    ],
+)
+def test_unreached_checks_raise_their_error(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_mds_implies_every_k_submatrix_nonsingular():

@@ -973,7 +973,7 @@ class TestRebuilds:
         alternates = sum(k in a.unpinned for k, (a, _) in res.witnesses.items())
         assert len(read) <= math.comb(cfg.K, cfg.beta) + cfg.K
         assert len(checked) == len(read) + alternates
-        assert len(res.feasible) == res.feasible_count >= len(read)
+        assert res.feasible_count >= len(read)
         # The first read of the solutions reads and encodes every flagged
         # scenario exactly once more.
         reads.clear()
@@ -984,6 +984,37 @@ class TestRebuilds:
         assert len(set(read)) == len(read) == res.feasible_count == len(solutions)
         n_reads = len(reads)
         assert list(res.feasible) == solutions and len(reads) == n_reads
+
+    @pytest.mark.parametrize("kind, cell", CASES)
+    def test_only_the_first_access_to_feasible_reads(self, kind, cell, monkeypatch):
+        # repr, == and to_json of a strict result read no scenario beyond
+        # decode's own; the first access to feasible reads and encodes every
+        # flagged scenario once, in sweep order, and the second reads nothing.
+        cfg, gm, nodes, tr = self._instance(kind, cell)
+        checked = []
+
+        def counting(Gsub, yv, labels, cols, parts, vecs, p):
+            checked.extend(_checked_indices(cfg, len(nodes), cols, parts))
+            return check_encodes(Gsub, yv, labels, cols, parts, vecs, p)
+
+        check_encodes = decoding._check_encodes
+        monkeypatch.setattr(decoding, "_check_encodes", counting)
+        reads, _ = _count_reads(monkeypatch, cfg)
+        res = decode(gm, nodes, tr, cfg, mode="strict")
+        assert sum(map(len, reads)) <= math.comb(cfg.K, cfg.beta) + cfg.K
+        again = decode(gm, nodes, tr, cfg, mode="strict")
+        reads.clear()
+        checked.clear()
+        text, doc = repr(res), res.to_json()
+        assert res == res and res == again
+        assert not reads and not checked
+        assert "feasible=" not in text and "feasible" not in doc
+        solutions = res.feasible
+        read = [f for flagged in reads for f in flagged]
+        assert type(solutions) is tuple and len(solutions) == res.feasible_count
+        assert read == checked == sorted(set(read)) and len(read) == res.feasible_count
+        reads.clear()
+        assert res.feasible is solutions and not reads and len(checked) == len(read)
 
 
 class TestStrictRecording:
@@ -1068,8 +1099,8 @@ class TestStrictRecording:
         assert not full_width and len(checked) == len(reads) + (alternates > 0)
         assert sum(checked) == len(read) + alternates
         before, n_reads, n_checked = len(built), len(reads), len(checked)
-        assert len(res.feasible) == res.feasible_count
-        assert (len(built), len(reads)) == (before, n_reads)  # a length reads nothing
+        repr(res)
+        assert (len(built), len(reads)) == (before, n_reads)  # a repr reads nothing
         # The first read reads and encodes every flagged scenario once, one
         # check per read, and builds its solutions.
         solutions = list(res.feasible)

@@ -53,6 +53,12 @@ class TestSpec:
         spec = default_spec(trials=5, seed=9)
         assert ExperimentSpec.from_json(spec.to_json()) == spec
 
+    def test_from_json_names_each_unknown_key(self):
+        # A misspelled key would otherwise run with its default (100 trials).
+        doc = {"cells": [[7, 3, 1, 2]], "trails": 3, "sed": 1}
+        with pytest.raises(BadParameter, match="unknown spec keys: 'sed', 'trails'$"):
+            ExperimentSpec.from_json(doc)
+
     def test_invalid_cell_rejected(self):
         with pytest.raises(ValueError):
             ExperimentSpec(cells=((3, 3, 3, 2),))
