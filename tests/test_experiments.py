@@ -17,7 +17,7 @@ from distcode import (
     run_experiments,
 )
 from distcode import experiments
-from distcode.errors import BadParameter
+from distcode.errors import BadParameter, BudgetExceeded
 from distcode.experiments import CSV_COLUMNS
 
 SMALL_SPEC = ExperimentSpec(cells=((9, 3, 1, 2),), trials=6, seed=3)
@@ -150,6 +150,52 @@ class TestRuns:
         monkeypatch.setattr(experiments, "decode", wrong_decode)
         r = run_converse(SMALL_SPEC)[0]
         assert r.failures == r.trials == 6
+
+    @pytest.mark.parametrize(
+        "run, bucket", [(run_achievability, "honest_correct"), (run_converse, "ambiguous")]
+    )
+    def test_budget_exceeded_mid_cell_fails_the_remaining_trials(self, monkeypatch, run, bucket):
+        # The third decode is refused: trials 2-5 are failures, and no
+        # decode runs after the refusal.
+        calls = []
+        real_decode = experiments.decode
+
+        def refusing_decode(*args, **kwargs):
+            calls.append(kwargs["mode"])
+            if len(calls) == 3:
+                raise BudgetExceeded("refused")
+            return real_decode(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "decode", refusing_decode)
+        r = run(SMALL_SPEC)[0]
+        assert len(calls) == 3
+        assert getattr(r, bucket) == 2 and r.failures == 4
+        assert r.honest_correct + r.ambiguous + r.undetermined + r.failures == r.trials
+
+    def test_converse_counts_a_raising_attack_as_one_failure(self, monkeypatch):
+        calls = []
+        real_attack = experiments.converse_attack
+
+        def raising_attack(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise BadParameter("no attack")
+            return real_attack(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "converse_attack", raising_attack)
+        r = run_converse(SMALL_SPEC)[0]
+        assert len(calls) == 6
+        assert (r.failures, r.ambiguous) == (1, 5)
+
+    def test_converse_counts_a_rejected_attack_as_one_failure(self, monkeypatch):
+        verdicts = iter([True, True, False, True, True, True])
+        real_verify = experiments.verify_attack
+        monkeypatch.setattr(
+            experiments, "verify_attack", lambda gm, atk: real_verify(gm, atk) and next(verdicts)
+        )
+        r = run_converse(SMALL_SPEC)[0]
+        assert next(verdicts, "done") == "done"  # every trial was verified
+        assert (r.failures, r.ambiguous) == (1, 5)
 
     def test_bucket_identity(self):
         for r in run_experiments(SMALL_SPEC):
