@@ -104,6 +104,7 @@ class GeneratorMatrix:
 
     @classmethod
     def from_json(cls, doc: dict) -> "GeneratorMatrix":
+        _json_keys(doc, ("p", "N", "K", "kind", "rows", "rs_points"), "code")
         p, N, K = _json_ints([doc["p"], doc["N"], doc["K"]], "p, N and K")
         m = FieldMatrix(FieldContext(p), [_json_ints(r, "rows") for r in doc["rows"]])
         if m.rows != N or m.cols != K:
@@ -118,6 +119,14 @@ def _json_ints(entries, what: str) -> tuple[int, ...]:
     if not isinstance(entries, list):
         raise BadParameter(f"{what} must be a list of integers, got {entries!r}")
     return _as_ints(entries, what)
+
+
+def _json_keys(doc: dict, allowed, what: str) -> None:
+    """Refuse a JSON object with a key outside ``allowed``, which would
+    otherwise be dropped without a word (a misspelled optional key)."""
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise BadParameter(f"unknown {what} keys: {', '.join(map(repr, unknown))}")
 
 
 def _random_rows(ctx: FieldContext, rng: random.Random, count: int, K: int):

@@ -550,14 +550,14 @@ def _check_encodes(Gsub, yv, labels, cols, parts, vecs, p: int) -> None:
         raise RuntimeError("a recorded solution does not satisfy its scenario system")
 
 
-def _solution(nodes, labels, v: int, out, row: int, vec=None) -> ScenarioSolution:
+def _solution(blocks_of, v: int, out, row: int, vec=None) -> ScenarioSolution:
     """Row ``row`` of the read ``out`` (see :func:`_read_flagged`) as a
     solution, with ``vec`` (default: the particular solution) as its
-    values."""
+    values.  ``blocks_of(q)`` is partition q's blocks."""
     red, cols, parts = out
     beta = parts.shape[1]
     h = cols.shape[1] - beta
-    sel = [_blocks(nodes, labels[q].tolist()) for q in parts[row].tolist()]
+    sel = [blocks_of(q) for q in parts[row].tolist()]
     vec = red.particular[row].tolist() if vec is None else vec
     Hs, A_hat = cols[row, :h].tolist(), tuple(cols[row, h:].tolist())
     blocks = {k: tuple(vec[h + j * v : h + j * v + len(sel[j])]) for j, k in enumerate(A_hat)}
@@ -652,7 +652,11 @@ def decode(
         _check_encodes(Gsub, yv, labels, cols, parts, red.particular, p)
         return out
 
-    solution = functools.partial(_solution, nodes, labels, v)
+    @functools.cache  # solutions share the blocks of each partition
+    def blocks_of(q):
+        return _blocks(nodes, labels[q].tolist())
+
+    solution = functools.partial(_solution, blocks_of, v)
 
     # The projected systems [L X'_q | L y] decide feasibility (see the module
     # docstring).  project(L, g_k, side_by_side) holds L X'_k of every

@@ -4,6 +4,9 @@
 checks that decoding from t encoders recovers every honest message;
 ``run_converse`` constructs the worst-case two-setup attack and checks that
 strict decoding one encoder short of the threshold is provably ambiguous.
+Both run one loop per (cell, kind, t): it draws the cell's code once, then
+takes each trial's behavior, encoders and decode mode from the suite's
+input function, encodes, decodes and buckets the result.
 
 Determinism: the master seed is stretched with a counter-hashing scheme
 (sha256 over ':'-joined labels, first 8 bytes big-endian), so identical
@@ -22,27 +25,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
-from .codes import KINDS, _json_ints, draw_mds, threshold
+from .codes import KINDS, _json_keys, draw_mds, threshold
 from .decoding import DEFAULT_BUDGET, decode, verify_against_truth
 from .errors import BadParameter, BudgetExceeded, DistcodeError, IoFailure
 from .attacks import converse_attack, verify_attack
-from .field import DEFAULT_PRIME, _is_integer, field_new
+from .field import DEFAULT_PRIME, _as_ints, _is_integer, field_new
 from .system import SystemConfig, behavior_random_adversarial, encode_transcript
-
-CSV_COLUMNS = (
-    "N",
-    "K",
-    "beta",
-    "v",
-    "kind",
-    "t",
-    "trials",
-    "honest_correct",
-    "ambiguous",
-    "undetermined",
-    "failures",
-    "wall_ms",
-)
 
 SEED_PROTOCOL = "sha256(':'.join(parts)) first 8 bytes, big-endian"
 
@@ -64,6 +52,10 @@ class ExperimentSpec:
     ``workers`` caps the worker processes of each suite, which runs at most
     ``min(workers, its task count, os.cpu_count())`` of them, and none if
     that is 1.  Rows are per task and in grid order either way.
+
+    The constructor checks every field, so a spec built in code refuses
+    what a spec file refuses; ``cells``, ``kinds`` and ``t_values`` may be
+    lists and are stored as tuples.
     """
 
     cells: tuple[tuple[int, int, int, int], ...]  # (N, K, beta, v)
@@ -79,6 +71,16 @@ class ExperimentSpec:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("cells", "kinds", "t_values"):
+            value = getattr(self, name)
+            if not isinstance(value, (tuple, list)):  # a string would split into letters
+                raise BadParameter(f"{name} must be a list, got {value!r}")
+        for cell in self.cells:
+            if not isinstance(cell, (tuple, list)) or len(cell) != 4:
+                raise BadParameter(f"a cell is four integers (N, K, beta, v), got {cell!r}")
+        object.__setattr__(self, "cells", tuple(_as_ints(c, "cells") for c in self.cells))
+        object.__setattr__(self, "kinds", tuple(self.kinds))
+        object.__setattr__(self, "t_values", _as_ints(self.t_values, "t_values"))
         if self.t_mode not in ("default", "relative", "absolute"):
             raise BadParameter(f"unknown t_mode {self.t_mode!r}")
         if self.suite not in ("achievability", "converse", "both"):
@@ -86,6 +88,10 @@ class ExperimentSpec:
         for name in ("trials", "workers", "budget"):
             if not _is_integer(getattr(self, name)) or getattr(self, name) < 1:
                 raise BadParameter(f"{name} must be a positive integer")
+        if not _is_integer(self.seed):
+            raise BadParameter(f"seed must be an integer, got {self.seed!r}")
+        if type(self.timing) is not bool:  # "no" would turn timing on
+            raise BadParameter(f"timing must be true or false, got {self.timing!r}")
         if not self.cells or not self.kinds:
             raise BadParameter("a spec needs at least one cell and one kind")
         if self.t_mode != "default" and not self.t_values:
@@ -93,17 +99,19 @@ class ExperimentSpec:
         for kind in self.kinds:
             if kind not in KINDS:
                 raise BadParameter(f"unknown code kind {kind!r}")
-        suites = ("achievability", "converse") if self.suite == "both" else (self.suite,)
+        field_new(self.prime)
         for cell in self.cells:
-            if not isinstance(cell, (tuple, list)) or len(cell) != 4:
-                raise BadParameter(f"a cell is four integers (N, K, beta, v), got {cell!r}")
             SystemConfig(*cell, p=self.prime)  # validates the grid cell
-            for suite in suites:
+            for suite in self.suites:
                 for t in self.ts_for(cell, suite):
                     if not 1 <= t <= cell[0]:
                         raise BadParameter(
-                            f"cell {tuple(cell)}: {suite} t={t} is outside [1, N={cell[0]}]"
+                            f"cell {cell}: {suite} t={t} is outside [1, N={cell[0]}]"
                         )
+
+    @property
+    def suites(self) -> tuple[str, ...]:
+        return ("achievability", "converse") if self.suite == "both" else (self.suite,)
 
     def ts_for(self, cell, suite: str) -> tuple[int, ...]:
         N, K, beta, v = cell
@@ -123,32 +131,8 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentSpec":
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-        if unknown:  # a misspelled key would otherwise run with its default
-            raise BadParameter(f"unknown spec keys: {', '.join(map(repr, unknown))}")
-
-        def one_int(key, default):
-            return _json_ints([doc.get(key, default)], key)[0]
-
-        kinds = doc.get("kinds", ["random"])
-        if not isinstance(kinds, list):  # a bare string would split into letters
-            raise BadParameter(f"kinds must be a list of code kinds, got {kinds!r}")
-        timing = doc.get("timing", False)
-        if type(timing) is not bool:
-            raise BadParameter(f"timing must be true or false, got {timing!r}")
-        return cls(
-            cells=tuple(_json_ints(c, "cells") for c in doc["cells"]),
-            kinds=tuple(kinds),
-            t_mode=doc.get("t_mode", "default"),
-            t_values=_json_ints(doc.get("t_values", []), "t_values"),
-            trials=one_int("trials", 100),
-            seed=one_int("seed", 0),
-            prime=one_int("prime", DEFAULT_PRIME),
-            budget=one_int("budget", DEFAULT_BUDGET),
-            suite=doc.get("suite", "both"),
-            timing=timing,
-            workers=one_int("workers", 1),
-        )
+        _json_keys(doc, [f.name for f in fields(cls)], "spec")
+        return cls(**doc)
 
 
 def default_spec(trials: int = 8, seed: int = 0) -> ExperimentSpec:
@@ -162,7 +146,8 @@ def default_spec(trials: int = 8, seed: int = 0) -> ExperimentSpec:
 
 @dataclass
 class CellResult:
-    """Aggregated outcomes for one (cell, kind, t) combination.
+    """Aggregated outcomes for one (cell, kind, t) combination.  The field
+    order is the column order of the result files.
 
     Every trial lands in exactly one bucket, so honest_correct + ambiguous +
     undetermined + failures == trials.  Both suites bucket a decoded trial
@@ -183,24 +168,68 @@ class CellResult:
     wall_ms: int = 0
 
     def to_row(self) -> dict:
-        return {c: getattr(self, c) for c in CSV_COLUMNS}
+        return asdict(self)
 
 
-def _cell_tasks(spec: ExperimentSpec, suite: str):
-    for cell in spec.cells:
-        for kind in spec.kinds:
-            for t in spec.ts_for(cell, suite):
-                yield (suite, spec, cell, kind, t)
+CSV_COLUMNS = tuple(f.name for f in fields(CellResult))
+
+
+def _random_trial(cfg, gm, cell_seed, trial, t):
+    """A random equivocating adversary seen by t random encoders; every
+    tenth trial decodes in strict mode."""
+    rng = random.Random(derive_seed(cell_seed, "trial", trial))
+    adversaries = tuple(sorted(rng.sample(range(cfg.K), cfg.beta)))
+    honest = [rng.randrange(cfg.p) for _ in range(cfg.K)]
+    behavior = behavior_random_adversarial(cfg, honest, adversaries, rng.randrange(1 << 63))
+    nodes = tuple(sorted(rng.sample(range(cfg.N), t)))
+    return behavior, nodes, "strict" if trial % 10 == 0 else "fast"
+
+
+def _attack_trial(cfg, gm, cell_seed, trial, t):
+    """The converse attack's first setup, seen by the attacked encoders and
+    then the others in order, cut to t, and decoded in strict mode.  None
+    if the attack cannot be built or fails its check."""
+    try:
+        attack = converse_attack(gm, cfg, seed=derive_seed(cell_seed, "atk", trial))
+        if not verify_attack(gm, attack):
+            return None
+    except DistcodeError:
+        return None
+    others = tuple(n for n in range(cfg.N) if n not in attack.node_set)
+    return attack.setup1, (attack.node_set + others)[:t], "strict"
+
+
+# Per suite: the label of its cell seeds and the input of each trial.
+_SUITES = {"achievability": ("ach", _random_trial), "converse": ("con", _attack_trial)}
 
 
 def _run_cell(task) -> CellResult:
-    suite, spec, cell, kind, t = task
-    runner = _achievability_cell if suite == "achievability" else _converse_cell
+    """Draw the cell's code once, then encode, decode and bucket each
+    trial's input.  A trial without input is a failure; a decode over the
+    budget makes it and every later trial a failure."""
+    suite, spec, (N, K, beta, v), kind, t = task
     start = time.perf_counter()
-    result = runner(spec, cell, kind, t)
+    label, trial_input = _SUITES[suite]
+    cfg = SystemConfig(N, K, beta, v, p=spec.prime)
+    cell_seed = derive_seed(spec.seed, label, N, K, beta, v, kind, t)
+    gm = draw_mds(field_new(spec.prime), kind, N, K, seed=cell_seed)
+    res = CellResult(N, K, beta, v, kind, t, spec.trials)
+    for trial in range(spec.trials):
+        drawn = trial_input(cfg, gm, cell_seed, trial, t)
+        if drawn is None:
+            res.failures += 1
+            continue
+        behavior, nodes, mode = drawn
+        transcript = encode_transcript(gm, behavior, nodes)
+        try:
+            out = decode(gm, nodes, transcript, cfg, mode=mode, budget=spec.budget)
+        except BudgetExceeded:
+            res.failures += spec.trials - trial
+            break
+        _classify(res, out, behavior)
     if spec.timing:
-        result.wall_ms = int((time.perf_counter() - start) * 1000)
-    return result
+        res.wall_ms = int((time.perf_counter() - start) * 1000)
+    return res
 
 
 def _classify(res: CellResult, out, behavior) -> None:
@@ -219,66 +248,9 @@ def _classify(res: CellResult, out, behavior) -> None:
         res.honest_correct += 1
 
 
-def _achievability_cell(spec, cell, kind, t) -> CellResult:
-    N, K, beta, v = cell
-    cfg = SystemConfig(N, K, beta, v, p=spec.prime)
-    ctx = field_new(spec.prime)
-    cell_seed = derive_seed(spec.seed, "ach", N, K, beta, v, kind, t)
-    gm = draw_mds(ctx, kind, N, K, seed=cell_seed)
-    res = CellResult(N, K, beta, v, kind, t, spec.trials)
-    for trial in range(spec.trials):
-        rng = random.Random(derive_seed(cell_seed, "trial", trial))
-        adversaries = tuple(sorted(rng.sample(range(K), beta)))
-        honest = [rng.randrange(spec.prime) for _ in range(K)]
-        behavior = behavior_random_adversarial(
-            cfg, honest, adversaries, seed=rng.randrange(1 << 63)
-        )
-        nodes = tuple(sorted(rng.sample(range(N), t)))
-        transcript = encode_transcript(gm, behavior, nodes)
-        mode = "strict" if trial % 10 == 0 else "fast"
-        try:
-            out = decode(gm, nodes, transcript, cfg, mode=mode, budget=spec.budget)
-        except BudgetExceeded:
-            res.failures += spec.trials - trial
-            break
-        _classify(res, out, behavior)
-    return res
-
-
-def _converse_cell(spec, cell, kind, t) -> CellResult:
-    N, K, beta, v = cell
-    cfg = SystemConfig(N, K, beta, v, p=spec.prime)
-    ctx = field_new(spec.prime)
-    cell_seed = derive_seed(spec.seed, "con", N, K, beta, v, kind, t)
-    gm = draw_mds(ctx, kind, N, K, seed=cell_seed)
-    res = CellResult(N, K, beta, v, kind, t, spec.trials)
-    for trial in range(spec.trials):
-        try:
-            attack = converse_attack(gm, cfg, seed=derive_seed(cell_seed, "atk", trial))
-            if not verify_attack(gm, attack):
-                res.failures += 1
-                continue
-        except DistcodeError:
-            res.failures += 1
-            continue
-        base = attack.node_set
-        if t <= len(base):
-            nodes = base[:t]
-        else:
-            extra = [n for n in range(N) if n not in base][: t - len(base)]
-            nodes = base + tuple(extra)
-        transcript = encode_transcript(gm, attack.setup1, nodes)
-        try:
-            out = decode(gm, nodes, transcript, cfg, mode="strict", budget=spec.budget)
-        except BudgetExceeded:
-            res.failures += spec.trials - trial
-            break
-        _classify(res, out, attack.setup1)
-    return res
-
-
 def _run_suite(spec: ExperimentSpec, suite: str) -> list[CellResult]:
-    tasks = list(_cell_tasks(spec, suite))
+    tasks = [(suite, spec, cell, kind, t) for cell in spec.cells for kind in spec.kinds
+             for t in spec.ts_for(cell, suite)]
     # A fork-started pool forks all of its workers at the first submit.
     workers = min(spec.workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
@@ -288,22 +260,18 @@ def _run_suite(spec: ExperimentSpec, suite: str) -> list[CellResult]:
 
 
 def run_achievability(spec: ExperimentSpec) -> list[CellResult]:
-    """Random-adversary trials; see the module docstring for classification."""
+    """Random-adversary trials at each achievability t."""
     return _run_suite(spec, "achievability")
 
 
 def run_converse(spec: ExperimentSpec) -> list[CellResult]:
-    """Constructed attacks plus strict decoding at the evaluation size."""
+    """Constructed attacks plus strict decoding at each converse t."""
     return _run_suite(spec, "converse")
 
 
 def run_experiments(spec: ExperimentSpec) -> list[CellResult]:
-    results: list[CellResult] = []
-    if spec.suite in ("achievability", "both"):
-        results.extend(run_achievability(spec))
-    if spec.suite in ("converse", "both"):
-        results.extend(run_converse(spec))
-    return results
+    """Every suite the spec names, achievability first."""
+    return [r for suite in spec.suites for r in _run_suite(spec, suite)]
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +294,7 @@ def emit_results(results, fmt: str, path, meta: dict | None = None) -> None:
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
                 writer.writeheader()
-                for r in results:
-                    writer.writerow(r.to_row())
+                writer.writerows(r.to_row() for r in results)
         else:
             doc = {"meta": meta or {}, "results": [r.to_row() for r in results]}
             with open(path, "w", encoding="utf-8") as fh:

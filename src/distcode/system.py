@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import GeneratorMatrix, _json_ints, threshold
+from .codes import GeneratorMatrix, _json_ints, _json_keys, threshold
 from .errors import (
     BadDimensions,
     BadParameter,
@@ -81,9 +81,6 @@ class SourceBehavior:
         object.__setattr__(self, "adversary_set", frozenset(adversaries))
         rows = (_as_ints(r, "source rows") for r in self.rows)
         object.__setattr__(self, "rows", tuple(tuple(x % self.cfg.p for x in r) for r in rows))
-        self.validate()
-
-    def validate(self) -> None:
         cfg = self.cfg
         if len(self.adversary_set) > cfg.beta:
             raise TooManyAdversaries(
@@ -122,6 +119,7 @@ class SourceBehavior:
 
     @classmethod
     def from_json(cls, cfg: SystemConfig, doc: dict) -> "SourceBehavior":
+        _json_keys(doc, ("adversary_set", "rows"), "behavior")
         return cls(
             cfg,
             tuple(_json_ints(r, "rows") for r in doc["rows"]),
@@ -149,6 +147,7 @@ class Transcript:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Transcript":
+        _json_keys(doc, ("node_set", "values"), "transcript")
         return cls(
             _json_ints(doc["node_set"], "node_set"), _json_ints(doc["values"], "values")
         )
@@ -202,7 +201,6 @@ def encode_transcript(gm: GeneratorMatrix, behavior: SourceBehavior, nodes) -> T
         raise NodeOutOfRange(f"bad node subset {nodes} for N={gm.N}")
     if gm.N != behavior.cfg.N or gm.K != behavior.cfg.K or gm.ctx.p != behavior.cfg.p:
         raise BadDimensions("generator and behavior disagree on system shape")
-    behavior.validate()
     p, cols = gm.ctx.p, list(nodes)
     sent = np.array(behavior.rows, dtype=gm.ctx.dtype)[:, cols]
     values = (gm.matrix._a[cols].T * sent % p).sum(axis=0) % p

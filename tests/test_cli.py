@@ -147,6 +147,11 @@ class TestBadInput:
             "points_too_few",
             "points_for_random",
             "spec_key_misspelled",
+            "spec_t_value_a_float",
+            "spec_t_value_a_bool",
+            "spec_seed_a_float",
+            "transcript_key_unknown",
+            "code_key_unknown",
         ],
     )
     def test_one_error_line_and_exit_code_1(self, tmp_path, capsys, case):
@@ -170,6 +175,11 @@ class TestBadInput:
             "spec_a_list": [1],
             "spec_cell_of_three": {"cells": [[5, 3, 1]], "trials": 1},
             "spec_key_misspelled": {"cells": [[7, 3, 1, 2]], "trails": 3},
+            "spec_t_value_a_float": {"cells": [[9, 3, 1, 2]], "trials": 1,
+                                     "t_mode": "absolute", "t_values": [5.0]},
+            "spec_t_value_a_bool": {"cells": [[9, 3, 1, 2]], "trials": 1,
+                                    "t_mode": "absolute", "t_values": [True]},
+            "spec_seed_a_float": {"cells": [[9, 3, 1, 2]], "trials": 1, "seed": 1.5},
         }
         if case in specs:
             (tmp_path / "spec.json").write_text(json.dumps(specs[case]))
@@ -209,7 +219,10 @@ class TestBadInput:
                  "spec_cell_of_three": "four integers",
                  "gen_code_n70_k35": "N=70, K=35", "gen_code_n40_k20": "N=40, K=20",
                  "points_too_few": "5 in all, got 3", "points_for_random": "reed_solomon",
-                 "spec_key_misspelled": "'trails'"}
+                 "spec_key_misspelled": "'trails'", "spec_t_value_a_float": "t_values",
+                 "spec_t_value_a_bool": "t_values", "spec_seed_a_float": "seed",
+                 "transcript_key_unknown": "unknown transcript keys: 'node_sets'",
+                 "code_key_unknown": "unknown code keys: 'kidn'"}
         assert named.get(case, "") in err
         assert not (tmp_path / "r.csv").exists()
 
@@ -232,6 +245,8 @@ class TestBadInput:
             doc["values"][0] = bad[case]
         if case == "transcript_null":
             doc = None
+        if case == "transcript_key_unknown":
+            doc["node_sets"] = doc["node_set"]
         code = json.loads(code_path.read_text())
         if case == "code_entry_a_float":
             code["rows"][0][0] = 1.5
@@ -239,7 +254,11 @@ class TestBadInput:
             code["p"] = P + 0.5  # truncates to P, so only a type check rejects it
         if case == "code_a_string":
             code = "code"
+        if case == "code_key_unknown":
+            code["kidn"] = "systematic"
         code_path.write_text(json.dumps(code))
+        if case == "code_key_unknown":
+            return ["attack", "--code", str(code_path), "--beta", beta, "--v", v]
         tr_path = tmp_path / "tr.json"
         if case == "malformed_json":
             tr_path.write_text('{"node_set": [0, 1,')

@@ -16,6 +16,7 @@ from distcode import (
     SelectionImpossible,
     SourceBehavior,
     TooManyAdversaries,
+    Transcript,
     behavior_honest,
     behavior_random_adversarial,
     converse_attack,
@@ -356,6 +357,12 @@ def _behavior(rows=ROWS, adversaries=()):
         (lambda: ExperimentSpec(cells=((7, 3, 1, 2),), suite="bogus"), BadParameter,
          "unknown suite 'bogus'"),
         (lambda: emit_results([], "xml", "unused.xml"), BadParameter, "unknown format 'xml'"),
+        # Each reader refuses a key it would otherwise drop without a word.
+        (lambda: _from_json(kidn="systematic"), BadParameter, "unknown code keys: 'kidn'"),
+        (lambda: Transcript.from_json({"node_set": [0], "values": [1], "node_sets": [0]}),
+         BadParameter, "unknown transcript keys: 'node_sets'"),
+        (lambda: SourceBehavior.from_json(CFG, {**_behavior().to_json(), "adversary_sets": []}),
+         BadParameter, "unknown behavior keys: 'adversary_sets'"),
     ],
     ids=[
         "json-n-below-k", "json-declared-n", "systematic-not-identity", "rs-without-points",
@@ -364,7 +371,8 @@ def _behavior(rows=ROWS, adversaries=()):
         "too-many-adversaries", "adversary-out-of-range", "row-count", "row-length",
         "honest-message-of-adversary", "honest-message-count", "random-message-count",
         "encode-shape-mismatch", "coefficients-out-of-range", "converse-beta-not-below-k",
-        "unknown-t-mode", "unknown-suite", "unknown-format",
+        "unknown-t-mode", "unknown-suite", "unknown-format", "json-code-key-unknown",
+        "json-transcript-key-unknown", "json-behavior-key-unknown",
     ],
 )
 def test_unreached_checks_raise_their_error(call, error, message):

@@ -17,7 +17,7 @@ from distcode import (
     run_experiments,
 )
 from distcode import experiments
-from distcode.errors import BadParameter, BudgetExceeded
+from distcode.errors import BadParameter, BudgetExceeded, ModulusTooSmall
 from distcode.experiments import CSV_COLUMNS
 
 SMALL_SPEC = ExperimentSpec(cells=((9, 3, 1, 2),), trials=6, seed=3)
@@ -58,6 +58,29 @@ class TestSpec:
         doc = {"cells": [[7, 3, 1, 2]], "trails": 3, "sed": 1}
         with pytest.raises(BadParameter, match="unknown spec keys: 'sed', 'trails'$"):
             ExperimentSpec.from_json(doc)
+
+    @pytest.mark.parametrize(
+        "changes, named",
+        [
+            ({"t_mode": "absolute", "t_values": (5.0,)}, "t_values"),
+            ({"t_mode": "absolute", "t_values": (True,)}, "t_values"),
+            ({"timing": "no"}, "timing"),  # a truthy string would turn timing on
+            ({"seed": 1.5}, "seed"),
+            ({"cells": ((9.0, 3, 1, 2),)}, "cells"),
+            ({"kinds": "random"}, "kinds"),  # a string would split into letters
+        ],
+    )
+    def test_constructor_refuses_what_a_spec_file_refuses(self, changes, named):
+        with pytest.raises(BadParameter, match=named):
+            ExperimentSpec(**{"cells": ((9, 3, 1, 2),), **changes})
+
+    def test_lists_are_stored_as_tuples(self):
+        spec = ExperimentSpec(cells=[[9, 3, 1, 2]], kinds=["random"], t_values=[0])
+        assert spec == ExperimentSpec(cells=((9, 3, 1, 2),), kinds=("random",), t_values=(0,))
+
+    def test_prime_below_the_field_floor_rejected(self):
+        with pytest.raises(ModulusTooSmall):
+            ExperimentSpec(cells=((9, 3, 1, 2),), prime=101)
 
     def test_invalid_cell_rejected(self):
         with pytest.raises(ValueError):
