@@ -15,6 +15,11 @@ P_0 = base, P_{g+1} = P_g + (-1)^g w_g: group g (0-based) gets P_{g+g%2} in
 setup 1 and P_{g+1-g%2} in setup 2, and encoders outside the attacked set
 get P_0 and P_1.  Setup 1 uses the even-indexed values and setup 2 the odd
 ones, at most v of each.
+
+Everything up to the nullspace vector depends on the code alone; only the
+base values depend on the seed.  That plan is found on the first attack of
+a code with a given (beta, v) and kept in the code's memo, so the trials of
+one cell, which attack one code with many seeds, eliminate only once.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import GeneratorMatrix, iter_converse_selections
+from .codes import GeneratorMatrix, iter_converse_selections, threshold
 from .errors import (
     AttackConstructionFailed,
     BadDimensions,
@@ -255,24 +260,17 @@ class AttackInstance:
         }
 
 
-def converse_attack(gm: GeneratorMatrix, cfg: SystemConfig, seed: int) -> AttackInstance:
-    """Construct a two-setup attack on t*-1 encoders.
-
-    The group count adapts to the evaluation size: with t = t*-1 rows the
-    construction uses m = ceil((t-h+1)/beta) groups (always at most 2v-1),
-    which reproduces the canonical layout when N is above the threshold and
-    shrinks gracefully when t* = N.
-
-    Raises:
-        SelectionImpossible: no admissible row/column selection exists.
-        NullspaceDeltaZero: every candidate selection yielded a nullspace
-            that keeps honest messages fixed (non-generic code).
-    """
-    if gm.N != cfg.N or gm.K != cfg.K or gm.ctx.p != cfg.p:
-        raise BadParameter("generator and system config disagree")
+def _attack_plan(gm: GeneratorMatrix, beta: int, v: int):
+    """The part of the attack that depends on the code alone, as ``(T, A,
+    blocks, Hs, vec)``: the t*-1 attacked encoders, the beta adversary
+    columns, the groups as positions in T (leftover first), the honest
+    columns, and a nullspace vector of the group system that shifts an
+    honest message (w_g for group g, then the honest shifts).  Raises as
+    :func:`converse_attack` does."""
     ctx = gm.ctx
-    N, K, beta, v, h, p = cfg.N, cfg.K, cfg.beta, cfg.v, cfg.h, cfg.p
-    t = cfg.t_star - 1
+    K = gm.K
+    h = K - beta
+    t = threshold(gm.N, K, beta, v) - 1
     m = max(1, -(-(t - h + 1) // beta))  # ceil((t-h+1)/beta)
     if m > 2 * v - 1:
         raise AttackConstructionFailed("group count exceeds the version budget")
@@ -285,12 +283,12 @@ def converse_attack(gm: GeneratorMatrix, cfg: SystemConfig, seed: int) -> Attack
         if blocks is None:
             continue
 
-        Hs = [k for k in range(K) if k not in A]
+        Hs = tuple(k for k in range(K) if k not in A)
         B = np.zeros((t, m * beta + h), dtype=ctx.dtype)
         for g, blk in enumerate(blocks):
             for i in blk:
                 B[i, g * beta : (g + 1) * beta] = E[i]
-        B[:, m * beta :] = gm.matrix._a[np.array(T)][:, Hs]
+        B[:, m * beta :] = gm.matrix._a[np.array(T)][:, list(Hs)]
         out = solve(FieldMatrix._wrap(ctx, B), [0] * t)
         vec = next(
             (bv for bv in out.nullspace_basis if any(bv[m * beta :])), None
@@ -298,42 +296,7 @@ def converse_attack(gm: GeneratorMatrix, cfg: SystemConfig, seed: int) -> Attack
         if vec is None:
             log.warning("selection T=%s A=%s left honest messages fixed", T, A)
             continue
-
-        rng = random.Random(seed)
-        base = [rng.randrange(p) for _ in range(K)]  # source order
-        w = [[int(vec[g * beta + a]) for a in range(beta)] for g in range(m)]
-        delta = {k: int(vec[m * beta + j]) for j, k in enumerate(Hs)}
-
-        rows1 = [[b] * N for b in base]
-        rows2 = [[(b + delta.get(k, 0)) % p] * N for k, b in enumerate(base)]
-        for j, k in enumerate(A):
-            # The version path P_0 = base, P_{g+1} = P_g + (-1)^g w_g.
-            path = [base[k]]
-            for g in range(m):
-                path.append((path[g] + (-1) ** g * w[g][j]) % p)
-            rows2[k] = [path[1]] * N
-            for g, blk in enumerate(blocks):
-                for i in blk:
-                    rows1[k][T[i]] = path[g + g % 2]
-                    rows2[k][T[i]] = path[g + 1 - g % 2]
-
-        adv = frozenset(A)
-        setup1 = SourceBehavior(cfg, tuple(map(tuple, rows1)), adv)
-        setup2 = SourceBehavior(cfg, tuple(map(tuple, rows2)), adv)
-        t1 = encode_transcript(gm, setup1, T)
-        t2 = encode_transcript(gm, setup2, T)
-        if t1.values != t2.values:
-            raise AttackConstructionFailed(
-                "setups do not encode to the same transcript"
-            )
-        return AttackInstance(
-            node_set=tuple(T),
-            setup1=setup1,
-            setup2=setup2,
-            delta=tuple(sorted(delta.items())),
-            w_values=tuple(map(tuple, w)),
-            groups=tuple(tuple(T[i] for i in blk) for blk in blocks),
-        )
+        return T, A, blocks, Hs, vec
 
     if not saw_candidate:
         raise SelectionImpossible(
@@ -341,6 +304,70 @@ def converse_attack(gm: GeneratorMatrix, cfg: SystemConfig, seed: int) -> Attack
         )
     raise NullspaceDeltaZero(
         "no selection produced a nullspace vector shifting an honest message"
+    )
+
+
+def converse_attack(gm: GeneratorMatrix, cfg: SystemConfig, seed: int) -> AttackInstance:
+    """Construct a two-setup attack on t*-1 encoders.
+
+    The group count adapts to the evaluation size: with t = t*-1 rows the
+    construction uses m = ceil((t-h+1)/beta) groups (always at most 2v-1),
+    which reproduces the canonical layout when N is above the threshold and
+    shrinks gracefully when t* = N.
+
+    The selection, the groups and the nullspace vector depend on the code
+    alone (:func:`_attack_plan`).  They are found on the first attack of a
+    code with this (beta, v) and kept in the code's memo, so later attacks
+    only draw the seed's base values and re-encode; the "left honest
+    messages fixed" warning logs once per code, not once per call.  A code
+    without a plan is not memoized and raises again on every call.
+
+    Raises:
+        SelectionImpossible: no admissible row/column selection exists.
+        NullspaceDeltaZero: every candidate selection yielded a nullspace
+            that keeps honest messages fixed (non-generic code).
+    """
+    if gm.N != cfg.N or gm.K != cfg.K or gm.ctx.p != cfg.p:
+        raise BadParameter("generator and system config disagree")
+    N, K, beta, v, p = cfg.N, cfg.K, cfg.beta, cfg.v, cfg.p
+    key = ("attack", beta, v)
+    if key not in gm._memo:
+        gm._memo[key] = _attack_plan(gm, beta, v)
+    T, A, blocks, Hs, vec = gm._memo[key]
+    m = len(blocks)
+
+    rng = random.Random(seed)
+    base = [rng.randrange(p) for _ in range(K)]  # source order
+    w = [[int(vec[g * beta + a]) for a in range(beta)] for g in range(m)]
+    delta = {k: int(vec[m * beta + j]) for j, k in enumerate(Hs)}
+
+    rows1 = [[b] * N for b in base]
+    rows2 = [[(b + delta.get(k, 0)) % p] * N for k, b in enumerate(base)]
+    for j, k in enumerate(A):
+        # The version path P_0 = base, P_{g+1} = P_g + (-1)^g w_g.
+        path = [base[k]]
+        for g in range(m):
+            path.append((path[g] + (-1) ** g * w[g][j]) % p)
+        rows2[k] = [path[1]] * N
+        for g, blk in enumerate(blocks):
+            for i in blk:
+                rows1[k][T[i]] = path[g + g % 2]
+                rows2[k][T[i]] = path[g + 1 - g % 2]
+
+    adv = frozenset(A)
+    setup1 = SourceBehavior(cfg, tuple(map(tuple, rows1)), adv)
+    setup2 = SourceBehavior(cfg, tuple(map(tuple, rows2)), adv)
+    t1 = encode_transcript(gm, setup1, T)
+    t2 = encode_transcript(gm, setup2, T)
+    if t1.values != t2.values:
+        raise AttackConstructionFailed("setups do not encode to the same transcript")
+    return AttackInstance(
+        node_set=tuple(T),
+        setup1=setup1,
+        setup2=setup2,
+        delta=tuple(sorted(delta.items())),
+        w_values=tuple(map(tuple, w)),
+        groups=tuple(tuple(T[i] for i in blk) for blk in blocks),
     )
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import logging
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,11 +45,18 @@ class GeneratorMatrix:
     Invariants checked at construction: no all-zero row; systematic codes
     start with the K x K identity; Vandermonde codes match their evaluation
     points exactly.
+
+    ``_memo`` holds what depends on the code alone and is costly to find:
+    the converse attack's plan per ``(beta, v)`` and the decoder's parity
+    check on the last node set decoded.  It is left out of ``==``, ``hash``,
+    ``repr`` and :meth:`to_json`, and a pickled or copied code starts with
+    an empty one.
     """
 
     matrix: FieldMatrix
     kind: str
     rs_points: tuple[int, ...] | None = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -78,6 +85,9 @@ class GeneratorMatrix:
         elif self.rs_points is not None:
             raise BadParameter("rs_points only apply to reed_solomon codes")
 
+    def __getstate__(self):
+        return {**self.__dict__, "_memo": {}}
+
     @property
     def N(self) -> int:
         return self.matrix.rows
@@ -104,7 +114,8 @@ class GeneratorMatrix:
 
     @classmethod
     def from_json(cls, doc: dict) -> "GeneratorMatrix":
-        _json_keys(doc, ("p", "N", "K", "kind", "rows", "rs_points"), "code")
+        required = ("p", "N", "K", "kind", "rows")
+        _json_keys(doc, required + ("rs_points",), "code", required)
         p, N, K = _json_ints([doc["p"], doc["N"], doc["K"]], "p, N and K")
         m = FieldMatrix(FieldContext(p), [_json_ints(r, "rows") for r in doc["rows"]])
         if m.rows != N or m.cols != K:
@@ -121,12 +132,16 @@ def _json_ints(entries, what: str) -> tuple[int, ...]:
     return _as_ints(entries, what)
 
 
-def _json_keys(doc: dict, allowed, what: str) -> None:
+def _json_keys(doc: dict, allowed, what: str, required=()) -> None:
     """Refuse a JSON object with a key outside ``allowed``, which would
-    otherwise be dropped without a word (a misspelled optional key)."""
+    otherwise be dropped without a word (a misspelled optional key), or
+    without a key of ``required``."""
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
         raise BadParameter(f"unknown {what} keys: {', '.join(map(repr, unknown))}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise BadParameter(f"missing {what} keys: {', '.join(map(repr, missing))}")
 
 
 def _random_rows(ctx: FieldContext, rng: random.Random, count: int, K: int):

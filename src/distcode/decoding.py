@@ -30,9 +30,10 @@ block columns sum to its code column ``g_k``, so a scenario's full system
 column space as ``[G_T | X'_q]``, where ``X'_q`` keeps only the first v-1
 blocks of each presumed adversary.  With ``L`` a basis of the left nullspace
 of ``G_T`` (the code's parity check on the observed encoders, found by one
-elimination per decode), the scenario is feasible iff ``[L X'_q | L y]`` is
-consistent.  ``L X'`` is computed once per source and ``L y`` once, so each
-projected system has ``t - rank G_T`` rows and beta*(v-1) unknowns.
+elimination and kept on the code until it decodes another node set), the
+scenario is feasible iff ``[L X'_q | L y]`` is consistent.  ``L X'`` is
+computed once per source and ``L y`` once, so each projected system has
+``t - rank G_T`` rows and beta*(v-1) unknowns.
 
 The projected systems are decided by a nested sweep that fixes one presumed
 adversary's partition per level.  Its level-0 stack holds the roots of
@@ -550,20 +551,30 @@ def _check_encodes(Gsub, yv, labels, cols, parts, vecs, p: int) -> None:
         raise RuntimeError("a recorded solution does not satisfy its scenario system")
 
 
-def _solution(blocks_of, v: int, out, row: int, vec=None) -> ScenarioSolution:
-    """Row ``row`` of the read ``out`` (see :func:`_read_flagged`) as a
-    solution, with ``vec`` (default: the particular solution) as its
-    values.  ``blocks_of(q)`` is partition q's blocks."""
-    red, cols, parts = out
-    beta = parts.shape[1]
-    h = cols.shape[1] - beta
-    sel = [blocks_of(q) for q in parts[row].tolist()]
-    vec = red.particular[row].tolist() if vec is None else vec
-    Hs, A_hat = cols[row, :h].tolist(), tuple(cols[row, h:].tolist())
+def _solution(blocks_of, v: int, vec, pinned, cols, parts) -> ScenarioSolution:
+    """One row of a read (see :func:`_read_flagged`) as a solution, from
+    lists: ``vec`` its values (the particular solution or an alternate),
+    ``pinned`` its pinned flags, ``cols`` its source order and ``parts`` its
+    partition indices.  ``blocks_of(q)`` is partition q's blocks."""
+    h = len(cols) - len(parts)
+    sel = [blocks_of(q) for q in parts]
+    Hs, A_hat = cols[:h], tuple(cols[h:])
     blocks = {k: tuple(vec[h + j * v : h + j * v + len(sel[j])]) for j, k in enumerate(A_hat)}
-    unpinned = frozenset(k for k, pin in zip(Hs, red.pinned[row].tolist()) if not pin)
+    unpinned = frozenset(k for k, pin in zip(Hs, pinned) if not pin)
     scenario = PresumedScenario(A_hat, tuple(sel))
     return ScenarioSolution(scenario, dict(zip(Hs, vec)), blocks, unpinned)
+
+
+def _rows(out):
+    """Yield each row of the read ``out`` as the lists :func:`_solution`
+    takes.  Each array is converted with one flat ``tolist`` and sliced per
+    row: a nested ``tolist`` would keep a list per row of every array alive
+    at once, which costs the garbage collector more than it saves."""
+    red, cols, parts = out
+    n, c, b = red.particular.shape[1], cols.shape[1], parts.shape[1]
+    P, Q, C, B = (a.ravel().tolist() for a in (red.particular, red.pinned, cols, parts))
+    for r in range(len(cols)):
+        yield P[r * n : r * n + n], Q[r * n : r * n + n], C[r * c : r * c + c], B[r * b : r * b + b]
 
 
 def _sweep(cols, rhs, roots: np.ndarray, beta: int, n_parts: int, w: int, p: int):
@@ -671,7 +682,16 @@ def decode(
     def project(L, g, cols):
         return (L * g[..., None, :]) % p @ cols % p
 
-    L, ell = _parity_check(Gsub, p)
+    # The parity check depends on the code and the node set alone; the code
+    # keeps the last one, read-only.  LX is not kept: it grows with the
+    # partition count.
+    memo = gm._memo.get("parity")
+    if memo is None or memo[0] != nodes:
+        L, ell = _parity_check(Gsub, p)
+        L.setflags(write=False)
+        ell.setflags(write=False)
+        memo = gm._memo["parity"] = (nodes, (L, ell))
+    L, ell = memo[1]
     LX, Ly = project(L, Gsub.T, side_by_side), project(L, yv, one)
     # The flagged scenarios' sweep indices, set i's scenario q as i * per_set
     # + q; fast mode keeps only each set's first, which pins every coordinate
@@ -752,27 +772,29 @@ def decode(
         at = np.array(sorted(set(events.values())), dtype=np.int64)
         found = read(at)
         red, cols, parts = found
+        first_rows, found_rows = list(_rows(first)), list(_rows(found))
         alts = []  # (row of found, alternate)
         for f, k in sorted((f, k) for k, f in events.items()):
             s = int(np.searchsorted(at, f))
-            j = cols[s].tolist().index(k)
-            sol = solution(found, s)
-            if red.pinned[s, j]:
+            vec, pinned, order, _ = row = found_rows[s]
+            j = order.index(k)
+            sol = solution(*row)
+            if pinned[j]:
                 value, where = pinned_first[k]
-                if red.particular[s, j] == value:
+                if vec[j] == value:
                     raise RuntimeError("projected and full scenario systems disagree")
-                witnesses[k] = (solution(first, where), sol)
+                witnesses[k] = (solution(*first_rows[where]), sol)
             else:
                 bvec = next(b for b in red.nullspace(s) if b[j] != 0)
                 alts.append((s, (red.particular[s] + bvec) % p))
-                witnesses[k] = (sol, solution(found, s, alts[-1][1].tolist()))
+                witnesses[k] = (sol, solution(alts[-1][1].tolist(), *row[1:]))
         if alts:
             rows, vecs = map(list, zip(*alts))
             _check_encodes(Gsub, yv, labels, cols[rows], parts[rows], np.array(vecs), p)
 
     def read_feasible():  # every flagged scenario, _CHUNK at a time
         reads = (read(flagged[i : i + _CHUNK]) for i in range(0, len(flagged), _CHUNK))
-        return tuple(solution(out, row) for out in reads for row in range(len(out[1])))
+        return tuple(solution(*row) for out in reads for row in _rows(out))
 
     return DecodeResult(
         estimates=tuple(pinned_first.get(k, (None,))[0] for k in range(K)),

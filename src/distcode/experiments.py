@@ -131,7 +131,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentSpec":
-        _json_keys(doc, [f.name for f in fields(cls)], "spec")
+        _json_keys(doc, [f.name for f in fields(cls)], "spec", ("cells",))
         return cls(**doc)
 
 

@@ -119,7 +119,7 @@ class SourceBehavior:
 
     @classmethod
     def from_json(cls, cfg: SystemConfig, doc: dict) -> "SourceBehavior":
-        _json_keys(doc, ("adversary_set", "rows"), "behavior")
+        _json_keys(doc, ("adversary_set", "rows"), "behavior", ("adversary_set", "rows"))
         return cls(
             cfg,
             tuple(_json_ints(r, "rows") for r in doc["rows"]),
@@ -147,7 +147,7 @@ class Transcript:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Transcript":
-        _json_keys(doc, ("node_set", "values"), "transcript")
+        _json_keys(doc, ("node_set", "values"), "transcript", ("node_set", "values"))
         return cls(
             _json_ints(doc["node_set"], "node_set"), _json_ints(doc["values"], "values")
         )

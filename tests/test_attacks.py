@@ -10,7 +10,9 @@ from distcode import (
     DimensionMismatch,
     FieldContext,
     FieldMatrix,
+    GeneratorMatrix,
     PreconditionViolated,
+    SelectionImpossible,
     SystemConfig,
     converse_attack,
     decode,
@@ -201,7 +203,8 @@ class TestIndependentRows:
     def test_attack_makes_one_elimination_per_group(self, seed, monkeypatch):
         # (12,4,2,2): t*-1 = 7 rows in m = 3 groups.  One elimination per
         # window picks each of the two groups of 2, one finds the leftover's
-        # rank (2, so no exchange), and one solves for the nullspace.
+        # rank (2, so no exchange), and one solves for the nullspace.  The
+        # code keeps that plan, so an attack with another seed makes none.
         cfg = SystemConfig(N=12, K=4, beta=2, v=2, p=P)
         gm = draw_mds(CTX, "random", 12, 4, seed=seed)
         calls = []
@@ -217,6 +220,10 @@ class TestIndependentRows:
         assert tuple(map(len, atk.groups)) == (3, 2, 2)
         assert calls[:3] == [(1, 4, 2), (1, 4, 2), (1, 3, 2)]
         assert len(calls) == 4
+        again = converse_attack(gm, cfg, seed=seed + 100)
+        assert len(calls) == 4
+        assert (again.node_set, again.groups) == (atk.node_set, atk.groups)
+        assert again.setup1 != atk.setup1
 
 
 def engineered_repair_input(seed, h, beta, v):
@@ -388,6 +395,44 @@ class TestConverseAttack:
             assert len(set(atk.setup1.rows[k])) <= 3
             assert len(set(atk.setup2.rows[k])) <= 3
         assert verify_attack(gm, atk)
+
+
+class TestPlanMemo:
+    @pytest.mark.parametrize(
+        "kind, cell",
+        [("random", (12, 4, 2, 2)), ("systematic", (10, 4, 1, 3)), ("reed_solomon", (12, 6, 1, 2))],
+    )
+    def test_memoized_attacks_equal_those_on_a_fresh_code(self, kind, cell):
+        N, K, beta, v = cell
+        cfg = SystemConfig(N=N, K=K, beta=beta, v=v, p=P)
+        gm = draw_mds(CTX, kind, N, K, seed=7)
+        for seed in range(6):
+            fresh = GeneratorMatrix.from_json(gm.to_json())
+            assert fresh == gm and not fresh._memo
+            atk = converse_attack(gm, cfg, seed=seed)
+            assert ("attack", beta, v) in gm._memo
+            assert atk == converse_attack(fresh, cfg, seed=seed)
+            assert verify_attack(gm, atk)
+
+    def test_plans_are_kept_per_beta_and_v(self):
+        gm = draw_mds(CTX, "random", 12, 4, seed=3)
+        cells = [(1, 2), (2, 2), (1, 3)]
+        for beta, v in cells * 2:
+            cfg = SystemConfig(N=12, K=4, beta=beta, v=v, p=P)
+            fresh = GeneratorMatrix.from_json(gm.to_json())
+            assert converse_attack(gm, cfg, seed=5) == converse_attack(fresh, cfg, seed=5)
+        assert sorted(gm._memo) == sorted(("attack", beta, v) for beta, v in cells)
+
+    def test_a_code_without_a_plan_raises_on_every_call(self):
+        # Every column vanishes on three of five rows (see test_codes), so no
+        # selection exists; the failure is not memoized.
+        rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0], [0, 1, 0]]
+        gm = GeneratorMatrix(FieldMatrix(CTX, rows), "random")
+        cfg = SystemConfig(5, 3, 1, 2, p=P)
+        for seed in (0, 0, 1):
+            with pytest.raises(SelectionImpossible):
+                converse_attack(gm, cfg, seed=seed)
+        assert not gm._memo
 
 
 class TestVerifyAttack:

@@ -152,6 +152,8 @@ class TestBadInput:
             "spec_seed_a_float",
             "transcript_key_unknown",
             "code_key_unknown",
+            "code_without_kind",
+            "spec_without_cells",
         ],
     )
     def test_one_error_line_and_exit_code_1(self, tmp_path, capsys, case):
@@ -180,6 +182,7 @@ class TestBadInput:
             "spec_t_value_a_bool": {"cells": [[9, 3, 1, 2]], "trials": 1,
                                     "t_mode": "absolute", "t_values": [True]},
             "spec_seed_a_float": {"cells": [[9, 3, 1, 2]], "trials": 1, "seed": 1.5},
+            "spec_without_cells": {"trials": 1},
         }
         if case in specs:
             (tmp_path / "spec.json").write_text(json.dumps(specs[case]))
@@ -222,7 +225,10 @@ class TestBadInput:
                  "spec_key_misspelled": "'trails'", "spec_t_value_a_float": "t_values",
                  "spec_t_value_a_bool": "t_values", "spec_seed_a_float": "seed",
                  "transcript_key_unknown": "unknown transcript keys: 'node_sets'",
-                 "code_key_unknown": "unknown code keys: 'kidn'"}
+                 "code_key_unknown": "unknown code keys: 'kidn'",
+                 "transcript_without_values": "missing transcript keys: 'values'",
+                 "code_without_kind": "missing code keys: 'kind'",
+                 "spec_without_cells": "missing spec keys: 'cells'"}
         assert named.get(case, "") in err
         assert not (tmp_path / "r.csv").exists()
 
@@ -256,8 +262,10 @@ class TestBadInput:
             code = "code"
         if case == "code_key_unknown":
             code["kidn"] = "systematic"
+        if case == "code_without_kind":
+            del code["kind"]
         code_path.write_text(json.dumps(code))
-        if case == "code_key_unknown":
+        if case in ("code_key_unknown", "code_without_kind"):
             return ["attack", "--code", str(code_path), "--beta", beta, "--v", v]
         tr_path = tmp_path / "tr.json"
         if case == "malformed_json":

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 import re
 
@@ -20,6 +21,7 @@ from distcode import (
     behavior_honest,
     behavior_random_adversarial,
     converse_attack,
+    decode,
     diff_basis,
     draw_mds,
     emit_results,
@@ -363,6 +365,18 @@ def _behavior(rows=ROWS, adversaries=()):
          BadParameter, "unknown transcript keys: 'node_sets'"),
         (lambda: SourceBehavior.from_json(CFG, {**_behavior().to_json(), "adversary_sets": []}),
          BadParameter, "unknown behavior keys: 'adversary_sets'"),
+        # ... and a document without a key it needs.
+        (lambda: GeneratorMatrix.from_json(
+            {k: x for k, x in _from_json().to_json().items() if k != "kind"}),
+         BadParameter, "missing code keys: 'kind'"),
+        (lambda: GeneratorMatrix.from_json({"kind": "random"}), BadParameter,
+         "missing code keys: 'p', 'N', 'K', 'rows'"),
+        (lambda: Transcript.from_json({"node_set": [0]}), BadParameter,
+         "missing transcript keys: 'values'"),
+        (lambda: SourceBehavior.from_json(CFG, {"rows": [list(r) for r in ROWS]}),
+         BadParameter, "missing behavior keys: 'adversary_set'"),
+        (lambda: ExperimentSpec.from_json({"trials": 3}), BadParameter,
+         "missing spec keys: 'cells'"),
     ],
     ids=[
         "json-n-below-k", "json-declared-n", "systematic-not-identity", "rs-without-points",
@@ -372,12 +386,32 @@ def _behavior(rows=ROWS, adversaries=()):
         "honest-message-of-adversary", "honest-message-count", "random-message-count",
         "encode-shape-mismatch", "coefficients-out-of-range", "converse-beta-not-below-k",
         "unknown-t-mode", "unknown-suite", "unknown-format", "json-code-key-unknown",
-        "json-transcript-key-unknown", "json-behavior-key-unknown",
+        "json-transcript-key-unknown", "json-behavior-key-unknown", "json-code-key-missing",
+        "json-code-keys-missing", "json-transcript-key-missing", "json-behavior-key-missing",
+        "json-spec-key-missing",
     ],
 )
 def test_unreached_checks_raise_their_error(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("kind", ["random", "reed_solomon"])
+def test_the_memo_is_invisible(kind):
+    # An attack and a decode fill the code's memo; equality, hash, repr,
+    # JSON and pickles stay as they were, and a pickled copy starts empty.
+    cfg = SystemConfig(N=9, K=3, beta=1, v=2, p=CTX.p)
+    gm = draw_mds(CTX, kind, 9, 3, seed=4)
+    before = (hash(gm), repr(gm), gm.to_json(), pickle.dumps(gm))
+    atk = converse_attack(gm, cfg, seed=1)
+    decode(gm, atk.node_set, encode_transcript(gm, atk.setup1, atk.node_set), cfg)
+    assert sorted(gm._memo, key=str) == [("attack", 1, 2), "parity"]
+    fresh = GeneratorMatrix.from_json(gm.to_json())
+    assert gm == fresh and fresh == gm
+    assert (hash(gm), repr(gm), gm.to_json(), pickle.dumps(gm)) == before
+    copy = pickle.loads(pickle.dumps(gm))
+    assert copy == gm and hash(copy) == hash(gm) and not copy._memo
+    assert len(gm._memo) == 2
 
 
 def test_mds_implies_every_k_submatrix_nonsingular():

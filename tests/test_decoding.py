@@ -382,6 +382,54 @@ class TestParityCheck:
                 assert rank_Lk == len(Lk) == t - (rank_naive(others, p) if K > 1 else 0)
 
 
+class TestParityMemo:
+    # decode keeps the last node set's parity check on the code: a repeat of
+    # that node set skips _parity_check and so makes one kernel call fewer,
+    # and another node set replaces it.  Every result equals a fresh code's.
+    @pytest.mark.parametrize("mode", ["fast", "strict"])
+    def test_node_sets_a_a_b_a_match_a_fresh_code(self, mode, monkeypatch):
+        cfg, gm, behavior, A, _ = _random_instance(21, t=4)
+        B = tuple(n for n in range(cfg.N) if n not in A)[:4]
+        calls, checks = [], []
+
+        def counting(batch, p, ncols):
+            calls.append(batch.shape)
+            return eliminate(batch, p, ncols)
+
+        def checking(Gsub, p):
+            checks.append(Gsub.shape)
+            return parity_check(Gsub, p)
+
+        eliminate, parity_check = fieldmod._batch_eliminate, decoding._parity_check
+        monkeypatch.setattr(fieldmod, "_batch_eliminate", counting)
+        monkeypatch.setattr(decoding, "_batch_eliminate", counting)
+        monkeypatch.setattr(decoding, "_parity_check", checking)
+        made, checked, witnessed = [], [], False
+        for nodes in (A, A, B, A):
+            tr = encode_transcript(gm, behavior, nodes)
+            n_calls, n_checks = len(calls), len(checks)
+            res = decode(gm, nodes, tr, cfg, mode=mode)
+            made.append(len(calls) - n_calls)
+            checked.append(len(checks) - n_checks)
+            assert gm._memo["parity"][0] == nodes
+            want = decode(GeneratorMatrix.from_json(gm.to_json()), nodes, tr, cfg, mode=mode)
+            assert res == want and res.to_json() == want.to_json()
+            assert res.feasible == want.feasible
+            witnessed |= bool(res.witnesses)
+        assert checked == [1, 0, 1, 1]
+        assert made[1] == made[0] - 1 and made[3] == made[0]
+        assert witnessed == (mode == "strict")
+
+    def test_the_kept_parity_check_is_read_only(self):
+        cfg, gm, behavior, nodes, tr = _random_instance(22)
+        decode(gm, nodes, tr, cfg)
+        kept, (L, ell) = gm._memo["parity"]
+        assert kept == nodes and L.shape == (len(nodes) - cfg.K, len(nodes))
+        for arr in (L, ell):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+
+
 class TestFlaggedReader:
     # _read_flagged builds the full system [D | X_q | y] of each scenario it
     # is given by sweep index and eliminates them all in one kernel call.
