@@ -133,15 +133,19 @@ def _greedy_blocks(ctx, E: np.ndarray, h: int, beta: int, m: int):
     return remaining, groups
 
 
-def _repair_leftover(ctx, E: np.ndarray, leftover, groups, beta: int):
-    """Exchange rows between the leftover and earlier groups until the
-    leftover block reaches rank beta.  One exchange suffices under the
-    canonical preconditions; the loop covers degenerate shapes."""
-    for _ in range(2 * beta):
-        independent = _independent_rows(ctx, E, leftover)
-        rk = len(independent)
-        if rk == beta:
-            return leftover, groups, True
+def _full_rank_blocks(ctx, E: np.ndarray, h: int, beta: int, m: int):
+    """Split the rows of E into m blocks of rank beta: greedy extraction of
+    m-1 groups, then exchanges that raise the leftover block, which comes
+    first, to rank beta.  Returns the blocks as tuples of row indices, or
+    None on failure.
+
+    Each exchange raises the leftover's rank by at least one and the rank
+    cannot pass beta, so at most beta exchanges run."""
+    res = _greedy_blocks(ctx, E, h, beta, m)
+    if res is None:
+        return None
+    leftover, groups = res
+    while len(independent := _independent_rows(ctx, E, leftover)) < beta:
         # Exchange a dependent nonzero leftover row r_star with a row r_hat
         # of some group when both blocks gain: the group stays at rank beta
         # and the leftover's rank grows.  Every candidate is ranked, and the
@@ -155,28 +159,15 @@ def _repair_leftover(ctx, E: np.ndarray, leftover, groups, beta: int):
             for r_hat in grp
         ]
         if not cands:
-            return leftover, groups, False
+            return None
         grp_ok = batch_rank(E[np.array([c[1] for c in cands])], ctx.p) == beta
-        left_up = batch_rank(E[np.array([c[2] for c in cands])], ctx.p) > rk
+        left_up = batch_rank(E[np.array([c[2] for c in cands])], ctx.p) > len(independent)
         gains = np.flatnonzero(grp_ok & left_up)
         if not len(gains):
-            return leftover, groups, False
+            return None
         gi, new_grp, new_left = cands[gains[0]]
         groups = groups[:gi] + [sorted(new_grp)] + groups[gi + 1 :]
         leftover = sorted(new_left)
-    return leftover, groups, len(_independent_rows(ctx, E, leftover)) == beta
-
-
-def _full_rank_blocks(ctx, E: np.ndarray, h: int, beta: int, m: int):
-    """Split the rows of E into m blocks of rank beta: greedy extraction of
-    m-1 groups, then repair of the leftover block, which comes first.
-    Returns the blocks as tuples of row indices, or None on failure."""
-    res = _greedy_blocks(ctx, E, h, beta, m)
-    if res is None:
-        return None
-    leftover, groups, ok = _repair_leftover(ctx, E, *res, beta)
-    if not ok:
-        return None
     return (tuple(leftover),) + tuple(tuple(g) for g in groups)
 
 
@@ -271,9 +262,9 @@ def _attack_plan(gm: GeneratorMatrix, beta: int, v: int):
     K = gm.K
     h = K - beta
     t = threshold(gm.N, K, beta, v) - 1
-    m = max(1, -(-(t - h + 1) // beta))  # ceil((t-h+1)/beta)
-    if m > 2 * v - 1:
-        raise AttackConstructionFailed("group count exceeds the version budget")
+    # ceil((t-h+1)/beta) groups: t - h + 1 = t* - h lies in [beta, beta(2v-1)],
+    # so 1 <= m <= 2v-1.
+    m = -(-(t - h + 1) // beta)
 
     saw_candidate = False
     for T, A in iter_converse_selections(gm, beta, v):

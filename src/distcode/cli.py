@@ -35,9 +35,10 @@ def _read_json(path: str, parse):
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
-            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+            raise IoFailure(f"cannot read {path}: expected a JSON object, got "
+                            f"{type(doc).__name__}")
         return parse(doc)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         raise IoFailure(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
 
 

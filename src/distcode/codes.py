@@ -117,7 +117,7 @@ class GeneratorMatrix:
         required = ("p", "N", "K", "kind", "rows")
         _json_keys(doc, required + ("rs_points",), "code", required)
         p, N, K = _json_ints([doc["p"], doc["N"], doc["K"]], "p, N and K")
-        m = FieldMatrix(FieldContext(p), [_json_ints(r, "rows") for r in doc["rows"]])
+        m = FieldMatrix(FieldContext(p), _json_rows(doc["rows"]))
         if m.rows != N or m.cols != K:
             raise BadDimensions("declared N/K disagree with the row grid")
         pts = doc.get("rs_points")
@@ -130,6 +130,13 @@ def _json_ints(entries, what: str) -> tuple[int, ...]:
     if not isinstance(entries, list):
         raise BadParameter(f"{what} must be a list of integers, got {entries!r}")
     return _as_ints(entries, what)
+
+
+def _json_rows(rows) -> list[tuple[int, ...]]:
+    """A JSON list of integer lists; anything else raises BadParameter."""
+    if not isinstance(rows, list):
+        raise BadParameter(f"rows must be a list of integer lists, got {rows!r}")
+    return [_json_ints(r, "rows") for r in rows]
 
 
 def _json_keys(doc: dict, allowed, what: str, required=()) -> None:
@@ -232,9 +239,10 @@ def draw_mds(
     """Generate a code of the requested kind and re-draw (seed+1, seed+2, ...)
     until it passes :func:`is_mds`.  Failure odds per draw are about
     C(N,K)/p for random and systematic codes; Vandermonde codes with
-    distinct points never fail.  The retry cap is never expected to bind.
-    ``points`` apply only to ``reed_solomon`` codes; with another kind they
-    raise :class:`BadParameter`."""
+    distinct points never fail.  After 16 failed draws, as when C(N,K) nears
+    p or no MDS code of the shape exists over GF(p), it raises
+    :class:`BadParameter`.  ``points`` apply only to ``reed_solomon`` codes;
+    with another kind they raise :class:`BadParameter`."""
     if kind not in KINDS:
         raise BadParameter(f"unknown code kind {kind!r}")
     if points is not None and kind != "reed_solomon":
@@ -252,7 +260,7 @@ def draw_mds(
                 log.warning("MDS draw needed %d redraws (kind=%s)", attempt, kind)
             return gm
         log.warning("seed %d produced a non-MDS %s code, redrawing", s, kind)
-    raise RuntimeError(f"no MDS {kind} code found in {_MDS_DRAWS} draws")
+    raise BadParameter(f"no MDS {kind} code with N={N}, K={K}, p={ctx.p} in {_MDS_DRAWS} draws")
 
 
 def threshold(N: int, K: int, beta: int, v: int) -> int:

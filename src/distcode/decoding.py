@@ -621,8 +621,7 @@ def decode(
         BadParameter: a node index is not an integer, or ``budget`` is not
             a positive integer.
         TranscriptMismatch: ``nodes`` disagrees with the transcript.
-        NodeOutOfRange: the node set is empty, or its indices repeat or
-            exceed N.
+        NodeOutOfRange: the node set is empty or leaves [0, N).
         BudgetExceeded: the sweep would be too large.
     """
     if mode not in ("fast", "strict"):
@@ -632,9 +631,8 @@ def decode(
     nodes = _as_ints(nodes, "nodes")
     if nodes != tuple(transcript.node_set):
         raise TranscriptMismatch("decode node set differs from transcript node set")
-    if len(transcript.values) != len(nodes):
-        raise TranscriptMismatch("transcript value count differs from node count")
-    if not nodes or len(set(nodes)) != len(nodes) or any(not 0 <= n < gm.N for n in nodes):
+    # A Transcript holds one value per node and no repeated node.
+    if not nodes or any(not 0 <= n < gm.N for n in nodes):
         raise NodeOutOfRange(f"bad node subset {nodes} for N={gm.N}")
     if gm.N != cfg.N or gm.K != cfg.K or gm.ctx.p != cfg.p:
         raise BadParameter("generator and system config disagree")

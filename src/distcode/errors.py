@@ -52,7 +52,7 @@ class NodeOutOfRange(DistcodeError):
 # --- decoding ------------------------------------------------------------
 
 class TranscriptMismatch(DistcodeError):
-    """Transcript node set or value count disagrees with the requested decode."""
+    """Transcript node set disagrees with the requested decode."""
 
 
 class BudgetExceeded(DistcodeError):

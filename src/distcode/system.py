@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import GeneratorMatrix, _json_ints, _json_keys, threshold
+from .codes import GeneratorMatrix, _json_ints, _json_keys, _json_rows, threshold
 from .errors import (
     BadDimensions,
     BadParameter,
@@ -122,7 +122,7 @@ class SourceBehavior:
         _json_keys(doc, ("adversary_set", "rows"), "behavior", ("adversary_set", "rows"))
         return cls(
             cfg,
-            tuple(_json_ints(r, "rows") for r in doc["rows"]),
+            _json_rows(doc["rows"]),
             frozenset(_json_ints(doc["adversary_set"], "adversary_set")),
         )
 

@@ -20,6 +20,7 @@ from distcode import (
     behavior_random_adversarial,
     encode_transcript,
 )
+from distcode import cli, codes
 from distcode.cli import _read_json, build_parser, main
 from distcode.experiments import ExperimentSpec
 
@@ -67,6 +68,15 @@ class TestAttackAndDecode:
         doc = json.loads(out.read_text())
         assert set(doc) == {"T", "setup1", "setup2", "delta", "w"}
         assert len(doc["T"]) == 4
+
+    def test_attack_that_fails_verification_exits_1(self, tmp_path, code_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr(cli, "verify_attack", lambda gm, attack: False)
+        out = tmp_path / "attack.json"
+        assert run_cli("attack", "--code", str(code_path), "--beta", "1", "--v", "2",
+                       "--out", str(out)) == 1
+        assert capsys.readouterr().err == "attack failed verification\n"
+        assert not out.exists()
 
     def test_decode_finds_honest_messages(self, tmp_path, code_path):
         gm = GeneratorMatrix.from_json(json.loads(code_path.read_text()))
@@ -154,9 +164,11 @@ class TestBadInput:
             "code_key_unknown",
             "code_without_kind",
             "spec_without_cells",
+            "gen_code_never_mds",
+            "out_in_missing_directory",
         ],
     )
-    def test_one_error_line_and_exit_code_1(self, tmp_path, capsys, case):
+    def test_one_error_line_and_exit_code_1(self, tmp_path, capsys, monkeypatch, case):
         specs = {
             "spec_trials_a_float": {"cells": [[9, 3, 1, 2]], "trials": 2.7},
             "spec_cell_entry_a_float": {"cells": [[9.5, 3, 1, 2]], "trials": 2},
@@ -195,6 +207,11 @@ class TestBadInput:
                                      "--k", "35", "--seed", "1"],
                 "gen_code_n40_k20": ["gen-code", "--kind", "random", "--n", "40",
                                      "--k", "20", "--seed", "1"],
+                "gen_code_never_mds": ["-q", "gen-code", "--kind", "random", "--n", "3",
+                                       "--k", "2"],
+                "out_in_missing_directory": ["gen-code", "--kind", "random", "--n", "3",
+                                             "--k", "2", "--out",
+                                             str(tmp_path / "missing" / "code.json")],
                 "points_not_integers": ["gen-code", "--kind", "reed_solomon", "--n", "3",
                                         "--k", "2", "--points", "a,b"],
                 "points_too_few": ["gen-code", "--kind", "reed_solomon", "--n", "5",
@@ -213,6 +230,8 @@ class TestBadInput:
             }.get(case) or self._decode_argv(tmp_path, case)
         if case == "decode_budget_zero":
             argv += ["--budget", "0"]
+        if case == "gen_code_never_mds":
+            monkeypatch.setattr(codes, "is_mds", lambda gm: False)
         capsys.readouterr()
         rc = run_cli(*argv)
         err = capsys.readouterr().err
@@ -228,7 +247,9 @@ class TestBadInput:
                  "code_key_unknown": "unknown code keys: 'kidn'",
                  "transcript_without_values": "missing transcript keys: 'values'",
                  "code_without_kind": "missing code keys: 'kind'",
-                 "spec_without_cells": "missing spec keys: 'cells'"}
+                 "spec_without_cells": "missing spec keys: 'cells'",
+                 "gen_code_never_mds": "no MDS random code with N=3, K=2, p=",
+                 "out_in_missing_directory": "cannot write"}
         assert named.get(case, "") in err
         assert not (tmp_path / "r.csv").exists()
 

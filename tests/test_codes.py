@@ -1,4 +1,5 @@
 import itertools
+import logging
 import pickle
 import random
 import re
@@ -183,6 +184,27 @@ class TestDrawMds:
                 CTX, kind, 6, 3, seed=0
             )
             assert is_mds(gm)
+
+    def test_redraws_are_logged(self, caplog):
+        # Over GF(7) the (4,2) random codes of seeds 0 and 1 are not MDS.
+        with caplog.at_level(logging.WARNING, logger="distcode.codes"):
+            gm = draw_mds(F7, "random", 4, 2, seed=0)
+        assert gm == gen_random_linear(F7, 4, 2, seed=2) and is_mds(gm)
+        assert caplog.messages == [
+            "seed 0 produced a non-MDS random code, redrawing",
+            "seed 1 produced a non-MDS random code, redrawing",
+            "MDS draw needed 2 redraws (kind=random)",
+        ]
+
+    def test_gives_up_with_bad_parameter(self, caplog):
+        # No [7,2] MDS code exists over GF(5): GF(5)^2 has only 6 directions,
+        # so two of any 7 nonzero rows are proportional.
+        with caplog.at_level(logging.WARNING, logger="distcode.codes"):
+            with pytest.raises(BadParameter, match="^no MDS random code with N=7, K=2, p=5 in 16"):
+                draw_mds(FieldContext(5), "random", 7, 2, seed=0)
+        assert caplog.messages == [
+            f"seed {s} produced a non-MDS random code, redrawing" for s in range(16)
+        ]
 
 
 class TestConverseSelection:
@@ -377,6 +399,18 @@ def _behavior(rows=ROWS, adversaries=()):
          BadParameter, "missing behavior keys: 'adversary_set'"),
         (lambda: ExperimentSpec.from_json({"trials": 3}), BadParameter,
          "missing spec keys: 'cells'"),
+        # Rows that are not a list.
+        (lambda: _from_json(rows=5), BadParameter,
+         "rows must be a list of integer lists, got 5"),
+        (lambda: _from_json(rows=None), BadParameter,
+         "rows must be a list of integer lists, got None"),
+        (lambda: SourceBehavior.from_json(CFG, {"adversary_set": [], "rows": 5}),
+         BadParameter, "rows must be a list of integer lists, got 5"),
+        (lambda: SourceBehavior.from_json(CFG, {"adversary_set": [], "rows": None}),
+         BadParameter, "rows must be a list of integer lists, got None"),
+        # A FieldMatrix can be empty when it is a submatrix.
+        (lambda: GeneratorMatrix(_code([[1, 0], [0, 1]]).matrix.submatrix([], []), "random"),
+         BadDimensions, "need N >= K >= 1, got N=0, K=0"),
     ],
     ids=[
         "json-n-below-k", "json-declared-n", "systematic-not-identity", "rs-without-points",
@@ -388,7 +422,8 @@ def _behavior(rows=ROWS, adversaries=()):
         "unknown-t-mode", "unknown-suite", "unknown-format", "json-code-key-unknown",
         "json-transcript-key-unknown", "json-behavior-key-unknown", "json-code-key-missing",
         "json-code-keys-missing", "json-transcript-key-missing", "json-behavior-key-missing",
-        "json-spec-key-missing",
+        "json-spec-key-missing", "json-code-rows-an-int", "json-code-rows-null",
+        "json-behavior-rows-an-int", "json-behavior-rows-null", "code-from-empty-submatrix",
     ],
 )
 def test_unreached_checks_raise_their_error(call, error, message):

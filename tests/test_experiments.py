@@ -131,6 +131,15 @@ class TestRuns:
         assert r.honest_correct == r.trials == 6
         assert r.ambiguous == r.undetermined == r.failures == 0
 
+    def test_achievability_far_below_threshold_is_undetermined(self):
+        # Two encoders of a K=3 code pin no honest message: the fast decodes
+        # leave them missing, and the two strict ones (every tenth trial)
+        # flag them ambiguous.
+        spec = ExperimentSpec(cells=((9, 3, 1, 2),), kinds=("random",), t_mode="absolute",
+                              t_values=(2,), trials=20, suite="achievability")
+        r = run_experiments(spec)[0]
+        assert (r.honest_correct, r.ambiguous, r.undetermined, r.failures) == (0, 2, 18, 0)
+
     def test_converse_all_ambiguous_below_threshold(self):
         results = run_converse(SMALL_SPEC)
         r = results[0]

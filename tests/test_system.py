@@ -7,6 +7,7 @@ from distcode import (
     BadParameter,
     FieldContext,
     NodeOutOfRange,
+    NonPrimeModulus,
     SourceBehavior,
     SystemConfig,
     TooManyAdversaries,
@@ -59,6 +60,10 @@ class TestSystemConfig:
     def test_non_integer_modulus_rejected(self, p):
         with pytest.raises(BadParameter):
             SystemConfig(12, 4, 2, 2, p=p)
+
+    def test_non_prime_modulus_rejected(self):
+        with pytest.raises(NonPrimeModulus, match="p=4 is not prime"):
+            SystemConfig(5, 3, 1, 2, p=4)
 
     def test_modulus_beyond_exact_primality_rejected(self):
         # A composite that Miller-Rabin with bases up to 41 calls prime.
