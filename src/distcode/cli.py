@@ -74,7 +74,7 @@ def _cmd_attack(args) -> int:
     cfg = SystemConfig(gm.N, gm.K, args.beta, args.v, p=gm.ctx.p)
     attack = converse_attack(gm, cfg, seed=args.seed)
     if not verify_attack(gm, attack):
-        print("attack failed verification", file=sys.stderr)
+        print("error: attack failed verification", file=sys.stderr)
         return 1
     _write_json(attack.to_json(), args.out)
     return 0

@@ -88,12 +88,18 @@ restricted-growth order.  Hence each adversary's coefficients are equal,
 ``g_b`` lies in the span of the other honest columns and the adversaries'
 code columns, and no scenario of the set pins b.
 
-Strict mode reads one more scenario per coordinate k, its first witness
-event: the first feasible scenario that presumes k honest and leaves k
-unpinned or pins it to a value other than its first pinned value ``x_k``.
-The witness pairs are built from these reads.  Every flagged scenario is
-kept as its sweep index; ``DecodeResult.feasible`` reads, encode-checks and
-builds them all into a tuple of :class:`ScenarioSolution` on first access.
+Strict mode also needs each coordinate k's first witness event: the first
+feasible scenario that presumes k honest and leaves k unpinned or pins it
+to a value other than its first pinned value ``x_k``.  Its one first read
+holds each set's first two flagged scenarios, in sweep order, and the
+earliest of them that meets that test is k's event unless an unread
+scenario of an earlier set is: every flagged scenario of the event's set
+that comes before it is read.  In practice the event is always one of the
+two.  A second read takes only the events that the first did not, and is
+skipped when there are none.  The witness pairs are built from these reads.
+Every flagged scenario is kept as its sweep index; ``DecodeResult.feasible``
+reads, encode-checks and builds them all into a tuple of
+:class:`ScenarioSolution` on first access.
 
 The events are found without reading.  Let ``L_k`` be a basis of the left
 nullspace of ``G_T`` without column k, and q a feasible scenario that
@@ -108,10 +114,10 @@ in the span of ``L_k X'_q``.  A pinned k takes one value, so q is k's event
 iff S2(q) or not S1(q).  Both are consistency tests of the projected form,
 with ``L_k`` for L and another right-hand side, and one sweep decides them
 for every coordinate and set.  ``L_k`` is L plus at most one row, read off
-the same elimination (:func:`_parity_check`).  A set needs no sweep for k
-when its only flagged scenario is its first, which is read, or when it
-comes after the set of k's earliest event among the read scenarios.  A k
-that is never pinned has its event at the first read scenario that
+the same elimination (:func:`_parity_check`).  A set needs the sweep for k
+only when it has more than two flagged scenarios, so that some are unread,
+and comes before the set of k's earliest event among the read scenarios.
+A k that is never pinned has its event at the first read scenario that
 presumes it honest.
 """
 
@@ -705,38 +711,47 @@ def decode(
         feasible_count += len(hits)
         kept.append(hits if strict else firsts_of(hits))
     flagged = np.concatenate(kept + [np.empty(0, dtype=np.int64)])
-    firsts = firsts_of(flagged)
+    firsts = at = firsts_of(flagged)
+    if strict:
+        # Also each set's second flagged scenario: in practice it holds every
+        # witness event that the first does not, so this one read spares
+        # most decodes the witness sweep and a second read.
+        bounds = np.searchsorted(flagged, np.arange(len(sets) + 1) * per_set)
+        at = flagged[np.arange(len(flagged)) - bounds[flagged // per_set] < 2]
 
-    # Read each set's first flagged scenario: the first pinned values.
+    # Read each set's first flagged scenarios; its first alone gives the
+    # first pinned values.
     h = K - beta
-    first = read(firsts)
+    first = read(at)
     red, cols, _ = first
+    pins = red.pinned[:, :h]
+    if strict:  # only the rows of each set's first scenario
+        pins = pins & np.isin(at, firsts)[:, None]
     pinned_first: dict[int, tuple[int, int]] = {}  # value, row of first
-    for s, j in zip(*np.nonzero(red.pinned[:, :h])):
+    for s, j in zip(*np.nonzero(pins)):
         pinned_first.setdefault(int(cols[s, j]), (int(red.particular[s, j]), int(s)))
 
     witnesses: dict[int, tuple[ScenarioSolution, ScenarioSolution]] = {}
     if strict:
         # k's witness event: the sweep index of the first feasible scenario
         # that presumes k honest and leaves k unpinned or pins it to a value
-        # other than its first pinned value x_k.  Among the first flagged
-        # scenarios, which are read, it is found directly.  A later one q of
-        # an earlier set is k's event iff S2(q) or not S1(q), two consistency
-        # tests projected by L_k (see the module docstring), and one sweep
-        # decides them for every such set and coordinate.
+        # other than its first pinned value x_k.  Among the read scenarios it
+        # is found directly.  An unread one q of an earlier set is k's event
+        # iff S2(q) or not S1(q), two consistency tests projected by L_k (see
+        # the module docstring), and one sweep decides them for every such
+        # set and coordinate.
+        head_rows = list(_rows(first))
         events: dict[int, int] = {}
-        for s, f in enumerate(firsts.tolist()):
-            for j, k in enumerate(cols[s, :h].tolist()):
-                if k not in events and (
-                    not red.pinned[s, j] or red.particular[s, j] != pinned_first[k][0]
-                ):
+        for f, (vec, pinned, order, _) in zip(at.tolist(), head_rows):
+            for k, x, pin in zip(order[:h], vec, pinned):
+                if k not in events and (not pin or x != pinned_first[k][0]):
                     events[k] = f
-        bounds = np.searchsorted(flagged, np.arange(len(sets) + 1) * per_set)
+        unread = np.diff(bounds) > np.bincount(at // per_set, minlength=len(sets))
         todo = [
             (k, i)
             for k in sorted(pinned_first)
             for i in range(events.get(k, len(sets) * per_set) // per_set)
-            if k not in sets[i] and bounds[i + 1] - bounds[i] > 1
+            if k not in sets[i] and unread[i]
         ]
         if todo:
             Lk = np.concatenate([np.broadcast_to(L, (K,) + L.shape), ell[:, None]], axis=1)
@@ -765,30 +780,31 @@ def decode(
             for n, q in reversed(list(zip(ns.tolist(), (ev[lead] % per_set).tolist()))):
                 events[todo[n][0]] = todo[n][1] * per_set + q
 
-        # Read the event scenarios and build the witnesses in sweep order,
-        # then by coordinate.
-        at = np.array(sorted(set(events.values())), dtype=np.int64)
-        found = read(at)
-        red, cols, parts = found
-        first_rows, found_rows = list(_rows(first)), list(_rows(found))
-        alts = []  # (row of found, alternate)
+        # Read the events that are not read yet, those the witness sweep
+        # found, and build the witnesses in sweep order, then by coordinate.
+        held = {f: (first, s, row) for s, (f, row) in enumerate(zip(at.tolist(), head_rows))}
+        unheld = np.array(sorted(set(events.values()) - held.keys()), dtype=np.int64)
+        if len(unheld):
+            found = read(unheld)
+            for s, (f, row) in enumerate(zip(unheld.tolist(), _rows(found))):
+                held[f] = (found, s, row)
+        alts = []  # (source order, partition indices, alternate)
         for f, k in sorted((f, k) for k, f in events.items()):
-            s = int(np.searchsorted(at, f))
-            vec, pinned, order, _ = row = found_rows[s]
+            (red, cols, parts), s, row = held[f]
+            vec, pinned, order, _ = row
             j = order.index(k)
             sol = solution(*row)
             if pinned[j]:
                 value, where = pinned_first[k]
                 if vec[j] == value:
                     raise RuntimeError("projected and full scenario systems disagree")
-                witnesses[k] = (solution(*first_rows[where]), sol)
+                witnesses[k] = (solution(*head_rows[where]), sol)
             else:
                 bvec = next(b for b in red.nullspace(s) if b[j] != 0)
-                alts.append((s, (red.particular[s] + bvec) % p))
-                witnesses[k] = (sol, solution(alts[-1][1].tolist(), *row[1:]))
+                alts.append((cols[s], parts[s], (red.particular[s] + bvec) % p))
+                witnesses[k] = (sol, solution(alts[-1][2].tolist(), *row[1:]))
         if alts:
-            rows, vecs = map(list, zip(*alts))
-            _check_encodes(Gsub, yv, labels, cols[rows], parts[rows], np.array(vecs), p)
+            _check_encodes(Gsub, yv, labels, *map(np.stack, zip(*alts)), p)
 
     def read_feasible():  # every flagged scenario, _CHUNK at a time
         reads = (read(flagged[i : i + _CHUNK]) for i in range(0, len(flagged), _CHUNK))

@@ -345,9 +345,13 @@ def solve(A: FieldMatrix, b) -> SolveOutcome:
     if len(b) != A.rows:
         raise DimensionMismatch(f"b has length {len(b)}, expected {A.rows}")
     p = A.ctx.p
+    rhs = [x % p for x in _as_ints(b, "b")]
+    if not A.cols:  # no unknowns: A x is zero, as rank reads
+        consistent = not any(rhs)
+        return SolveOutcome(consistent, () if consistent else None, (), frozenset())
     aug = np.empty((1, A.rows, A.cols + 1), dtype=A._a.dtype)
     aug[0, :, : A.cols] = A._a
-    aug[0, :, A.cols] = [x % p for x in _as_ints(b, "b")]
+    aug[0, :, A.cols] = rhs
     _batch_eliminate(aug, p, A.cols)
     red = _read_reduced(aug, A.cols, p)
     consistent = bool(red.consistent[0])

@@ -75,7 +75,7 @@ class TestAttackAndDecode:
         out = tmp_path / "attack.json"
         assert run_cli("attack", "--code", str(code_path), "--beta", "1", "--v", "2",
                        "--out", str(out)) == 1
-        assert capsys.readouterr().err == "attack failed verification\n"
+        assert capsys.readouterr().err == "error: attack failed verification\n"
         assert not out.exists()
 
     def test_decode_finds_honest_messages(self, tmp_path, code_path):

@@ -967,13 +967,25 @@ def _checked_indices(cfg, t, cols, parts):
     return out
 
 
+def _sweep_index(cfg, nodes, scenario):
+    """The sweep index of ``scenario`` on ``nodes``: scenario q of the
+    presumed-adversary set i is ``i * n_parts**beta + q``."""
+    sets = list(itertools.combinations(range(cfg.K), cfg.beta))
+    labels = decoding._partition_labels(len(nodes), cfg.v).tolist()
+    q = 0
+    for part in scenario.partitions:
+        row = [next(b for b, block in enumerate(part) if n in block) for n in nodes]
+        q = q * len(labels) + labels.index(row)
+    return sets.index(scenario.adversaries) * len(labels) ** cfg.beta + q
+
+
 class TestRebuilds:
     # Projected systems decide feasibility; only the scenarios decode records
     # are read, by eliminating their full systems, and their solutions
     # encoded for the check.  Fast mode reads at most the
-    # first flagged scenario of each set; strict mode reads those and each
-    # coordinate's witness event, and every flagged scenario when its
-    # feasible solutions are first read.
+    # first flagged scenario of each set; strict mode reads each set's first
+    # two and the witness events among the rest, and every flagged scenario
+    # when its feasible solutions are first read.
     CASES = [
         pytest.param("converse", (12, 6, 1, 2), id="converse-12-6-1-2"),
         pytest.param("converse", (9, 3, 2, 2), id="converse-9-3-2-2"),
@@ -1015,11 +1027,11 @@ class TestRebuilds:
         monkeypatch.setattr(decoding, "_check_encodes", counting)
         reads, _ = _count_reads(monkeypatch, cfg)
         res = decode(gm, nodes, tr, cfg, mode="strict")
-        # decode reads each set's first flagged scenario and each witness
-        # event, and encodes those and the witness alternates.
-        read = [f for flagged in reads for f in flagged]
+        # decode reads each set's first two flagged scenarios and the witness
+        # events among the rest, and encodes those and the witness alternates.
+        decoded = list(reads)
+        read = [f for flagged in decoded for f in flagged]
         alternates = sum(k in a.unpinned for k, (a, _) in res.witnesses.items())
-        assert len(read) <= math.comb(cfg.K, cfg.beta) + cfg.K
         assert len(checked) == len(read) + alternates
         assert res.feasible_count >= len(read)
         # The first read of the solutions reads and encodes every flagged
@@ -1030,8 +1042,33 @@ class TestRebuilds:
         read = [f for flagged in reads for f in flagged]
         assert read == checked
         assert len(set(read)) == len(read) == res.feasible_count == len(solutions)
+        self._assert_decode_reads(cfg, nodes, res, decoded, read)
         n_reads = len(reads)
         assert list(res.feasible) == solutions and len(reads) == n_reads
+
+    @pytest.mark.parametrize("kind, want", [("random", 2), ("reed_solomon", 2), ("systematic", 3)])
+    def test_warm_strict_converse_decode_kernel_calls(self, kind, want, monkeypatch):
+        # On the (12,6,1,2) attack transcript the first read holds every
+        # witness event: a warm strict decode makes the sweep's call and the
+        # read's.  On a systematic code, proving that source 0 has no event
+        # takes the witness sweep too.
+        cfg = SystemConfig(N=12, K=6, beta=1, v=2, p=P)
+        gm = draw_mds(CTX, kind, 12, 6, seed=1)
+        atk = converse_attack(gm, cfg, seed=1)
+        tr = encode_transcript(gm, atk.setup1, atk.node_set)
+        cold = decode(gm, atk.node_set, tr, cfg, mode="strict")  # keeps the parity check
+        calls = []
+
+        def counting(batch, p, ncols):
+            calls.append(batch.shape)
+            return eliminate(batch, p, ncols)
+
+        eliminate = fieldmod._batch_eliminate
+        monkeypatch.setattr(fieldmod, "_batch_eliminate", counting)
+        monkeypatch.setattr(decoding, "_batch_eliminate", counting)
+        res = decode(gm, atk.node_set, tr, cfg, mode="strict")
+        assert len(calls) == want
+        assert res == cold and res.witnesses
 
     @pytest.mark.parametrize("kind, cell", CASES)
     def test_only_the_first_access_to_feasible_reads(self, kind, cell, monkeypatch):
@@ -1049,7 +1086,7 @@ class TestRebuilds:
         monkeypatch.setattr(decoding, "_check_encodes", counting)
         reads, _ = _count_reads(monkeypatch, cfg)
         res = decode(gm, nodes, tr, cfg, mode="strict")
-        assert sum(map(len, reads)) <= math.comb(cfg.K, cfg.beta) + cfg.K
+        decoded = list(reads)
         again = decode(gm, nodes, tr, cfg, mode="strict")
         reads.clear()
         checked.clear()
@@ -1063,6 +1100,26 @@ class TestRebuilds:
         assert read == checked == sorted(set(read)) and len(read) == res.feasible_count
         reads.clear()
         assert res.feasible is solutions and not reads and len(checked) == len(read)
+        self._assert_decode_reads(cfg, nodes, res, decoded, read)
+
+    @staticmethod
+    def _assert_decode_reads(cfg, nodes, res, reads, flagged):
+        """Strict ``decode``'s reads ``reads`` are its first read, exactly
+        the first two of each set's ``flagged`` scenarios (the one, when a
+        set has one), then one read of the witness events that the first
+        did not hold, or none when it held them all."""
+        per_set = decoding._partition_count(len(nodes), cfg.v) ** cfg.beta
+        by_set: dict[int, list[int]] = {}
+        for f in flagged:
+            by_set.setdefault(f // per_set, []).append(f)
+        assert reads[0] == [f for fs in by_set.values() for f in fs[:2]]
+        events = {
+            _sweep_index(cfg, nodes, (a if k in a.unpinned else b).scenario)
+            for k, (a, b) in res.witnesses.items()
+        }
+        later = sorted(events - set(reads[0]))
+        assert reads[1:] == ([later] if later else [])
+        assert len(reads[0]) + len(later) <= 2 * math.comb(cfg.K, cfg.beta) + cfg.K
 
 
 class TestStrictRecording:
@@ -1213,24 +1270,23 @@ def _event_case(cell, kind, p, t, shifted):
 
 
 class TestWitnessEvents:
-    # Strict decode finds each coordinate's first witness event from the
-    # read first flagged scenarios and two sweeps projected by L_k (S2: k is
-    # unpinned; S1: k can take its first pinned value).  The event and the
-    # witness order must match rank tests on the full systems.  At p = 3
-    # and 5, zero and repeated code columns make L_k rank-deficient, and
-    # small t leaves it without rows; p = 2^61-1 runs on object arrays.
-    @pytest.mark.parametrize("chunk", [None, 1, 3, 7])
-    @pytest.mark.parametrize(
-        "kind, p",
-        [("zero_column", 3), ("repeated_column", 3), ("zero_column", 5),
-         ("repeated_column", 5), ("mds", P61)],
-    )
-    @pytest.mark.parametrize("cell", [(6, 3, 1, 2), (5, 3, 1, 3), (5, 3, 2, 2)])
-    def test_events_match_rank_tests_on_full_systems(self, cell, kind, p, chunk, monkeypatch):
-        if chunk is not None:
-            monkeypatch.setattr(decoding, "_CHUNK", chunk)
+    # Strict decode finds each coordinate's first witness event from each
+    # set's first two flagged scenarios, which it reads, and two sweeps
+    # projected by L_k (S2: k is unpinned; S1: k can take its first pinned
+    # value).  The event and the witness order must match rank tests on the
+    # full systems.  At p = 3 and 5, zero and repeated code columns make L_k
+    # rank-deficient, and small t leaves it without rows; p = 2^61-1 runs on
+    # object arrays.
+    CELLS = [(6, 3, 1, 2), (5, 3, 1, 3), (5, 3, 2, 2)]
+    KINDS = [("zero_column", 3), ("repeated_column", 3), ("zero_column", 5),
+             ("repeated_column", 5), ("mds", P61)]
+
+    @staticmethod
+    def _event_places(cell, kind, p):
+        """Decode every case of ``cell`` in strict mode, check its events
+        against the oracle's, and yield each event's place in its set's
+        flagged scenarios (0 for the first)."""
         N, K = cell[:2]
-        swept = 0
         for t in range(K - 1, N + 1):
             for shifted in (False, True):
                 cfg, gm, nodes, tr, want = _event_case(cell, kind, p, t, shifted)
@@ -1240,13 +1296,36 @@ class TestWitnessEvents:
                     event = a if k in a.unpinned else b
                     got[k] = (event.scenario.adversaries, event.scenario.partitions)
                 assert list(got.items()) == list(want.items())
-                # Count the events after the first feasible scenario of their
-                # set, which only the projected sweeps find.
-                firsts = {}
+                flagged: dict = {}
                 for sol in res.feasible:
-                    firsts.setdefault(sol.scenario.adversaries, sol.scenario.partitions)
-                swept += sum(firsts[A_hat] != parts for A_hat, parts in got.values())
+                    flagged.setdefault(sol.scenario.adversaries, []).append(
+                        sol.scenario.partitions
+                    )
+                for A_hat, parts in got.values():
+                    yield flagged[A_hat].index(parts)
+
+    @pytest.mark.parametrize("chunk", [None, 1, 3, 7])
+    @pytest.mark.parametrize("kind, p", KINDS)
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_events_match_rank_tests_on_full_systems(self, cell, kind, p, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(decoding, "_CHUNK", chunk)
+        # Count the events after the first feasible scenario of their set,
+        # which the first read's direct test does not see at a first.
+        swept = sum(place > 0 for place in self._event_places(cell, kind, p))
         assert swept > 0
+
+    def test_some_events_lie_past_the_read_ahead(self):
+        # Strict decode reads each set's first two flagged scenarios; an
+        # event past them is found only by the witness sweep.  Some cases
+        # must have one, so that the sweep stays covered.
+        past = sum(
+            place > 1
+            for cell in self.CELLS
+            for kind, p in self.KINDS
+            for place in self._event_places(cell, kind, p)
+        )
+        assert past > 0
 
 
 class TestFirstFeasiblePinsMost:

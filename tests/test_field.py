@@ -121,6 +121,25 @@ class TestSolve:
         with pytest.raises(DimensionMismatch):
             solve(FieldMatrix(CTX, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), [1, 2])
 
+    @pytest.mark.parametrize("b, consistent", [([0, 0], True), ([0, P], True), ([0, 3], False)])
+    def test_no_unknowns(self, b, consistent, monkeypatch):
+        # A zero-column system is decided without the kernel: A x = 0.
+        A = FieldMatrix(CTX, [[1, 2], [3, 4]]).submatrix([0, 1], [])
+        calls = []
+
+        def counting(batch, p, ncols):
+            calls.append(batch.shape)
+            return eliminate(batch, p, ncols)
+
+        eliminate = fieldmod._batch_eliminate
+        monkeypatch.setattr(fieldmod, "_batch_eliminate", counting)
+        out = solve(A, b)
+        assert not calls
+        assert out.consistent is consistent
+        assert out.particular == (() if consistent else None)
+        assert out.nullspace_basis == () and out.pinned_coordinates == frozenset()
+        assert rank(A) == 0
+
     @pytest.mark.parametrize("bad", [1.5, True])
     def test_non_integer_rhs_rejected(self, bad):
         with pytest.raises(BadParameter, match="b must"):
