@@ -518,7 +518,7 @@ def _read_flagged(
     i, q = np.divmod(flagged, len(labels) ** beta)
     A = sets[i]
     honest = np.ones((len(A), K), dtype=bool)
-    np.put_along_axis(honest, A, False, axis=1)
+    honest[np.arange(len(A))[:, None], A] = False
     cols = np.concatenate([np.nonzero(honest)[1].reshape(len(A), h), A], axis=1)
     parts = _partition_indices(q, len(labels), beta)
     G = Gsub.T[cols]  # each system's code columns, as rows
@@ -549,9 +549,10 @@ def _check_encodes(Gsub, yv, labels, cols, parts, vecs, p: int) -> None:
     v = (vecs.shape[1] - h) // beta
     G = Gsub.T[cols]
     acc = (vecs[:, :h, None] * G[:, :h] % p).sum(axis=1)
+    systems = np.arange(len(vecs))[:, None]
     for j in range(beta):
         blocks = vecs[:, h + j * v : h + (j + 1) * v]
-        sent = np.take_along_axis(blocks, labels[parts[:, j]], axis=1)
+        sent = blocks[systems, labels[parts[:, j]]]
         acc += sent * G[:, h + j] % p
     if (acc % p != yv).any():
         raise RuntimeError("a recorded solution does not satisfy its scenario system")
@@ -703,7 +704,10 @@ def decode(
     per_set = n_parts**beta
 
     def firsts_of(flagged):
-        return flagged[np.diff(flagged // per_set, prepend=-1) != 0]
+        s = flagged // per_set
+        first = np.ones(len(s), dtype=bool)
+        first[1:] = s[1:] != s[:-1]
+        return flagged[first]
 
     kept, feasible_count = [], 0
     roots = np.array([A + (0,) for A in sets])
@@ -711,13 +715,15 @@ def decode(
         feasible_count += len(hits)
         kept.append(hits if strict else firsts_of(hits))
     flagged = np.concatenate(kept + [np.empty(0, dtype=np.int64)])
-    firsts = at = firsts_of(flagged)
     if strict:
         # Also each set's second flagged scenario: in practice it holds every
         # witness event that the first does not, so this one read spares
         # most decodes the witness sweep and a second read.
         bounds = np.searchsorted(flagged, np.arange(len(sets) + 1) * per_set)
-        at = flagged[np.arange(len(flagged)) - bounds[flagged // per_set] < 2]
+        place = np.arange(len(flagged)) - bounds[flagged // per_set]  # within its set
+        at, is_first = flagged[place < 2], place[place < 2] == 0
+    else:
+        at = firsts_of(flagged)
 
     # Read each set's first flagged scenarios; its first alone gives the
     # first pinned values.
@@ -726,7 +732,7 @@ def decode(
     red, cols, _ = first
     pins = red.pinned[:, :h]
     if strict:  # only the rows of each set's first scenario
-        pins = pins & np.isin(at, firsts)[:, None]
+        pins = pins & is_first[:, None]
     pinned_first: dict[int, tuple[int, int]] = {}  # value, row of first
     for s, j in zip(*np.nonzero(pins)):
         pinned_first.setdefault(int(cols[s, j]), (int(red.particular[s, j]), int(s)))

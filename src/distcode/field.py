@@ -3,8 +3,12 @@
 Field elements are canonical Python integers in ``[0, p)``.  A
 :class:`FieldContext` fixes the modulus; :class:`FieldMatrix` stores a dense
 matrix of reduced entries.  One batched, inverse-free Gauss-Jordan kernel
-does all elimination: :func:`rank`, :func:`batch_rank` and
-:func:`batch_feasible` count its pivots.  The exhaustive MDS check
+(:func:`_batch_eliminate`) does all elimination: :func:`rank`,
+:func:`batch_rank` and :func:`batch_feasible` count its pivots.  It takes
+a C-contiguous stack and eliminates one column of every matrix at a time:
+each matrix's pivot row is the first row not yet a pivot row that is
+nonzero in the column, every row becomes ``row * pivot - pivot_row *
+row[c]`` mod p, and the pivot row is put back.  The exhaustive MDS check
 (:func:`all_square_submatrices_nonsingular`) eliminates nothing: it builds
 every K-row determinant from shared smaller minors, one column per step.
 One batched reader reads whole reduced stacks: consistency, one particular
@@ -377,6 +381,14 @@ def rank(A: FieldMatrix) -> int:
 # normalizing pivots, every other row is scaled by the pivot value, which
 # preserves rank and the solution set; _read_reduced normalizes when a
 # solution is needed.
+#
+# Most stacks are small (the decoder's reads and parity checks and the
+# attacks' rank tests hold 1 to 12 matrices of at most 8 rows), so a column
+# costs what its numpy calls cost, not its arithmetic.  A column therefore
+# reads and writes pivot rows through a (B*m, n) view of the stack, at flat
+# row b*m + pivot, and needs the stack C-contiguous: a reshape of any other
+# stack would be a copy and lose every write.  The usual column has a pivot
+# in every matrix and skips the masks that a matrix without one needs.
 # ---------------------------------------------------------------------------
 
 
@@ -388,28 +400,44 @@ def _batch_eliminate(batch: np.ndarray, p: int, ncols: int) -> np.ndarray:
     Rows stay where they are.  A pivot row's leading nonzero sits in its
     pivot column, which is zero in every other row; every other row is zero
     over the eliminated columns.
+
+    Raises:
+        ValueError: ``batch`` is not C-contiguous.
     """
-    mats = np.arange(len(batch))
-    spare = np.ones(batch.shape[:2], dtype=bool)
-    for c in range(ncols):
+    if not batch.flags.c_contiguous:
+        raise ValueError("_batch_eliminate writes through a flat view: need a C-contiguous stack")
+    B, m, n = batch.shape
+    flat = batch.reshape(B * m, n)  # the width is explicit: B may be 0
+    spare = np.ones((B, m), dtype=bool)
+    spare_flat = spare.reshape(-1)
+    starts = np.arange(B) * m
+    # An empty stack (argmax needs a row) has nothing to eliminate.
+    for c in range(ncols if batch.size else 0):
         col = batch[:, :, c]
         nz = (col != 0) & spare
-        has = nz.any(axis=1)
-        if not has.any():
-            continue
-        # A matrix with no pivot in this column gets factor 0 and scale 1,
-        # and writing back its unchanged row 0 leaves it as it was.
-        piv = nz.argmax(axis=1)
-        pivrow = batch[mats, piv]
-        factor = col * has[:, None]
+        at = starts + nz.argmax(axis=1)  # each matrix's pivot row in flat
+        has = nz.take(at)
+        pivrow = flat.take(at, axis=0)
         # row_i <- row_i * pivot - pivot_row * row_i[c] clears column c in
         # every row, the pivot row included, which is then written back;
-        # scaling a row by a nonzero constant keeps its solution set.
-        batch *= np.where(has, pivrow[:, c], 1)[:, None, None]
-        batch -= factor[:, :, None] * pivrow[:, None, :]
+        # scaling a row by a nonzero constant keeps its solution set.  The
+        # outer product is taken before the scaling, as col views batch.
+        if has.all():
+            scale = pivrow[:, c, None, None]
+            outer = col[:, :, None] * pivrow[:, None, :]
+        elif has.any():
+            # A matrix with no pivot in this column gets factor 0 and
+            # scale 1, and keeps its rows.
+            scale = np.where(has, pivrow[:, c], 1)[:, None, None]
+            outer = (col * has[:, None])[:, :, None] * pivrow[:, None, :]
+            at, pivrow = at[has], pivrow[has]
+        else:
+            continue
+        batch *= scale
+        batch -= outer
         batch %= p
-        batch[mats, piv] = pivrow
-        spare[mats, piv] &= ~has
+        flat[at] = pivrow
+        spare_flat[at] = False
     return ~spare
 
 

@@ -75,6 +75,28 @@ def gauss_jordan(rows, b, p: int):
     return consistent, particular, tuple(basis), pinned
 
 
+def eliminate_inverse_free(rows, p: int, ncols: int):
+    """Inverse-free Gauss-Jordan over the first ``ncols`` columns of one
+    matrix, on Python ints, with every row kept in its place.
+
+    For each column, the first row that is not yet a pivot row and is
+    nonzero there becomes the column's pivot row.  Every row becomes
+    ``row * pivot - pivot_row * row[c]`` mod p, and then the pivot row is
+    put back as it was.  Returns the matrix and the pivot-row mask.
+    """
+    mat = [[x % p for x in row] for row in rows]
+    pivotal = [False] * len(mat)
+    for c in range(ncols):
+        r = next((i for i, row in enumerate(mat) if not pivotal[i] and row[c]), None)
+        if r is None:
+            continue
+        pivot_row = mat[r]
+        mat = [[(x * pivot_row[c] - y * row[c]) % p for x, y in zip(row, pivot_row)] for row in mat]
+        mat[r] = pivot_row
+        pivotal[r] = True
+    return mat, pivotal
+
+
 def rank_naive(rows, p: int) -> int:
     """Rank mod p: column count minus the nullspace dimension."""
     return len(rows[0]) - len(gauss_jordan(rows, [0] * len(rows), p)[2])

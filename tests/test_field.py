@@ -30,7 +30,14 @@ from distcode.field import (
     batch_rank,
 )
 
-from oracles import det_laplace, gauss_jordan, matvec, rank_naive, vandermonde_det
+from oracles import (
+    det_laplace,
+    eliminate_inverse_free,
+    gauss_jordan,
+    matvec,
+    rank_naive,
+    vandermonde_det,
+)
 
 P = DEFAULT_PRIME
 CTX = FieldContext(P)
@@ -421,6 +428,95 @@ class TestBatchKernels:
         basis = solve(A, [0, 0]).nullspace_basis
         assert len(basis) == 1
         assert matvec(A.to_rows(), basis[0], P) == (0, 0)
+
+
+PRIMES = pytest.mark.parametrize(
+    "p", [2, 101, 2**31 - 1, 2**61 - 1], ids=["p2", "p101", "p2^31-1", "p2^61-1"]
+)
+
+
+class TestEliminationKernel:
+    """``_batch_eliminate`` agrees bit for bit with the one-matrix oracle on
+    the reduced stack and on the pivot-row mask.  p = 2^61 - 1 runs on
+    object arrays."""
+
+    @staticmethod
+    def _agrees(mats, shape, p, ncols):
+        stack = np.array(mats, dtype=FieldContext(p).dtype).reshape(shape)
+        got = _batch_eliminate(stack, p, ncols)
+        want = [eliminate_inverse_free(m, p, ncols) for m in mats]
+        assert got.shape == shape[:2]
+        assert stack.tolist() == [m for m, _ in want]
+        assert got.tolist() == [mask for _, mask in want]
+
+    @staticmethod
+    def _mats(rng, B, m, n, p, zero):
+        return [
+            [[0 if rng.random() < zero else rng.randrange(p) for _ in range(n)] for _ in range(m)]
+            for _ in range(B)
+        ]
+
+    @PRIMES
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_stacks(self, p, seed):
+        rng = random.Random(f"kernel-{p}-{seed}")
+        for zero in (0.0, 0.5, 0.8):
+            B, m, n = rng.randint(1, 12), rng.randint(1, 8), rng.randint(1, 9)
+            ncols = rng.choice([n, rng.randint(1, n)])
+            self._agrees(self._mats(rng, B, m, n, p, zero), (B, m, n), p, ncols)
+
+    @PRIMES
+    def test_stacks_mixing_matrices_with_and_without_a_pivot(self, p):
+        # Column 1 is zero in every third matrix and a multiple of column 0
+        # in every other third, so after column 0 those have no pivot in
+        # column 1 while the rest do; column 3 repeats column 2 everywhere.
+        rng = random.Random(f"mixed-{p}")
+        mats = self._mats(rng, 9, 5, 6, p, 0.2)
+        for i, mat in enumerate(mats):
+            for row in mat:
+                if i % 3 == 0:
+                    row[1] = 0
+                elif i % 3 == 1:
+                    row[1] = 3 * row[0] % p
+                row[3] = row[2]
+        self._agrees(mats, (9, 5, 6), p, 6)
+        self._agrees(mats, (9, 5, 6), p, 4)
+
+    @PRIMES
+    def test_all_zero_and_repeated_columns(self, p):
+        rng = random.Random(f"columns-{p}")
+        mats = self._mats(rng, 4, 6, 5, p, 0.0)
+        for mat in mats:
+            for row in mat:
+                row[0], row[2], row[4] = 0, row[1], 0
+        self._agrees(mats, (4, 6, 5), p, 5)
+        zeros = [[[0] * 3 for _ in range(4)] for _ in range(2)]
+        self._agrees(zeros, (2, 4, 3), p, 3)
+
+    @PRIMES
+    @pytest.mark.parametrize("ncols", [0, 1, 3])
+    def test_fewer_columns_than_the_width(self, p, ncols):
+        # ncols = 0 leaves the stack as it was and flags no pivot row.
+        rng = random.Random(f"ncols-{p}-{ncols}")
+        self._agrees(self._mats(rng, 5, 4, 6, p, 0.3), (5, 4, 6), p, ncols)
+
+    @PRIMES
+    @pytest.mark.parametrize("B, m", [(0, 4), (3, 0), (0, 0)])
+    def test_empty_stacks(self, p, B, m):
+        self._agrees([[] for _ in range(B)], (B, m, 3), p, 3)
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_stack_that_is_not_c_contiguous_is_refused(self, dtype):
+        # A flat view of such a stack would be a copy, and every write to it
+        # would be lost.
+        stack = np.arange(60).reshape(3, 4, 5).astype(dtype)
+        for bad in (stack.transpose(0, 2, 1), stack[::2], stack[:, :, :3]):
+            before = bad.copy()
+            with pytest.raises(ValueError, match="C-contiguous"):
+                _batch_eliminate(bad, 101, 2)
+            with pytest.raises(ValueError, match="C-contiguous"):
+                batch_rank(bad, 101)
+            assert bad.tolist() == before.tolist()
 
 
 def _mixed_system(kind, rng, p, rows=6, nvars=5):
