@@ -36,10 +36,12 @@ computed once per source and ``L y`` once, so each projected system has
 ``t - rank G_T`` rows and beta*(v-1) unknowns.
 
 The projected systems are decided by a nested sweep that fixes one presumed
-adversary's partition per level.  Its level-0 stack holds the roots of
-consecutive presumed-adversary sets, as many as fit in ``_CHUNK`` columns (at
-least one), so one pass sweeps them all.  A level-j stack holds, for every
-prefix of j partition choices, the remaining columns
+adversary's partition per level.  Every stack follows one rule: it holds
+as many consecutive items as fit in ``_CHUNK`` columns (at least one).  The
+level-0 items are the roots of the presumed-adversary sets, so one pass
+sweeps them all; a later level's items are children, and a stack of them
+may span parents.  A level-j item holds, for its prefix of j partition
+choices, the remaining columns
 ``[L X'_{a_{j+1}} of every partition | ... | L X'_{a_beta} of every partition
 | L y]`` with the prefix's columns eliminated.  Gauss-Jordan elimination of
 one adversary's v-1 columns leaves every non-pivot row zero over them, and
@@ -77,10 +79,12 @@ order.  If a system is inconsistent the projection was wrong and
 mode every witness alternate, is also encoded and compared with the
 transcript (:func:`_check_encodes`).
 
-Both modes read each presumed-adversary set's first flagged scenario, and
-the estimates are each coordinate's first pinned value among them, because
-the first flagged scenario of a set pins every coordinate that a later
-scenario of the set pins.  Were some b unpinned there, ``g_b`` would be a
+Both modes read the flagged scenarios whose place in their set is below 1,
+or 2 in strict mode, and the estimates are each coordinate's first pinned
+value among them in sweep order.  That value is always at a set's first
+flagged scenario, since a set's first flagged scenario pins every
+coordinate that a later scenario of the set pins.  Were some b unpinned
+there, ``g_b`` would be a
 combination of the other honest columns and the adversaries' block columns.
 Merging two blocks of one adversary whose coefficients differ keeps the
 column space, so the coarser scenario is feasible and comes earlier in
@@ -420,41 +424,38 @@ def _nested_flags(parents: np.ndarray, m: int, n_parts: int, w: int, p: int):
     ``parents`` (S, rows, m*n_parts*w + 1) holds, per prefix of partition
     choices, the w reduced columns of each of the n_parts partitions of each
     of the m presumed adversaries left, then ``L y`` (see the module
-    docstring).  A child fixes the next adversary's partition.  Children are
-    made in slices of at most ``_CHUNK`` last-level descendants, depth first:
-    whole parents at a time, or part of one parent's children.  A slice's
-    descendants are one contiguous scenario range, so its hits are its own
-    indices offset by the range's start.  The last two levels of a v=2
-    sweep (m <= 2, w = 1) build no child: all the parents go to
-    :func:`_pivot_flags`, which decides every descendant with one pivot on
-    ``L y`` for the whole stack.
+    docstring).  Child ``c = s*n_parts + q`` fixes the next adversary's
+    partition q in parent s: its columns are those w of parent s, then the
+    parent's columns of the later adversaries and ``L y``.  Children are
+    stacked like roots, as many consecutive ones as fit in ``_CHUNK``
+    columns (at least one), and a stack may span parents.  Child c's
+    descendants are the scenarios ``c * n_parts**(m-1)`` onwards, so a stack
+    starting at child c0 offsets its hits by ``c0 * n_parts**(m-1)``.  The
+    last two levels of a v=2 sweep (m <= 2, w = 1) build no child: all the
+    parents go to :func:`_pivot_flags`, which decides every descendant with
+    one pivot on ``L y`` for the whole stack.
     """
     if m <= 2 and w == 1:
         yield from _pivot_flags(parents, m, p)
         return
     S, rows, width = parents.shape
     below = n_parts ** (m - 1)
-    step = max(1, _CHUNK // below)
-    per, q_step = max(1, step // n_parts), min(step, n_parts)
     kid_width = width - (n_parts - 1) * w
-    for s0 in range(0, S, per):
-        group = parents[s0 : s0 + per]
-        for q0 in range(0, n_parts, q_step):
-            nq = min(q_step, n_parts - q0)
-            kids = np.empty((len(group), nq, rows, kid_width), dtype=parents.dtype)
-            own = group[:, :, q0 * w : (q0 + nq) * w].reshape(len(group), rows, nq, w)
-            kids[..., :w] = own.transpose(0, 2, 1, 3)
-            kids[..., w:] = group[:, None, :, n_parts * w :]
-            kids = kids.reshape(len(group) * nq, rows, kid_width)
-            base = (s0 * n_parts + q0) * below
-            if m == 1:
-                hits = np.flatnonzero(batch_feasible(kids, p, w))
-                if len(hits):
-                    yield base + hits
-            else:
-                kids[_batch_eliminate(kids, p, w)] = 0
-                for hits in _nested_flags(kids[:, :, w:], m - 1, n_parts, w, p):
-                    yield base + hits
+    step = max(1, _CHUNK // kid_width)
+    own = parents[:, :, : n_parts * w].reshape(S, rows, n_parts, w)
+    for c0 in range(0, S * n_parts, step):
+        s, q = np.divmod(np.arange(c0, min(c0 + step, S * n_parts)), n_parts)
+        kids = np.empty((len(s), rows, kid_width), dtype=parents.dtype)  # C order, for the kernel
+        kids[:, :, :w] = own[s, :, q]
+        kids[:, :, w:] = parents[s, :, n_parts * w :]
+        if m == 1:
+            flags = [np.flatnonzero(batch_feasible(kids, p, w))]
+        else:
+            kids[_batch_eliminate(kids, p, w)] = 0
+            flags = _nested_flags(kids[:, :, w:], m - 1, n_parts, w, p)
+        for hits in flags:
+            if len(hits):
+                yield c0 * below + hits
 
 
 def _parity_check(Gsub, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -715,26 +716,21 @@ def decode(
         feasible_count += len(hits)
         kept.append(hits if strict else firsts_of(hits))
     flagged = np.concatenate(kept + [np.empty(0, dtype=np.int64)])
-    if strict:
-        # Also each set's second flagged scenario: in practice it holds every
-        # witness event that the first does not, so this one read spares
-        # most decodes the witness sweep and a second read.
-        bounds = np.searchsorted(flagged, np.arange(len(sets) + 1) * per_set)
-        place = np.arange(len(flagged)) - bounds[flagged // per_set]  # within its set
-        at, is_first = flagged[place < 2], place[place < 2] == 0
-    else:
-        at = firsts_of(flagged)
+    # Read each set's first flagged scenario, and in strict mode its second
+    # too: in practice that holds every witness event that the first does
+    # not, so this one read spares most decodes the witness sweep and a
+    # second read.
+    bounds = np.searchsorted(flagged, np.arange(len(sets) + 1) * per_set)
+    place = np.arange(len(flagged)) - bounds[flagged // per_set]  # within its set
+    at = flagged[place < 1 + strict]
 
-    # Read each set's first flagged scenarios; its first alone gives the
-    # first pinned values.
+    # The first pinned values, in sweep order: a set's first scenario pins
+    # whatever its second does, so each set's first row is the one kept.
     h = K - beta
     first = read(at)
     red, cols, _ = first
-    pins = red.pinned[:, :h]
-    if strict:  # only the rows of each set's first scenario
-        pins = pins & is_first[:, None]
     pinned_first: dict[int, tuple[int, int]] = {}  # value, row of first
-    for s, j in zip(*np.nonzero(pins)):
+    for s, j in zip(*np.nonzero(red.pinned[:, :h])):
         pinned_first.setdefault(int(cols[s, j]), (int(red.particular[s, j]), int(s)))
 
     witnesses: dict[int, tuple[ScenarioSolution, ScenarioSolution]] = {}
@@ -752,7 +748,7 @@ def decode(
             for k, x, pin in zip(order[:h], vec, pinned):
                 if k not in events and (not pin or x != pinned_first[k][0]):
                     events[k] = f
-        unread = np.diff(bounds) > np.bincount(at // per_set, minlength=len(sets))
+        unread = np.diff(bounds) > 2
         todo = [
             (k, i)
             for k in sorted(pinned_first)

@@ -28,7 +28,7 @@ from distcode import (
 )
 from distcode import attacks
 from distcode import field as fieldmod
-from distcode.attacks import _greedy_blocks, _independent_rows
+from distcode.attacks import _full_rank_blocks, _greedy_blocks, _independent_rows
 import dataclasses
 
 from oracles import rank_naive
@@ -269,6 +269,23 @@ class TestExchangeRepair:
         assert set(blocks[0]) != set(tail)  # a row was exchanged out
         for blk in blocks:
             assert rank(E.submatrix(blk, range(beta))) == beta
+
+
+class TestFullRankBlocksFailure:
+    def test_rank_below_beta_stalls_the_greedy_pass(self):
+        # Every row is a multiple of (1, 2): no group of beta = 2 rows exists.
+        E = np.array([[1, 2], [2, 4], [0, 0], [3, 6], [5, 10]], dtype=np.int64)
+        assert _greedy_blocks(CTX, E, 1, 2, 2) is None
+        assert _full_rank_blocks(CTX, E, 1, 2, 2) is None
+
+    def test_an_exchange_round_without_gain_gives_up(self):
+        # The greedy pass takes rows 0 and 1 as the group and leaves rows 2
+        # and 3, both (1, 0), at rank 1.  Row 3 is the only candidate r_star.
+        # Swapped for (1, 0) it keeps the leftover at rank 1; swapped for
+        # (0, 1) it leaves the group at rank 1.  No candidate gains.
+        E = np.array([[1, 0], [0, 1], [1, 0], [1, 0]], dtype=np.int64)
+        assert _greedy_blocks(CTX, E, 0, 2, 2) == ([2, 3], [[0, 1]])
+        assert _full_rank_blocks(CTX, E, 0, 2, 2) is None
 
 
 class TestConverseAttack:

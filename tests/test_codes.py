@@ -411,6 +411,24 @@ def _behavior(rows=ROWS, adversaries=()):
         # A FieldMatrix can be empty when it is a submatrix.
         (lambda: GeneratorMatrix(_code([[1, 0], [0, 1]]).matrix.submatrix([], []), "random"),
          BadDimensions, "need N >= K >= 1, got N=0, K=0"),
+        # Integer lists that are not lists.
+        (lambda: Transcript.from_json({"node_set": [0], "values": "1"}), BadParameter,
+         "values must be a list of integers, got '1'"),
+        (lambda: Transcript.from_json({"node_set": 0, "values": [1]}), BadParameter,
+         "node_set must be a list of integers, got 0"),
+        (lambda: SourceBehavior.from_json(CFG, {**_behavior().to_json(), "adversary_set": 0}),
+         BadParameter, "adversary_set must be a list of integers, got 0"),
+        (lambda: _from_json(kind="reed_solomon", rs_points={"0": 1}), BadParameter,
+         "rs_points must be a list of integers, got {'0': 1}"),
+        # Generators asked for more sources than encoders, or for none.
+        (lambda: gen_systematic(F7, 2, 3, seed=1), BadDimensions,
+         "need N >= K >= 1, got N=2, K=3"),
+        (lambda: gen_systematic(F7, 3, 0, seed=1), BadDimensions,
+         "need N >= K >= 1, got N=3, K=0"),
+        (lambda: gen_reed_solomon(F7, 2, 3, seed=1), BadDimensions,
+         "need N >= K >= 1, got N=2, K=3"),
+        (lambda: gen_reed_solomon(F7, 3, 0, points=(1, 2, 3)), BadDimensions,
+         "need N >= K >= 1, got N=3, K=0"),
     ],
     ids=[
         "json-n-below-k", "json-declared-n", "systematic-not-identity", "rs-without-points",
@@ -424,6 +442,9 @@ def _behavior(rows=ROWS, adversaries=()):
         "json-code-keys-missing", "json-transcript-key-missing", "json-behavior-key-missing",
         "json-spec-key-missing", "json-code-rows-an-int", "json-code-rows-null",
         "json-behavior-rows-an-int", "json-behavior-rows-null", "code-from-empty-submatrix",
+        "json-values-a-string", "json-node-set-an-int", "json-adversary-set-an-int",
+        "json-rs-points-a-dict", "systematic-k-above-n", "systematic-k-zero",
+        "rs-k-above-n", "rs-k-zero",
     ],
 )
 def test_unreached_checks_raise_their_error(call, error, message):

@@ -821,10 +821,13 @@ class TestNestedSweep:
     @pytest.mark.parametrize("chunk", [1, 3, 7, 40, 200])
     @pytest.mark.parametrize("m, w", [(2, 1), (3, 1), (2, 2)])
     def test_yields_keep_the_index_contract(self, m, w, chunk, monkeypatch):
-        # Random parents over GF(5), with some L y zero: dense hits.  Chunks
-        # of 1, 3 and 7 split the hits of one pair-read row (n = 12), 40 and
-        # 200 take part of a parent or several parents per slice.  Every
-        # chunk must yield the same indices.
+        # Random parents over GF(5), with some L y zero: dense hits.  With
+        # n = 12 a child of an m = 3 parent is 26 columns wide (27 for m = 2,
+        # w = 2), so chunks up to 40 stack one child and 200 stacks 7, across
+        # parents; the 3-column children of a w = 2 last level go 1 to 66 to
+        # a stack.  The pair read (m = 2, w = 1) takes one row at a time
+        # below a chunk of 12, then 3 or 16.  Every chunk must yield the
+        # same indices.
         rng = np.random.default_rng(m * 10 + w)
         S, rows, n, p = 4, 3, 12, 5
         parents = rng.integers(0, p, size=(S, rows, m * n * w + 1), dtype=np.int64)
@@ -879,11 +882,14 @@ class TestNestedSweep:
         [((7, 4, 2, 2), 5), ((6, 3, 2, 2), 3), ((7, 4, 3, 2), 4), ((6, 3, 1, 3), 5)],
     )
     def test_outputs_do_not_depend_on_the_chunk_size(self, cell, t, chunk, monkeypatch):
-        # Chunks of 7 and 3 are below the partition count, so slices split the
-        # children of one parent as well as the parents of a level.  A chunk
-        # of 100 stacks several sets' roots in one sweep (3 of width 33 on
-        # (7,4,2,2) at t=5) and still splits their pair reads (6 first
-        # indices of 16 per slice), so flags slices straddle set boundaries.
+        # Chunks of 7 and 3 stack one root and one or two children, so a
+        # parent's children are split over many stacks.  A chunk of 100
+        # stacks several sets' roots in one sweep (3 of width 33 on (7,4,2,2)
+        # at t=5, all 4 of width 25 on (7,4,3,2) at t=4) and splits their
+        # pair reads (6 first indices of 16 per slice).  It stacks the
+        # 18-column children of (7,4,3,2) 5 at a time from parents of 8, and
+        # the 3-column ones of (6,3,1,3) 33 at a time from parents of 41.  So
+        # stacks and slices straddle parent and set boundaries.
         N, K, beta, v = cell
         outputs = []
         for size in (decoding._CHUNK, chunk):
@@ -903,6 +909,70 @@ class TestNestedSweep:
                     ))
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+    def test_children_are_stacked_by_their_width(self, monkeypatch):
+        # (12,4,3,2) at t=8: 128 partitions, so the 4 roots, each 3*128 + 1 =
+        # 385 columns wide, share one stack.  Their 512 children are 258
+        # wide, 63 to a stack of at most 16,384 columns: 8 stacks of 63 that
+        # cross parent boundaries, then 8.  Each goes to the pair read with
+        # its eliminated column dropped.
+        N, K, beta, v, t = 12, 4, 3, 2, 8
+        cfg = SystemConfig(N=N, K=K, beta=beta, v=v, p=P)
+        gm = draw_mds(CTX, "random", N, K, seed=1)
+        rng = random.Random(1)
+        behavior = behavior_random_adversarial(
+            cfg, [rng.randrange(P) for _ in range(K)], range(beta), seed=1
+        )
+        nodes = tuple(range(t))
+        shapes = []
+
+        def recording(parents, m, p):
+            shapes.append(parents.shape)
+            return pivot_flags(parents, m, p)
+
+        pivot_flags = decoding._pivot_flags
+        monkeypatch.setattr(decoding, "_pivot_flags", recording)
+        decode(gm, nodes, encode_transcript(gm, behavior, nodes), cfg)
+        assert [S for S, _, _ in shapes] == [63] * 8 + [8]
+        assert {width for _, _, width in shapes} == {257}
+
+    @pytest.mark.parametrize("chunk", [7, 100, None])
+    @pytest.mark.parametrize(
+        "cell, t",
+        [((7, 4, 3, 2), 6), ((7, 4, 3, 3), 4), ((6, 3, 2, 3), 5), ((6, 3, 2, 1), 6)],
+    )
+    def test_sweep_stacks_fit_the_chunk_size(self, cell, t, chunk, monkeypatch):
+        # Every stack the sweep hands a kernel or the pair read, in both
+        # modes and in strict mode's witness sweep, holds one item or at most
+        # _CHUNK columns: beta = 3, v = 3 and v = 1 (no block columns).
+        if chunk:
+            monkeypatch.setattr(decoding, "_CHUNK", chunk)
+        sweeping, stacks = [], []
+
+        def sweep(*args):
+            sweeping.append(True)
+            yield from sweep_(*args)
+            sweeping.pop()
+
+        def recorded(fn):
+            def recording(stack, *args):
+                if sweeping:
+                    stacks.append(stack.shape)
+                return fn(stack, *args)
+
+            return recording
+
+        sweep_ = decoding._sweep
+        monkeypatch.setattr(decoding, "_sweep", sweep)
+        for name in ("_batch_eliminate", "batch_feasible", "_pivot_flags"):
+            monkeypatch.setattr(decoding, name, recorded(getattr(decoding, name)))
+        N, K, beta, v = cell
+        for seed in range(2):
+            cfg, gm, _, nodes, tr = _random_instance(seed, N=N, K=K, beta=beta, v=v, t=t)
+            for mode in ("fast", "strict"):
+                decode(gm, nodes, tr, cfg, mode=mode)
+        assert stacks
+        assert all(S == 1 or S * width <= decoding._CHUNK for S, _, width in stacks)
 
     @pytest.mark.parametrize(
         "cell, t, chunk, want",

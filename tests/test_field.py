@@ -89,6 +89,12 @@ class TestContext:
         # 798330580441 * 399165290221: a strong pseudoprime to bases 2..37.
         assert not is_prime(318665857834031151167461)
 
+    def test_hash_and_repr(self):
+        # Contexts are equal, and hash alike, exactly when their moduli are.
+        assert hash(FieldContext(101)) == hash(FieldContext(101))
+        assert len({FieldContext(101), FieldContext(103), FieldContext(101)}) == 2
+        assert repr(FieldContext(101)) == "FieldContext(p=101)"
+
     def test_inv_of_two(self):
         # solve normalizes each pivot by its inverse.  Frozen:
         # 2 * 1073741824 = 2^31 = p + 1 = 1 mod p.
