@@ -916,14 +916,7 @@ class TestNestedSweep:
         # wide, 63 to a stack of at most 16,384 columns: 8 stacks of 63 that
         # cross parent boundaries, then 8.  Each goes to the pair read with
         # its eliminated column dropped.
-        N, K, beta, v, t = 12, 4, 3, 2, 8
-        cfg = SystemConfig(N=N, K=K, beta=beta, v=v, p=P)
-        gm = draw_mds(CTX, "random", N, K, seed=1)
-        rng = random.Random(1)
-        behavior = behavior_random_adversarial(
-            cfg, [rng.randrange(P) for _ in range(K)], range(beta), seed=1
-        )
-        nodes = tuple(range(t))
+        cfg, gm, _, nodes, tr = _random_instance(1, N=12, K=4, beta=3, v=2, t=8)
         shapes = []
 
         def recording(parents, m, p):
@@ -932,7 +925,7 @@ class TestNestedSweep:
 
         pivot_flags = decoding._pivot_flags
         monkeypatch.setattr(decoding, "_pivot_flags", recording)
-        decode(gm, nodes, encode_transcript(gm, behavior, nodes), cfg)
+        decode(gm, nodes, tr, cfg)
         assert [S for S, _, _ in shapes] == [63] * 8 + [8]
         assert {width for _, _, width in shapes} == {257}
 
