@@ -20,7 +20,6 @@ from .errors import (
     ModulusTooSmall,
     NodeOutOfRange,
     NonPrimeModulus,
-    NullspaceDeltaZero,
     PreconditionViolated,
     SelectionImpossible,
     TooManyAdversaries,

@@ -25,7 +25,6 @@ one cell, which attack one code with many seeds, eliminate only once.
 from __future__ import annotations
 
 import itertools
-import logging
 import random
 from dataclasses import dataclass
 
@@ -38,14 +37,11 @@ from .errors import (
     BadParameter,
     DimensionMismatch,
     DistcodeError,
-    NullspaceDeltaZero,
     PreconditionViolated,
     SelectionImpossible,
 )
 from .field import FieldMatrix, _batch_eliminate, _is_integer, batch_rank, rank, solve
 from .system import SourceBehavior, SystemConfig, encode_transcript
-
-log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +262,7 @@ def _attack_plan(gm: GeneratorMatrix, beta: int, v: int):
     # so 1 <= m <= 2v-1.
     m = -(-(t - h + 1) // beta)
 
-    saw_candidate = False
     for T, A in iter_converse_selections(gm, beta, v):
-        saw_candidate = True
         E = gm.matrix._a[np.array(T)][:, np.array(A)]
         blocks = _full_rank_blocks(ctx, E, h, beta, m)
         if blocks is None:
@@ -281,20 +275,14 @@ def _attack_plan(gm: GeneratorMatrix, beta: int, v: int):
                 B[i, g * beta : (g + 1) * beta] = E[i]
         B[:, m * beta :] = gm.matrix._a[np.array(T)][:, list(Hs)]
         out = solve(FieldMatrix._wrap(ctx, B), [0] * t)
-        vec = next(
-            (bv for bv in out.nullspace_basis if any(bv[m * beta :])), None
-        )
-        if vec is None:
-            log.warning("selection T=%s A=%s left honest messages fixed", T, A)
-            continue
-        return T, A, blocks, Hs, vec
+        # The group columns are block-diagonal with rank-beta blocks, so no
+        # nonzero nullspace vector leaves every honest message fixed; the
+        # nullspace is nonempty because m*beta >= t-h+1.
+        return T, A, blocks, Hs, out.nullspace_basis[0]
 
-    if not saw_candidate:
-        raise SelectionImpossible(
-            f"no admissible row/column selection for beta={beta}, v={v}"
-        )
-    raise NullspaceDeltaZero(
-        "no selection produced a nullspace vector shifting an honest message"
+    raise SelectionImpossible(
+        f"no selection splits {t} encoders into {m} groups of rank {beta} "
+        f"(beta={beta}, v={v})"
     )
 
 
@@ -303,20 +291,19 @@ def converse_attack(gm: GeneratorMatrix, cfg: SystemConfig, seed: int) -> Attack
 
     The group count adapts to the evaluation size: with t = t*-1 rows the
     construction uses m = ceil((t-h+1)/beta) groups (always at most 2v-1),
-    which reproduces the canonical layout when N is above the threshold and
-    shrinks gracefully when t* = N.
+    which reproduces the canonical layout when N is above the threshold.
+    The split needs t*-1 >= beta*ceil((t*-h)/beta) rows, which can fail when
+    t* = N: at (6,3,2,2), 5 rows cannot make 3 groups of rank 2.
 
     The selection, the groups and the nullspace vector depend on the code
     alone (:func:`_attack_plan`).  They are found on the first attack of a
     code with this (beta, v) and kept in the code's memo, so later attacks
-    only draw the seed's base values and re-encode; the "left honest
-    messages fixed" warning logs once per code, not once per call.  A code
-    without a plan is not memoized and raises again on every call.
+    only draw the seed's base values and re-encode.  A code without a plan
+    is not memoized and raises again on every call.
 
     Raises:
-        SelectionImpossible: no admissible row/column selection exists.
-        NullspaceDeltaZero: every candidate selection yielded a nullspace
-            that keeps honest messages fixed (non-generic code).
+        SelectionImpossible: no admissible selection of t*-1 encoders and
+            beta columns splits into m groups of rank beta.
     """
     if gm.N != cfg.N or gm.K != cfg.K or gm.ctx.p != cfg.p:
         raise BadParameter("generator and system config disagree")

@@ -98,9 +98,10 @@ to a value other than its first pinned value ``x_k``.  Its one first read
 holds each set's first two flagged scenarios, in sweep order, and the
 earliest of them that meets that test is k's event unless an unread
 scenario of an earlier set is: every flagged scenario of the event's set
-that comes before it is read.  In practice the event is always one of the
-two.  A second read takes only the events that the first did not, and is
-skipped when there are none.  The witness pairs are built from these reads.
+that comes before it is read.  Most events are one of the two; the
+others, which occur on MDS codes too, are found by the witness sweep.  A
+second read takes only the events that the first did not, and is skipped
+when there are none.  The witness pairs are built from these reads.
 Every flagged scenario is kept as its sweep index; ``DecodeResult.feasible``
 reads, encode-checks and builds them all into a tuple of
 :class:`ScenarioSolution` on first access.
@@ -717,9 +718,8 @@ def decode(
         kept.append(hits if strict else firsts_of(hits))
     flagged = np.concatenate(kept + [np.empty(0, dtype=np.int64)])
     # Read each set's first flagged scenario, and in strict mode its second
-    # too: in practice that holds every witness event that the first does
-    # not, so this one read spares most decodes the witness sweep and a
-    # second read.
+    # too: that holds most witness events that the first does not, and the
+    # witness sweep finds the rest.
     bounds = np.searchsorted(flagged, np.arange(len(sets) + 1) * per_set)
     place = np.arange(len(flagged)) - bounds[flagged // per_set]  # within its set
     at = flagged[place < 1 + strict]

@@ -33,8 +33,10 @@ class DuplicatePoints(DistcodeError):
 class SelectionImpossible(DistcodeError):
     """No encoder subset / source-column pair satisfies the attack preconditions.
 
-    Signals a generator matrix whose support structure cannot arise from a
-    correct MDS code, so the worst-case construction has nothing to work with.
+    Either the generator's support structure cannot arise from a correct MDS
+    code, or no selection of t*-1 encoders splits into the attack's groups
+    of rank beta; at t* = N the latter happens when t*-1 is below
+    beta*ceil((t*-h)/beta), as at (6,3,2,2), whatever the code.
     """
 
 
@@ -71,14 +73,6 @@ class PreconditionViolated(DistcodeError):
     def __init__(self, property_index: int, message: str = ""):
         self.property_index = property_index
         super().__init__(message or f"precondition {property_index} violated")
-
-
-class NullspaceDeltaZero(DistcodeError):
-    """Every nullspace vector keeps the honest messages fixed.
-
-    Not expected for codes whose selected blocks are full rank; surfaced after
-    retrying alternative encoder/column selections.
-    """
 
 
 class AttackConstructionFailed(DistcodeError):

@@ -8,8 +8,9 @@ random partition inputs plant zero rows and rows parallel to one direction,
 so they hit every precondition failure and the leftover repair; the
 engineered inputs force the repair's row exchange.
 
-``attack_digests.json`` was written by the attack that ranked one candidate
-row per kernel call.  Rewrite it only when outputs change on purpose::
+``attack_digests.json`` was written by the attack whose plan search raises
+``SelectionImpossible`` alone, as on every (6,3,2,2) code.  Rewrite it only
+when outputs change on purpose::
 
     PYTHONPATH=src python tests/test_attack_digests.py --write
 """
@@ -27,20 +28,13 @@ from distcode import (
     FieldMatrix,
     SystemConfig,
     converse_attack,
-    draw_mds,
-    field_new,
     partition_full_rank,
 )
 
-from test_attacks import engineered_repair_input
+from test_attacks import DIGEST_CELLS, KINDS, digest_code, engineered_repair_input
 
 DIGESTS = pathlib.Path(__file__).with_name("attack_digests.json")
 
-KINDS = ("random", "systematic", "reed_solomon")
-CELLS = (
-    (9, 3, 1, 2), (12, 6, 1, 2), (12, 4, 2, 2), (10, 3, 2, 2), (11, 3, 1, 3),
-    (8, 4, 2, 1), (6, 3, 2, 2),
-)
 SHAPES = ((2, 1, 2), (3, 1, 3), (1, 2, 2), (2, 2, 2), (3, 2, 2), (2, 2, 3))
 REPAIRS = ((1, 2, 2, 2), (2, 2, 2, 2), (3, 2, 2, 2), (4, 3, 2, 3), (5, 3, 2, 3),
            (6, 3, 2, 3), (7, 2, 2, 3), (8, 1, 2, 2))
@@ -77,12 +71,11 @@ def _random_input(ctx, rng, h, beta, v):
 
 def _documents():
     """Yield ``(name, thunk)`` for every document."""
-    for N, K, beta, v in CELLS:
+    for N, K, beta, v in DIGEST_CELLS:
         cfg = SystemConfig(N, K, beta, v)
-        ctx = field_new(cfg.p)
         for kind in KINDS:
             for seed in range(8):
-                gm = draw_mds(ctx, kind, N, K, seed=100 * seed + N)
+                gm = digest_code(kind, N, K, seed)
                 name = f"attack {N},{K},{beta},{v} {kind} seed={seed}"
                 yield name, lambda cfg=cfg, gm=gm, seed=seed: _attack(cfg, gm, seed)
     for p in (5, 2**31 - 1):

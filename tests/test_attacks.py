@@ -23,6 +23,7 @@ from distcode import (
     gen_reed_solomon,
     partition_full_rank,
     rank,
+    solve,
     verify_against_truth,
     verify_attack,
 )
@@ -35,6 +36,14 @@ from oracles import rank_naive
 
 P = 2**31 - 1
 CTX = field_new(P)
+
+# The converse cells of the attack digests.  At (6,3,2,2), t*-1 = 5 rows
+# cannot make 3 groups of rank 2, so no code there has a plan.
+KINDS = ("random", "systematic", "reed_solomon")
+DIGEST_CELLS = (
+    (9, 3, 1, 2), (12, 6, 1, 2), (12, 4, 2, 2), (10, 3, 2, 2), (11, 3, 1, 3),
+    (8, 4, 2, 1), (6, 3, 2, 2),
+)
 
 
 def instantiate_difference(basis, pair, a, b, p):
@@ -414,6 +423,11 @@ class TestConverseAttack:
         assert verify_attack(gm, atk)
 
 
+def digest_code(kind, N, K, seed):
+    """The code of the attack digests' document ``kind`` ``seed`` at (N, K)."""
+    return draw_mds(CTX, kind, N, K, seed=100 * seed + N)
+
+
 class TestPlanMemo:
     @pytest.mark.parametrize(
         "kind, cell",
@@ -440,16 +454,87 @@ class TestPlanMemo:
             assert converse_attack(gm, cfg, seed=5) == converse_attack(fresh, cfg, seed=5)
         assert sorted(gm._memo) == sorted(("attack", beta, v) for beta, v in cells)
 
-    def test_a_code_without_a_plan_raises_on_every_call(self):
-        # Every column vanishes on three of five rows (see test_codes), so no
-        # selection exists; the failure is not memoized.
-        rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0], [0, 1, 0]]
+    @pytest.mark.parametrize(
+        "rows, beta, split",
+        [
+            # Every column vanishes on three of five rows (see test_codes), so
+            # no selection exists.
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0], [0, 1, 0]], 1,
+             "4 encoders into 3 groups of rank 1"),
+            # Any 4x3 code: t*-1 = 3 rows cannot make 2 groups of rank 2.
+            ([[1, 1, 0], [1, 1, 1], [2, 2, 1], [3, 3, 1]], 2,
+             "3 encoders into 2 groups of rank 2"),
+        ],
+        ids=["no_selection", "no_split"],
+    )
+    def test_a_code_without_a_plan_raises_on_every_call(self, rows, beta, split):
+        # The one exit names the split that failed; the failure is not memoized.
         gm = GeneratorMatrix(FieldMatrix(CTX, rows), "random")
-        cfg = SystemConfig(5, 3, 1, 2, p=P)
+        cfg = SystemConfig(len(rows), 3, beta, 2, p=P)
         for seed in (0, 0, 1):
-            with pytest.raises(SelectionImpossible):
+            with pytest.raises(SelectionImpossible, match=split):
                 converse_attack(gm, cfg, seed=seed)
         assert not gm._memo
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_no_6_3_code_splits_at_beta_2(self, kind):
+        # t*-1 = 5 rows cannot make 3 groups of rank 2, whatever the code.
+        cfg = SystemConfig(6, 3, 2, 2, p=P)
+        for seed in range(8):
+            gm = digest_code(kind, 6, 3, seed)
+            with pytest.raises(SelectionImpossible, match="5 encoders into 3 groups of rank 2"):
+                converse_attack(gm, cfg, seed=seed)
+            assert not gm._memo
+
+
+class TestPlanNullspace:
+    # The plan takes the first nullspace basis vector of its group system B.
+    # B's group columns are block-diagonal with rank-beta blocks, so they
+    # have full column rank, and no nonzero nullspace vector leaves every
+    # honest message fixed.
+    @staticmethod
+    def _check_plan(gm, beta, v):
+        """Rebuild B from ``gm``'s plan, check the fact on it, and return
+        False when ``gm`` has no plan."""
+        try:
+            T, A, blocks, Hs, vec = attacks._attack_plan(gm, beta, v)
+        except SelectionImpossible:
+            return False
+        p, a, m = gm.ctx.p, gm.matrix._a, len(blocks)
+        B = [[0] * (m * beta) + [int(a[n, k]) for k in Hs] for n in T]
+        for g, blk in enumerate(blocks):
+            for i in blk:
+                B[i][g * beta : (g + 1) * beta] = [int(a[T[i], k]) for k in A]
+        assert rank_naive([row[: m * beta] for row in B], p) == m * beta
+        basis = solve(FieldMatrix(gm.ctx, B), [0] * len(T)).nullspace_basis
+        assert basis and tuple(vec) == tuple(basis[0])
+        for bv in basis:
+            assert all(sum(x * y for x, y in zip(row, bv)) % p == 0 for row in B)
+            assert any(bv[m * beta :])
+        return True
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("cell", DIGEST_CELLS[:-1])
+    def test_every_basis_vector_moves_an_honest_message_on_mds_codes(self, cell, kind):
+        N, K, beta, v = cell
+        for seed in range(8):
+            assert self._check_plan(digest_code(kind, N, K, seed), beta, v)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    @pytest.mark.parametrize("cell", [(7, 3, 1, 2), (8, 4, 1, 2), (9, 3, 2, 2), (8, 3, 1, 3)])
+    def test_every_basis_vector_moves_an_honest_message_on_random_codes(self, cell, p):
+        N, K, beta, v = cell
+        ctx = FieldContext(p)
+        planned = 0
+        for seed in range(20):
+            rng = random.Random(f"plan nullspace {cell} {p} {seed}")
+            rows = []
+            while len(rows) < N:  # a code has no zero row
+                row = [rng.randrange(p) for _ in range(K)]
+                rows += [row] * any(row)
+            gm = GeneratorMatrix(FieldMatrix(ctx, rows), "random")
+            planned += self._check_plan(gm, beta, v)
+        assert planned > 0
 
 
 class TestVerifyAttack:

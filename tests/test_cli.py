@@ -78,6 +78,20 @@ class TestAttackAndDecode:
         assert capsys.readouterr().err == "error: attack failed verification\n"
         assert not out.exists()
 
+    def test_attack_without_a_split_exits_1(self, tmp_path, capsys):
+        # t*-1 = 3 rows cannot make 2 groups of rank 2.
+        code = tmp_path / "code.json"
+        code.write_text(json.dumps({"p": P, "N": 4, "K": 3, "kind": "random",
+                                    "rows": [[1, 1, 0], [1, 1, 1], [2, 2, 1], [3, 3, 1]]}))
+        out = tmp_path / "attack.json"
+        capsys.readouterr()
+        assert run_cli("attack", "--code", str(code), "--beta", "2", "--v", "2",
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: no selection splits 3 encoders into 2 groups of rank 2")
+        assert not out.exists()
+
     def test_decode_finds_honest_messages(self, tmp_path, code_path):
         gm = GeneratorMatrix.from_json(json.loads(code_path.read_text()))
         cfg = SystemConfig(N=9, K=3, beta=1, v=2, p=P)
