@@ -299,7 +299,7 @@ def converse_attack(gm: GeneratorMatrix, cfg: SystemConfig, seed: int) -> Attack
     alone (:func:`_attack_plan`).  They are found on the first attack of a
     code with this (beta, v) and kept in the code's memo, so later attacks
     only draw the seed's base values and re-encode.  A code without a plan
-    is not memoized and raises again on every call.
+    keeps the search's message, and every later call raises it afresh.
 
     Raises:
         SelectionImpossible: no admissible selection of t*-1 encoders and
@@ -310,7 +310,12 @@ def converse_attack(gm: GeneratorMatrix, cfg: SystemConfig, seed: int) -> Attack
     N, K, beta, v, p = cfg.N, cfg.K, cfg.beta, cfg.v, cfg.p
     key = ("attack", beta, v)
     if key not in gm._memo:
-        gm._memo[key] = _attack_plan(gm, beta, v)
+        try:
+            gm._memo[key] = _attack_plan(gm, beta, v)
+        except SelectionImpossible as exc:
+            gm._memo[key] = str(exc)
+    if isinstance(gm._memo[key], str):  # raised afresh: a re-raised error's traceback grows
+        raise SelectionImpossible(gm._memo[key])
     T, A, blocks, Hs, vec = gm._memo[key]
     m = len(blocks)
 

@@ -47,10 +47,10 @@ class GeneratorMatrix:
     points exactly.
 
     ``_memo`` holds what depends on the code alone and is costly to find:
-    the converse attack's plan per ``(beta, v)`` and the decoder's parity
-    check on the last node set decoded.  It is left out of ``==``, ``hash``,
-    ``repr`` and :meth:`to_json`, and a pickled or copied code starts with
-    an empty one.
+    the converse attack's plan per ``(beta, v)``, or the message of a plan
+    search that failed, and the decoder's parity check on the last node set
+    decoded.  It is left out of ``==``, ``hash``, ``repr`` and
+    :meth:`to_json`, and a pickled or copied code starts with an empty one.
     """
 
     matrix: FieldMatrix

@@ -70,13 +70,16 @@ keeps them as one array of these sweep indices.
 
 The flagged scenarios that are recorded are read off their full systems
 (:func:`_read_flagged`).  Each read builds the systems ``[D | X_q | y]``
-of its scenarios from ``G_T``, the label table and the presumed
-adversaries, and eliminates them all in one kernel call.  One batched read
-then gives each system's pivot columns, particular solution, pinned set
-and nullspace basis; they depend only on its solution set and column
-order.  If a system is inconsistent the projection was wrong and
-``decode`` raises ``RuntimeError``.  Every solution read, and in strict
-mode every witness alternate, is also encoded and compared with the
+of its scenarios from ``G_T``, the label table and the source-order table
+``orders``, and eliminates them all in one kernel call.  ``decode`` builds
+``orders`` once; its row i lists set i's presumed-honest sources in
+ascending order, then its beta presumed adversaries, and orders the
+columns of the set's systems and the blocks of its roots in both sweeps.
+One batched read then gives each system's pivot columns, particular
+solution, pinned set and nullspace basis; they depend only on its solution
+set and column order.  If a system is inconsistent the projection was
+wrong and ``decode`` raises ``RuntimeError``.  Every solution read, and in
+strict mode every witness alternate, is also encoded and compared with the
 transcript (:func:`_check_encodes`).
 
 Both modes read the flagged scenarios whose place in their set is below 1,
@@ -101,10 +104,10 @@ scenario of an earlier set is: every flagged scenario of the event's set
 that comes before it is read.  Most events are one of the two; the
 others, which occur on MDS codes too, are found by the witness sweep.  A
 second read takes only the events that the first did not, and is skipped
-when there are none.  The witness pairs are built from these reads.
-Every flagged scenario is kept as its sweep index; ``DecodeResult.feasible``
-reads, encode-checks and builds them all into a tuple of
-:class:`ScenarioSolution` on first access.
+when there are none.  The witness pairs are built from one table of the
+rows of both reads by sweep index.  Every flagged scenario is kept as its
+sweep index; ``DecodeResult.feasible`` reads, encode-checks and builds
+them all into a tuple of :class:`ScenarioSolution` on first access.
 
 The events are found without reading.  Let ``L_k`` be a basis of the left
 nullspace of ``G_T`` without column k, and q a feasible scenario that
@@ -206,14 +209,6 @@ def _partition_count(t: int, v: int) -> int:
     return sum(row)
 
 
-def _partition_indices(combos, n_parts: int, beta: int) -> np.ndarray:
-    """The ``(len(combos), beta)`` partition indices of scenario indices
-    ``combos``: scenario q uses partition ``q // n_parts**(beta-1-j) % n_parts``
-    for presumed adversary j."""
-    powers = n_parts ** np.arange(beta - 1, -1, -1)
-    return np.asarray(combos)[:, None] // powers % n_parts
-
-
 def _blocks(nodes, row) -> tuple[tuple[int, ...], ...]:
     """The partition of ``nodes`` whose restricted-growth labels are ``row``."""
     blocks: list[list[int]] = [[] for _ in range(max(row) + 1)]
@@ -281,8 +276,12 @@ class DecodeResult:
     """Decoder output.
 
     ``estimates[k]`` is ``None`` while no feasible scenario pinned source k.
-    ``guaranteed`` says whether the transcript covers at least t* encoders,
-    the only case in which the theorem vouches for the honest estimates.
+    ``guaranteed`` is only ``t >= t*``; it does not certify the code at
+    hand.  The theorem holds for a random linear code with high probability
+    over its draw, and a code can have two setups that encode alike at t*
+    and differ on an honest source, one of which then decodes to a wrong
+    honest estimate with ``guaranteed=True`` (``TestGuaranteedIsNotACertificate``
+    in ``tests/test_decoding.py``; ROADMAP item 1).
     Strict mode additionally carries one witness pair per coordinate on
     which feasible solutions disagree; the properties
     ``ambiguous_coordinates`` (those coordinates) and ``ambiguity`` (the
@@ -494,37 +493,33 @@ def _parity_check(Gsub, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _read_flagged(
-    Gsub, yv, labels, sets, v: int, p: int, flagged
+    Gsub, yv, labels, orders, beta: int, v: int, p: int, flagged
 ) -> tuple[_Reduced, np.ndarray, np.ndarray]:
     """Read the full systems ``[D | X_q | y]`` of the scenarios ``flagged``,
-    given by sweep index: scenario q of the presumed-adversary set
-    ``sets[i]`` is ``i * n_parts**beta + q``.  A full system has the
-    presumed-honest code columns ``D`` in source order, then v block columns
-    per presumed adversary a in set order: column b is ``g_a`` on block b of
-    a's partition, zero elsewhere.  The systems are built from ``Gsub``, the
-    label table and ``sets`` (C(K,beta), beta), and eliminated in one kernel
-    call, none for an empty read.
+    given by sweep index: scenario q of presumed-adversary set i is ``i *
+    n_parts**beta + q`` and uses partition ``q // n_parts**(beta-1-j) %
+    n_parts`` for the set's j-th presumed adversary.  A system's columns
+    follow row i of the source-order table ``orders`` (C(K,beta), K): the
+    code columns ``D`` of the presumed-honest sources, then v block columns
+    per presumed adversary a, column b ``g_a`` on block b of a's partition
+    and zero elsewhere.  One kernel call eliminates them all, none for an
+    empty read.
 
     Returns:
         ``(red, cols, parts)``: the :class:`_Reduced` systems, each system's
-        source order (its presumed-honest sources, then its presumed
-        adversaries) and its partition index per presumed adversary.
+        row of ``orders`` and its partition index per presumed adversary.
 
     Raises:
         RuntimeError: a full system is inconsistent.
     """
     t, K = Gsub.shape
-    beta = sets.shape[1]
     h = K - beta
     nvars = h + beta * v
     i, q = np.divmod(flagged, len(labels) ** beta)
-    A = sets[i]
-    honest = np.ones((len(A), K), dtype=bool)
-    honest[np.arange(len(A))[:, None], A] = False
-    cols = np.concatenate([np.nonzero(honest)[1].reshape(len(A), h), A], axis=1)
-    parts = _partition_indices(q, len(labels), beta)
+    cols = orders[i]
+    parts = q[:, None] // len(labels) ** np.arange(beta - 1, -1, -1) % len(labels)
     G = Gsub.T[cols]  # each system's code columns, as rows
-    full = np.empty((len(A), t, nvars + 1), dtype=Gsub.dtype)
+    full = np.empty((len(cols), t, nvars + 1), dtype=Gsub.dtype)
     full[:, :, :h] = G[:, :h].transpose(0, 2, 1)
     for j in range(beta):
         block = labels[parts[:, j]][:, :, None] == np.arange(v)
@@ -662,11 +657,12 @@ def decode(
 
     Gsub = gm.matrix._a[np.array(nodes)]
     yv = np.array([x % p for x in transcript.values], dtype=object).astype(ctx.dtype)
-    sets = list(itertools.combinations(range(K), beta))
-    set_table = np.array(sets)
+    h = K - beta
+    sets = itertools.combinations(range(K), beta)  # row i: set i's honest sources, then set i
+    orders = np.array([[k for k in range(K) if k not in A] + list(A) for A in sets])
 
     def read(flagged):  # every solution read is encoded and checked
-        red, cols, parts = out = _read_flagged(Gsub, yv, labels, set_table, v, p, flagged)
+        red, cols, parts = out = _read_flagged(Gsub, yv, labels, orders, beta, v, p, flagged)
         _check_encodes(Gsub, yv, labels, cols, parts, red.particular, p)
         return out
 
@@ -712,7 +708,7 @@ def decode(
         return flagged[first]
 
     kept, feasible_count = [], 0
-    roots = np.array([A + (0,) for A in sets])
+    roots = np.concatenate([orders[:, h:], np.zeros_like(orders[:, :1])], axis=1)  # rhs: L y
     for hits in _sweep(LX, Ly[None], roots, beta, n_parts, w, p):
         feasible_count += len(hits)
         kept.append(hits if strict else firsts_of(hits))
@@ -720,18 +716,17 @@ def decode(
     # Read each set's first flagged scenario, and in strict mode its second
     # too: that holds most witness events that the first does not, and the
     # witness sweep finds the rest.
-    bounds = np.searchsorted(flagged, np.arange(len(sets) + 1) * per_set)
+    bounds = np.searchsorted(flagged, np.arange(len(orders) + 1) * per_set)
     place = np.arange(len(flagged)) - bounds[flagged // per_set]  # within its set
     at = flagged[place < 1 + strict]
 
     # The first pinned values, in sweep order: a set's first scenario pins
     # whatever its second does, so each set's first row is the one kept.
-    h = K - beta
     first = read(at)
     red, cols, _ = first
-    pinned_first: dict[int, tuple[int, int]] = {}  # value, row of first
+    pinned_first: dict[int, tuple[int, int]] = {}  # value, sweep index of its row
     for s, j in zip(*np.nonzero(red.pinned[:, :h])):
-        pinned_first.setdefault(int(cols[s, j]), (int(red.particular[s, j]), int(s)))
+        pinned_first.setdefault(int(cols[s, j]), (int(red.particular[s, j]), int(at[s])))
 
     witnesses: dict[int, tuple[ScenarioSolution, ScenarioSolution]] = {}
     if strict:
@@ -742,18 +737,20 @@ def decode(
         # iff S2(q) or not S1(q), two consistency tests projected by L_k (see
         # the module docstring), and one sweep decides them for every such
         # set and coordinate.
-        head_rows = list(_rows(first))
+        # Every read row by sweep index: (reduced read, row in it, row lists).
+        read_rows = {f: (red, s, row) for s, (f, row) in enumerate(zip(at.tolist(), _rows(first)))}
         events: dict[int, int] = {}
-        for f, (vec, pinned, order, _) in zip(at.tolist(), head_rows):
+        for f, (_, _, (vec, pinned, order, _)) in read_rows.items():
             for k, x, pin in zip(order[:h], vec, pinned):
                 if k not in events and (not pin or x != pinned_first[k][0]):
                     events[k] = f
-        unread = np.diff(bounds) > 2
+        # As lists: a numpy membership test per (k, i) would cost more than the rest.
+        unread, adversaries = (np.diff(bounds) > 2).tolist(), orders[:, h:].tolist()
         todo = [
             (k, i)
             for k in sorted(pinned_first)
-            for i in range(events.get(k, len(sets) * per_set) // per_set)
-            if k not in sets[i] and unread[i]
+            for i in range(events.get(k, len(orders) * per_set) // per_set)
+            if unread[i] and k not in adversaries[i]
         ]
         if todo:
             Lk = np.concatenate([np.broadcast_to(L, (K,) + L.shape), ell[:, None]], axis=1)
@@ -762,19 +759,16 @@ def decode(
                 project(Lk, Gsub.T, one),  # S2 of k at k: L_k g_k
                 project(Lk, (yv - x[:, None] * Gsub.T % p) % p, one),  # S1 at K + k
             ])
-            pairs = sorted({(k, a) for k, i in todo for a in sets[i]})
-            kk, aa = map(list, zip(*pairs))
-            col = {pair: c for c, pair in enumerate(pairs)}
-            roots = np.array(
-                [[col[k, a] for a in sets[i]] + [side * K + k] for side in (0, 1) for k, i in todo]
-            )
-            # Scenario q of root r as r * per_set + q: todo entry n has its
-            # S2 root at n and its S1 root at n + len(todo).
+            # Row n*beta + j of LXk is todo entry n's j-th presumed adversary.  Root r's
+            # scenario q is r*per_set + q; todo entry n's S2 root is n, its S1 root n + len(todo).
+            ks, ix = np.array(todo).T
+            LXk = project(Lk[ks.repeat(beta)], Gsub.T[orders[ix, h:].ravel()], side_by_side)
+            adv = np.arange(len(todo) * beta).reshape(-1, beta)
+            roots = np.concatenate([np.column_stack([adv, ks]), np.column_stack([adv, K + ks])])
             F = np.concatenate([
                 flagged[bounds[i] : bounds[i + 1]] + (n - i) * per_set
                 for n, (_, i) in enumerate(todo)
             ])
-            LXk = project(Lk[kk], Gsub[:, aa].T, side_by_side)
             hits = np.concatenate(list(_sweep(LXk, rhs, roots, beta, n_parts, w, p)) + [F[:0]])
             ev = F[np.isin(F, hits) | ~np.isin(F + len(todo) * per_set, hits)]
             ns, lead = np.unique(ev // per_set, return_index=True)
@@ -784,26 +778,25 @@ def decode(
 
         # Read the events that are not read yet, those the witness sweep
         # found, and build the witnesses in sweep order, then by coordinate.
-        held = {f: (first, s, row) for s, (f, row) in enumerate(zip(at.tolist(), head_rows))}
-        unheld = np.array(sorted(set(events.values()) - held.keys()), dtype=np.int64)
-        if len(unheld):
-            found = read(unheld)
-            for s, (f, row) in enumerate(zip(unheld.tolist(), _rows(found))):
-                held[f] = (found, s, row)
+        second = np.array(sorted(set(events.values()) - read_rows.keys()), dtype=np.int64)
+        if len(second):
+            found = read(second)
+            for s, (f, row) in enumerate(zip(second.tolist(), _rows(found))):
+                read_rows[f] = (found[0], s, row)
         alts = []  # (source order, partition indices, alternate)
         for f, k in sorted((f, k) for k, f in events.items()):
-            (red, cols, parts), s, row = held[f]
-            vec, pinned, order, _ = row
+            red, s, row = read_rows[f]
+            vec, pinned, order, parts = row
             j = order.index(k)
             sol = solution(*row)
             if pinned[j]:
                 value, where = pinned_first[k]
                 if vec[j] == value:
                     raise RuntimeError("projected and full scenario systems disagree")
-                witnesses[k] = (solution(*head_rows[where]), sol)
+                witnesses[k] = (solution(*read_rows[where][2]), sol)
             else:
                 bvec = next(b for b in red.nullspace(s) if b[j] != 0)
-                alts.append((cols[s], parts[s], (red.particular[s] + bvec) % p))
+                alts.append((order, parts, (red.particular[s] + bvec) % p))
                 witnesses[k] = (sol, solution(alts[-1][2].tolist(), *row[1:]))
         if alts:
             _check_encodes(Gsub, yv, labels, *map(np.stack, zip(*alts)), p)

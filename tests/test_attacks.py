@@ -429,6 +429,27 @@ def digest_code(kind, N, K, seed):
 
 
 class TestPlanMemo:
+    @staticmethod
+    def _raises_alike(gm, cfg, seeds, monkeypatch):
+        """The messages of the ``SelectionImpossible`` each seed's attack
+        raises, and the kernel calls of each attack."""
+        calls, messages = [], []
+
+        def counting(batch, p, ncols):
+            calls[-1] += 1
+            return eliminate(batch, p, ncols)
+
+        eliminate = fieldmod._batch_eliminate
+        with monkeypatch.context() as patch:
+            patch.setattr(fieldmod, "_batch_eliminate", counting)
+            patch.setattr(attacks, "_batch_eliminate", counting)
+            for seed in seeds:
+                calls.append(0)
+                with pytest.raises(SelectionImpossible) as info:
+                    converse_attack(gm, cfg, seed=seed)
+                messages.append(str(info.value))
+        return messages, calls
+
     @pytest.mark.parametrize(
         "kind, cell",
         [("random", (12, 4, 2, 2)), ("systematic", (10, 4, 1, 3)), ("reed_solomon", (12, 6, 1, 2))],
@@ -467,24 +488,25 @@ class TestPlanMemo:
         ],
         ids=["no_selection", "no_split"],
     )
-    def test_a_code_without_a_plan_raises_on_every_call(self, rows, beta, split):
-        # The one exit names the split that failed; the failure is not memoized.
+    def test_a_code_without_a_plan_raises_on_every_call(self, rows, beta, split, monkeypatch):
+        # The one exit names the split that failed.  The code keeps the
+        # failure, so later calls raise the same message and search no more.
         gm = GeneratorMatrix(FieldMatrix(CTX, rows), "random")
         cfg = SystemConfig(len(rows), 3, beta, 2, p=P)
-        for seed in (0, 0, 1):
-            with pytest.raises(SelectionImpossible, match=split):
-                converse_attack(gm, cfg, seed=seed)
-        assert not gm._memo
+        messages, calls = self._raises_alike(gm, cfg, (0, 0, 1), monkeypatch)
+        assert split in messages[0] and messages == messages[:1] * 3
+        assert calls[1:] == [0, 0]
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_no_6_3_code_splits_at_beta_2(self, kind):
+    def test_no_6_3_code_splits_at_beta_2(self, kind, monkeypatch):
         # t*-1 = 5 rows cannot make 3 groups of rank 2, whatever the code.
         cfg = SystemConfig(6, 3, 2, 2, p=P)
         for seed in range(8):
             gm = digest_code(kind, 6, 3, seed)
-            with pytest.raises(SelectionImpossible, match="5 encoders into 3 groups of rank 2"):
-                converse_attack(gm, cfg, seed=seed)
-            assert not gm._memo
+            messages, calls = self._raises_alike(gm, cfg, (seed, seed + 1), monkeypatch)
+            assert messages == ["no selection splits 5 encoders into 3 groups of rank 2 "
+                                "(beta=2, v=2)"] * 2
+            assert calls[0] > 0 and calls[1] == 0
 
 
 class TestPlanNullspace:

@@ -465,6 +465,15 @@ class TestSweep:
         assert doc["meta"]["prime"] == P
         assert len(doc["results"]) == 2
 
+    def test_sweep_timing_on_the_default_grid(self, tmp_path):
+        # Every cell's wall_ms is a whole number of milliseconds; the default
+        # grid takes tens of them, so some cell reads above 0.
+        out = tmp_path / "results.json"
+        assert run_cli("sweep", "--timing", "--format", "json", "--out", str(out)) == 0
+        walls = [r["wall_ms"] for r in json.loads(out.read_text())["results"]]
+        assert walls and all(type(w) is int and w >= 0 for w in walls)
+        assert max(walls) > 0
+
     def test_sweep_options_override_the_spec(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"cells": [[9, 3, 1, 2]], "trials": 2, "seed": 0}))

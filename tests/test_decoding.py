@@ -16,6 +16,7 @@ from distcode import (
     GeneratorMatrix,
     NodeOutOfRange,
     PresumedScenario,
+    SourceBehavior,
     SystemConfig,
     Transcript,
     TranscriptMismatch,
@@ -490,9 +491,8 @@ class TestFlaggedReader:
             dtype = FieldContext(p).dtype
             Gsub = np.array(G, dtype=dtype)
             yv = np.array(y, dtype=dtype)
-            read = functools.partial(
-                decoding._read_flagged, Gsub, yv, table, np.array(sets), v, p
-            )
+            orders = np.array([[k for k in range(K) if k not in A] + list(A) for A in sets])
+            read = functools.partial(decoding._read_flagged, Gsub, yv, table, orders, beta, v, p)
             red, cols, parts = read(np.array(flagged, dtype=np.int64))
             assert len(red.particular) == len(cols) == len(parts) == len(systems)
             for s, (A_hat, combo, want) in enumerate(systems):
@@ -1481,3 +1481,44 @@ class TestVerifyAgainstTruth:
         wrong[adv] = 12345 if wrong[adv] != 12345 else 54321
         tweaked = type(res)(estimates=tuple(wrong), feasible_count=res.feasible_count)
         assert verify_against_truth(tweaked, behavior).ok
+
+
+class TestGuaranteedIsNotACertificate:
+    # guaranteed is only t >= t*.  The theorem vouches for a random linear
+    # code with high probability over the draw, not for every code: this
+    # Reed-Solomon code at t* = 8 has two scenarios S1, S2 of the presumed
+    # adversaries (1, 3) whose matrix [G_T | X'_S1 | X'_S2] is singular, so
+    # two setups encode alike on T and differ on an honest source (ROADMAP
+    # item 1).  X' holds g_a on block 0 of each partition (v = 2).
+    def test_an_unsafe_pair_decodes_guaranteed_and_wrong(self):
+        gm = draw_mds(CTX, "reed_solomon", 12, 4, seed=1)
+        cfg = SystemConfig(12, 4, 2, 2, p=P)
+        T, A = tuple(range(8)), (1, 3)
+        assert cfg.t_star == len(T)
+        labels = decoding._partition_labels(8, 2).tolist()
+        S1, S2 = (43, 74), (60, 96)
+        G = gm.matrix._a.tolist()
+        X = [[G[n][a] * (labels[q][n] == 0) for n in T] for S in (S1, S2) for a, q in zip(A, S)]
+        M = [G[n][:4] + [x[n] for x in X] for n in T]
+        (z,) = fieldmod.solve(FieldMatrix(CTX, M), [0] * 8).nullspace_basis
+        z = [int(x) for x in z]
+        assert z[0] != 0
+
+        def setup(base, S, shifts):  # the j-th adversary shifts block 0 of S
+            rows = [[b] * cfg.N for b in base]
+            for a, q, d in zip(A, S, shifts):
+                for n in T:
+                    if labels[q][n] == 0:
+                        rows[a][n] = (base[a] + d) % P
+            return SourceBehavior(cfg, tuple(map(tuple, rows)), frozenset(A))
+
+        m = [11, 22, 33, 44]
+        setup1 = setup(m, S1, z[4:6])
+        setup2 = setup([(x - d) % P for x, d in zip(m, z[:4])], S2, [-d for d in z[6:8]])
+        tr = encode_transcript(gm, setup1, T)
+        assert tr.values == encode_transcript(gm, setup2, T).values
+        fast, strict = decode(gm, T, tr, cfg), decode(gm, T, tr, cfg, mode="strict")
+        assert fast.guaranteed and strict.guaranteed
+        for res in (fast, strict):
+            assert sorted(verify_against_truth(res, s).ok for s in (setup1, setup2)) == [False, True]
+        assert strict.ambiguous_coordinates == {0, 2}
